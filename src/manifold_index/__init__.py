@@ -29,8 +29,7 @@ from .manifold import (
 )
 from .marketdata import (
     MarketFrame,
-    RawQuote,
-    StockVector,
+    QuotePanel,
     TradingCalendar,
     build_market_frame,
     complete_series,
@@ -68,9 +67,8 @@ __all__ = [
     "MassMatrix",
     "MetricsReport",
     "PipelineError",
-    "RawQuote",
+    "QuotePanel",
     "ReturnSeries",
-    "StockVector",
     "SynthConfig",
     "SyntheticMarket",
     "TradingCalendar",

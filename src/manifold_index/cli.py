@@ -27,14 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import indexcalc, manifold, marketdata, metrics, selection, spectral, synth
-from .errors import (
-    InsufficientFeaturesError,
-    MissingPriceError,
-    NotCompletableError,
-    ParameterError,
-    ParseError,
-    PipelineError,
-)
+from .errors import InsufficientFeaturesError, ParameterError, ParseError, PipelineError
 
 DEFAULT_N_LIST = (50, 100, 150, 180, 380)
 
@@ -176,15 +169,14 @@ def grow_basis_and_select(
     return out
 
 
-def cmd_select(cfg: PipelineConfig) -> list[Path]:
+def cmd_select(cfg: PipelineConfig, quotes: marketdata.QuotePanel) -> list[Path]:
     """Run marketdata -> manifold -> spectral -> selection for the study year
     and write one constituent CSV per requested N."""
-    if cfg.quotes is None or cfg.study_year is None:
-        raise ParameterError("select needs --quotes and --study-year")
+    if cfg.study_year is None:
+        raise ParameterError("select needs --study-year")
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    quotes = marketdata.load_quotes(cfg.quotes)
     calendar = marketdata.calendar_from_quotes(quotes, cfg.study_year)
     frame = marketdata.build_market_frame(quotes, calendar, calendar.dates[-1])
     _log(f"select: {frame.n} stocks x {calendar.m} days after preprocessing")
@@ -194,66 +186,35 @@ def cmd_select(cfg: PipelineConfig) -> list[Path]:
                 f"requested N={n_target} but only {frame.n} stocks survive screening"
             )
 
-    graph, weights, mass = manifold.build_operator(frame, k=cfg.k, t=cfg.t, mode=cfg.mode)
+    graph, weights, mass = manifold.build_operator(frame.vectors, k=cfg.k, t=cfg.t, mode=cfg.mode)
     picks = grow_basis_and_select(
-        weights, mass, graph, frame.caps_vector(), cfg.n_list, cfg.eigen_batch, cfg.seed
+        weights, mass, graph, frame.caps, cfg.n_list, cfg.eigen_batch, cfg.seed
     )
     paths = []
     for n_target in cfg.n_list:
         path = outdir / f"constituents_{n_target:03d}.csv"
-        selection.write_constituents_csv(path, picks[n_target], frame.tickers, frame.caps_vector())
+        selection.write_constituents_csv(path, picks[n_target], frame.tickers, frame.caps)
         paths.append(path)
         _log(f"select: wrote {path}")
     return paths
 
 
-def _completed_prices(quotes, calendar, tickers):
-    prices: dict[str, dict] = {}
-    for ticker in tickers:
-        if ticker not in quotes:
-            raise MissingPriceError(ticker, calendar.dates[0])
-        try:
-            closes = marketdata.complete_series(quotes[ticker], calendar)
-        except NotCompletableError:
-            raise MissingPriceError(ticker, calendar.dates[0]) from None
-        prices[ticker] = dict(zip(calendar.dates, closes))
-    return prices
-
-
-def _shares_at(quotes, calendar, ticker, date):
-    if ticker not in quotes:
-        raise MissingPriceError(ticker, date)
-    by_date = {q.date: q.shares_issued for q in quotes[ticker]}
-    series = [by_date.get(d) for d in calendar.dates]
-    try:
-        filled = marketdata.complete_series(series, calendar)
-    except NotCompletableError:
-        raise MissingPriceError(ticker, date) from None
-    return float(filled[calendar.index_of(date)])
-
-
-def cmd_index(cfg: PipelineConfig, constituent_files) -> list[Path]:
+def cmd_index(cfg: PipelineConfig, quotes: marketdata.QuotePanel, constituent_files) -> list[Path]:
     """Compute the target-year index series for each constituent CSV."""
-    if cfg.quotes is None:
-        raise ParameterError("index needs --quotes")
     target_year = cfg.resolved_target_year()
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    quotes = marketdata.load_quotes(cfg.quotes)
     calendar = marketdata.calendar_from_quotes(quotes, target_year)
-    base_date = calendar.dates[0]
     actions = indexcalc.read_actions_csv(cfg.actions) if cfg.actions else []
 
     paths = []
     for cfile in constituent_files:
         cfile = Path(cfile)
         tickers = selection.read_constituents_csv(cfile)
-        members = [
-            indexcalc.Constituent(t, _shares_at(quotes, calendar, t, base_date))
-            for t in tickers
-        ]
-        prices = _completed_prices(quotes, calendar, tickers)
+        closes, shares = marketdata.index_inputs(quotes, calendar, tickers)
+        members = [indexcalc.Constituent(t, s) for t, s in zip(tickers, shares.tolist())]
+        prices = {t: dict(zip(calendar.dates, closes[:, j])) for j, t in enumerate(tickers)}
         series = indexcalc.compute_series(
             calendar.dates, prices, members, cfg.base_level, actions
         )
@@ -369,7 +330,9 @@ def cmd_synth(args) -> tuple[Path, Path]:
     return quotes_path, bench_path
 
 
-def cmd_backtest(cfg: PipelineConfig, start_year: int, end_year: int) -> tuple[Path, Path]:
+def cmd_backtest(
+    cfg: PipelineConfig, quotes: marketdata.QuotePanel, start_year: int, end_year: int
+) -> tuple[Path, Path]:
     """Annual refresh loop: for each study year in [start, end], select
     constituents and compute the next year's index, then evaluate all series
     against the benchmark."""
@@ -381,8 +344,8 @@ def cmd_backtest(cfg: PipelineConfig, start_year: int, end_year: int) -> tuple[P
             target_year=study_year + 1,
             outdir=str(Path(cfg.outdir) / str(study_year)),
         )
-        constituent_files = cmd_select(year_cfg)
-        series_files.extend(cmd_index(year_cfg, constituent_files))
+        constituent_files = cmd_select(year_cfg, quotes)
+        series_files.extend(cmd_index(year_cfg, quotes, constituent_files))
     return cmd_metrics(cfg, series_files)
 
 
@@ -457,15 +420,22 @@ def main(argv=None) -> int:
     try:
         if args.command == "synth":
             cmd_synth(args)
-        elif args.command == "select":
-            cmd_select(_config_from_args(args))
+            return 0
+        cfg = _config_from_args(args)
+        if args.command == "metrics":
+            cmd_metrics(cfg, args.series)
+            return 0
+        if cfg.quotes is None:
+            raise ParameterError(f"{args.command} needs --quotes")
+        # parsed once, however many years the command covers
+        quotes = marketdata.load_quotes(cfg.quotes)
+        if args.command == "select":
+            cmd_select(cfg, quotes)
         elif args.command == "index":
-            cmd_index(_config_from_args(args), args.constituents)
-        elif args.command == "metrics":
-            cmd_metrics(_config_from_args(args), args.series)
-        elif args.command == "backtest":
-            cmd_backtest(_config_from_args(args), args.bt_start, args.bt_end)
-    except PipelineError as exc:
+            cmd_index(cfg, quotes, args.constituents)
+        else:
+            cmd_backtest(cfg, quotes, args.bt_start, args.bt_end)
+    except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -29,7 +29,6 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ParameterError, SingularMassError
-from .marketdata import MarketFrame
 
 DEFAULT_K = 10
 
@@ -63,8 +62,6 @@ class AdjacencyGraph:
 
 
 def _as_points(points) -> np.ndarray:
-    if isinstance(points, MarketFrame):
-        points = points.matrix()
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ParameterError(f"points must be a 2-d array, got shape {pts.shape}")
@@ -88,7 +85,7 @@ def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:
 def knn_graph(points, k: int) -> AdjacencyGraph:
     """Exact k-nearest-neighbour graph by Euclidean distance.
 
-    ``points`` is an (n, m) array or a MarketFrame.  Ties are broken by
+    ``points`` is an (n, m) array.  Ties are broken by
     ascending point index, which makes the graph deterministic; duplicate
     points become mutual neighbours at distance 0.
     """

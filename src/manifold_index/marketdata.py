@@ -1,9 +1,12 @@
 """Quote ingestion and preprocessing.
 
 Raw daily quotes arrive as CSV rows ``date,ticker,close,shares_issued``
-(ISO-8601 dates; an absent close is an empty field or ``NA``).  Three steps
-turn one study year of quotes into an aligned frame of unit-norm price
-vectors:
+(ISO-8601 dates; an absent value is an empty field or ``NA``).  The loader
+parses the file once into a :class:`QuotePanel`: the sorted quoted dates x
+the sorted tickers, with one ``close`` and one ``shares`` float array of
+that shape, in which NaN marks a value that is absent (its row is missing
+or its field is empty).  Three steps turn one study year of the panel into
+an aligned frame of unit-norm price vectors:
 
 1. completion      - forward-fill absent closes from the previous trading day
 2. screening       - keep only tickers quoted on the first and last calendar
@@ -20,14 +23,16 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     DuplicateQuoteError,
     EmptyUniverseError,
+    MissingPriceError,
     NormalizationError,
     NotCompletableError,
     ParameterError,
@@ -40,21 +45,35 @@ NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class RawQuote:
-    """One ticker-day observation; close/shares may be absent (None)."""
+class QuotePanel:
+    """Every quote of a file as one dates x tickers table.
 
-    ticker: str
-    date: dt.date
-    close: float | None
-    shares_issued: float | None
+    ``close[i, j]`` and ``shares[i, j]`` are ticker j's close and shares
+    issued on date i; NaN marks an absent value.  Dates and tickers are
+    strictly increasing; the dates are every date some row is quoted on.
+    """
+
+    dates: tuple[dt.date, ...]
+    tickers: tuple[str, ...]
+    close: np.ndarray
+    shares: np.ndarray
 
     def __post_init__(self):
-        if self.close is not None and not self.close > 0:
-            raise ParameterError(f"close must be > 0, got {self.close} for {self.ticker}")
-        if self.shares_issued is not None and self.shares_issued < 0:
-            raise ParameterError(
-                f"shares_issued must be >= 0, got {self.shares_issued} for {self.ticker}"
-            )
+        shape = (len(self.dates), len(self.tickers))
+        if self.close.shape != shape or self.shares.shape != shape:
+            raise ParameterError(f"close and shares must both have shape {shape}")
+        for name in ("dates", "tickers"):
+            keys = getattr(self, name)
+            if any(a >= b for a, b in zip(keys, keys[1:])):
+                raise ParameterError(f"panel {name} must be strictly increasing")
+
+    def rows(self, dates: Sequence[dt.date]) -> np.ndarray:
+        """Row index of each of ``dates``."""
+        position = {d: i for i, d in enumerate(self.dates)}
+        try:
+            return np.array([position[d] for d in dates], dtype=np.intp)
+        except KeyError as exc:
+            raise ParameterError(f"{exc.args[0]} is not a date of this quote panel") from None
 
 
 @dataclass(frozen=True)
@@ -81,76 +100,70 @@ class TradingCalendar:
             raise ParameterError(f"{date} is not a trading date of this calendar") from None
 
 
-@dataclass(frozen=True)
-class StockVector:
-    """A stock's preprocessed price curve as a unit-norm point."""
-
-    ticker: str
-    components: np.ndarray
-
-    def __post_init__(self):
-        nrm = float(np.linalg.norm(self.components))
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise NormalizationError(f"{self.ticker}: vector norm {nrm} is not 1")
-
-
 @dataclass
 class MarketFrame:
-    """Aligned universe of unit-norm stock vectors plus selection-date caps."""
+    """Aligned universe: row i of ``vectors`` is the unit-norm price curve
+    of ``tickers[i]`` and ``caps[i]`` its selection-date market cap."""
 
     calendar: TradingCalendar
-    stocks: list[StockVector]
-    caps: dict[str, float]
+    tickers: list[str]
+    vectors: np.ndarray
+    caps: np.ndarray
 
     def __post_init__(self):
-        m = self.calendar.m
-        seen = set()
-        for s in self.stocks:
-            if len(s.components) != m:
-                raise ParameterError(f"{s.ticker}: vector length {len(s.components)} != m={m}")
-            if s.ticker in seen:
-                raise ParameterError(f"duplicate ticker {s.ticker} in frame")
-            seen.add(s.ticker)
-            if s.ticker not in self.caps:
-                raise ParameterError(f"{s.ticker} has no market-cap entry")
+        n = len(self.tickers)
+        if self.vectors.shape != (n, self.calendar.m) or self.caps.shape != (n,):
+            raise ParameterError(
+                f"{n} tickers x {self.calendar.m} days do not match vectors "
+                f"{self.vectors.shape} and caps {self.caps.shape}"
+            )
+        if len(set(self.tickers)) != n:
+            raise ParameterError("duplicate ticker in frame")
+        norms = np.linalg.norm(self.vectors, axis=1)
+        bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+        if len(bad):
+            i = bad[0]
+            raise NormalizationError(f"{self.tickers[i]}: vector norm {norms[i]} is not 1")
 
     @property
     def n(self) -> int:
-        return len(self.stocks)
-
-    @property
-    def tickers(self) -> list[str]:
-        return [s.ticker for s in self.stocks]
-
-    def matrix(self) -> np.ndarray:
-        """Stack the stock vectors into an (n, m) point-cloud array."""
-        return np.vstack([s.components for s in self.stocks])
-
-    def caps_vector(self) -> np.ndarray:
-        return np.array([self.caps[t] for t in self.tickers], dtype=float)
+        return len(self.tickers)
 
 
-def _parse_optional(token: str, column: str, path, line_no: int) -> float | None:
-    token = token.strip()
-    if token in MISSING_TOKENS:
-        return None
+def _value(token: str, column: str, positive: bool, path, line_no: int) -> float:
+    """One close or shares field: NaN when absent, else a finite number that
+    is > 0 (``positive``) or >= 0."""
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise ParseError(path, line_no, f"bad {column} value {token!r}") from None
+        if token.strip() in MISSING_TOKENS:
+            return np.nan
+        raise ParseError(path, line_no, f"bad {column} value {token.strip()!r}") from None
+    if not (0.0 < value if positive else 0.0 <= value) or value == np.inf:
+        bound = "> 0" if positive else ">= 0"
+        raise ParseError(path, line_no, f"{column} must be finite and {bound}, got {value}")
+    return value
 
 
-def load_quotes(
-    source,
-    calendar_window: tuple[dt.date, dt.date] | None = None,
-) -> dict[str, list[RawQuote]]:
-    """Read a quote CSV into per-ticker quote lists sorted by date.
+def _ranked(ids: dict, row_ids: array) -> tuple[list, np.ndarray]:
+    """The keys of ``ids`` (key -> id) sorted, and each row's id replaced by
+    the rank of its key."""
+    keys = sorted(ids)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[[ids[k] for k in keys]] = np.arange(len(keys))
+    return keys, rank[np.frombuffer(row_ids, dtype=np.int64)]
+
+
+def load_quotes(source) -> QuotePanel:
+    """Read a quote CSV into a QuotePanel.
 
     The file must carry a header with at least ``date,ticker,close,
-    shares_issued``; unknown columns are ignored.  ``calendar_window``
-    (inclusive) drops rows outside the range before any other processing.
+    shares_issued``; unknown columns are ignored and blank rows skipped.
+    A close must be finite and > 0 and shares finite and >= 0; ``NA`` or an
+    empty field is absent.  A malformed row raises ParseError with its line
+    number; a second quote for the same (ticker, date) raises
+    DuplicateQuoteError once the rest of the file has parsed.
     """
-    groups: dict[str, dict[dt.date, RawQuote]] = {}
     with open(source, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -159,96 +172,97 @@ def load_quotes(
             raise EmptyUniverseError(f"{source}: file is empty") from None
         names = [h.strip() for h in header]
         try:
-            cols = {k: names.index(k) for k in ("date", "ticker", "close", "shares_issued")}
+            di, ti, ci, si = (names.index(k) for k in ("date", "ticker", "close", "shares_issued"))
         except ValueError as exc:
             raise ParseError(source, 1, f"missing required column: {exc}") from None
+        width = len(names)
 
+        # Each distinct date or ticker token is parsed once and then maps to
+        # an id; two tokens may name the same date or ticker.
+        date_of_token: dict[str, int] = {}
+        date_ids: dict[dt.date, int] = {}
+        ticker_of_token: dict[str, int] = {}
+        ticker_ids: dict[str, int] = {}
+        row_line, row_date, row_ticker = array("q"), array("q"), array("q")
+        closes, shares = array("d"), array("d")
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if len(row) < width:
+                if any(f.strip() for f in row):
+                    raise ParseError(source, line_no, f"expected {width} fields, got {len(row)}")
                 continue
-            if len(row) < len(names):
-                raise ParseError(source, line_no, f"expected {len(names)} fields, got {len(row)}")
-            try:
-                date = dt.date.fromisoformat(row[cols["date"]].strip())
-            except ValueError:
-                raise ParseError(
-                    source, line_no, f"bad date {row[cols['date']]!r}"
-                ) from None
-            ticker = row[cols["ticker"]].strip()
-            if not ticker:
-                raise ParseError(source, line_no, "empty ticker")
-            if calendar_window is not None:
-                lo, hi = calendar_window
-                if not lo <= date <= hi:
+            token = row[di]
+            d = date_of_token.get(token)
+            if d is None:  # a blank row always lands here: blank tokens are never stored
+                if not any(f.strip() for f in row):
                     continue
-            close = _parse_optional(row[cols["close"]], "close", source, line_no)
-            shares = _parse_optional(row[cols["shares_issued"]], "shares_issued", source, line_no)
-            try:
-                quote = RawQuote(ticker, date, close, shares)
-            except ParameterError as exc:
-                raise ParseError(source, line_no, str(exc)) from None
-            per_ticker = groups.setdefault(ticker, {})
-            if date in per_ticker:
-                raise DuplicateQuoteError(source, line_no, f"duplicate quote for ({ticker}, {date})")
-            per_ticker[date] = quote
+                try:
+                    date = dt.date.fromisoformat(token.strip())
+                except ValueError:
+                    raise ParseError(source, line_no, f"bad date {token!r}") from None
+                d = date_of_token[token] = date_ids.setdefault(date, len(date_ids))
+            token = row[ti]
+            t = ticker_of_token.get(token)
+            if t is None:
+                if not token.strip():
+                    raise ParseError(source, line_no, "empty ticker")
+                t = ticker_of_token[token] = ticker_ids.setdefault(token.strip(), len(ticker_ids))
+            closes.append(_value(row[ci], "close", True, source, line_no))
+            shares.append(_value(row[si], "shares_issued", False, source, line_no))
+            row_line.append(line_no)
+            row_date.append(d)
+            row_ticker.append(t)
 
-    if not groups:
+    if not ticker_ids:
         raise EmptyUniverseError(f"{source}: no quote rows")
-    return {t: [per[d] for d in sorted(per)] for t, per in sorted(groups.items())}
+    dates, i = _ranked(date_ids, row_date)
+    tickers, j = _ranked(ticker_ids, row_ticker)
+    cell = i * len(tickers) + j
+    if np.bincount(cell).max() > 1:
+        _, first_seen = np.unique(cell, return_index=True)
+        p = np.setdiff1d(np.arange(len(cell)), first_seen)[0]
+        raise DuplicateQuoteError(
+            source, row_line[p], f"duplicate quote for ({tickers[j[p]]}, {dates[i[p]]})"
+        )
+    shape = (len(dates), len(tickers))
+    close_panel, shares_panel = np.full(shape, np.nan), np.full(shape, np.nan)
+    close_panel[i, j] = np.frombuffer(closes)
+    shares_panel[i, j] = np.frombuffer(shares)
+    return QuotePanel(tuple(dates), tuple(tickers), close_panel, shares_panel)
 
 
-def raw_close_series(quotes: Sequence[RawQuote], calendar: TradingCalendar) -> list[float | None]:
-    """Closes aligned to the calendar; None where the row or value is absent."""
-    by_date = {q.date: q.close for q in quotes}
-    return [by_date.get(d) for d in calendar.dates]
+def _forward_fill(values: np.ndarray) -> np.ndarray:
+    """Replace each NaN by the nearest earlier non-NaN value along axis 0;
+    a NaN with no earlier value stays NaN."""
+    steps = np.arange(len(values)).reshape((-1,) + (1,) * (values.ndim - 1))
+    source = np.where(np.isnan(values), 0, steps)
+    np.maximum.accumulate(source, axis=0, out=source)
+    return np.take_along_axis(values, source, axis=0)
 
 
-def _forward_fill(values: Sequence[float | None]) -> np.ndarray:
-    out = np.empty(len(values), dtype=float)
-    last = None
-    for i, v in enumerate(values):
-        if v is not None:
-            last = v
-        elif last is None:
-            raise NotCompletableError("first calendar value is absent; cannot forward-fill")
-        out[i] = last
-    return out
+def complete_series(values, calendar: TradingCalendar) -> np.ndarray:
+    """Forward-fill closes over the calendar.
 
-
-def complete_series(
-    quotes: Sequence[RawQuote] | Sequence[float | None],
-    calendar: TradingCalendar,
-) -> np.ndarray:
-    """Forward-fill one ticker's closes over the calendar.
-
-    Accepts either the ticker's RawQuote list or a calendar-aligned list of
-    optional closes.  Raises NotCompletableError when the first calendar
-    date has no close (the caller routes such tickers to screening).
+    ``values`` is one calendar-aligned series, or a dates x tickers block,
+    with NaN (or None) where a close is absent.  Raises NotCompletableError
+    when a series has no close on the first calendar date (the caller routes
+    such tickers to screening).
     """
-    if len(quotes) and isinstance(quotes[0], RawQuote):
-        values = raw_close_series(quotes, calendar)  # type: ignore[arg-type]
-    else:
-        values = list(quotes)  # type: ignore[arg-type]
-        if len(values) != calendar.m:
-            raise ParameterError(f"series length {len(values)} != calendar m={calendar.m}")
+    values = np.asarray(values, dtype=float)
+    if len(values) != calendar.m:
+        raise ParameterError(f"series length {len(values)} != calendar m={calendar.m}")
+    if np.isnan(values[0]).any():
+        raise NotCompletableError("first calendar value is absent; cannot forward-fill")
     return _forward_fill(values)
 
 
-def screen_universe(
-    all_series: Mapping[str, Sequence[float | None]],
-    calendar: TradingCalendar,
-) -> list[str]:
-    """Tickers traded throughout the window: close present on the first AND
-    last calendar date.  Stocks listing or delisting mid-window fail one of
-    the two endpoints and drop out."""
-    survivors = []
-    for ticker in sorted(all_series):
-        series = all_series[ticker]
-        if len(series) != calendar.m:
-            raise ParameterError(f"{ticker}: series length {len(series)} != m={calendar.m}")
-        if series[0] is not None and series[-1] is not None:
-            survivors.append(ticker)
-    if not survivors:
+def screen_universe(closes) -> np.ndarray:
+    """Columns of a calendar-aligned dates x tickers close block (NaN where
+    absent) that are traded throughout the window: close present on the
+    first AND last date.  Stocks listing or delisting mid-window fail one
+    of the two endpoints and drop out.  Ascending column indices."""
+    closes = np.asarray(closes, dtype=float)
+    survivors = np.flatnonzero(~np.isnan(closes[0]) & ~np.isnan(closes[-1]))
+    if not len(survivors):
         raise EmptyUniverseError("screening removed every ticker")
     return survivors
 
@@ -263,7 +277,7 @@ def normalize(series) -> np.ndarray:
 
 
 def build_market_frame(
-    quotes: Mapping[str, Sequence[RawQuote]],
+    quotes: QuotePanel,
     calendar: TradingCalendar,
     selection_date: dt.date,
 ) -> MarketFrame:
@@ -273,45 +287,55 @@ def build_market_frame(
     forward-filled over the calendar.
     """
     sel_idx = calendar.index_of(selection_date)
+    rows = quotes.rows(calendar.dates)
+    keep = screen_universe(quotes.close[rows])
+    tickers = [quotes.tickers[j] for j in keep]
+    block = np.ix_(rows, keep)
 
-    raws = {t: raw_close_series(qs, calendar) for t, qs in quotes.items()}
-    completed: dict[str, np.ndarray] = {}
-    for ticker, raw in raws.items():
-        try:
-            completed[ticker] = _forward_fill(raw)
-        except NotCompletableError:
-            pass  # absent on day one; screening drops it below
+    # One contiguous 1-D vector per stock: the norm of each is then taken
+    # exactly as for a lone series.
+    closes = np.ascontiguousarray(complete_series(quotes.close[block], calendar).T)
+    vectors = np.array([normalize(c) for c in closes])
 
-    survivors = screen_universe(raws, calendar)
-
-    stocks: list[StockVector] = []
-    caps: dict[str, float] = {}
-    for ticker in survivors:
-        closes = completed[ticker]
-        stocks.append(StockVector(ticker, normalize(closes)))
-        shares_raw = {q.date: q.shares_issued for q in quotes[ticker]}
-        shares_series = [shares_raw.get(d) for d in calendar.dates]
-        try:
-            shares = _forward_fill(shares_series)
-        except NotCompletableError:
-            raise NotCompletableError(
-                f"{ticker}: shares_issued absent through {selection_date}"
-            ) from None
-        caps[ticker] = float(closes[sel_idx] * shares[sel_idx])
-    return MarketFrame(calendar, stocks, caps)
+    shares = _forward_fill(quotes.shares[block])[sel_idx]
+    absent = np.flatnonzero(np.isnan(shares))
+    if len(absent):
+        raise NotCompletableError(
+            f"{tickers[absent[0]]}: shares_issued absent through {selection_date}"
+        )
+    return MarketFrame(calendar, tickers, vectors, closes[:, sel_idx] * shares)
 
 
-def calendar_from_quotes(
-    quotes: Mapping[str, Sequence[RawQuote]] | Iterable[RawQuote],
-    year: int | None = None,
-) -> TradingCalendar:
-    """Trading calendar implied by a quote set: every distinct quoted date,
-    optionally restricted to one calendar year."""
-    if isinstance(quotes, Mapping):
-        it: Iterable[RawQuote] = (q for qs in quotes.values() for q in qs)
-    else:
-        it = quotes
-    dates = {q.date for q in it if year is None or q.date.year == year}
+def index_inputs(
+    quotes: QuotePanel,
+    calendar: TradingCalendar,
+    tickers: Sequence[str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closes forward-filled over ``calendar`` (dates x tickers) and shares
+    issued on its first date, for a list of index constituents.
+
+    Raises MissingPriceError for a ticker the panel lacks, or whose close or
+    shares are absent on the first calendar date.
+    """
+    base = calendar.dates[0]
+    column = {t: j for j, t in enumerate(quotes.tickers)}
+    for t in tickers:
+        if t not in column:
+            raise MissingPriceError(t, base)
+    cols = [column[t] for t in tickers]
+    rows = quotes.rows(calendar.dates)
+    closes = quotes.close[np.ix_(rows, cols)]
+    shares = quotes.shares[rows[0], cols]
+    absent = np.flatnonzero(np.isnan(closes[0]) | np.isnan(shares))
+    if len(absent):
+        raise MissingPriceError(tickers[absent[0]], base)
+    return complete_series(closes, calendar), shares
+
+
+def calendar_from_quotes(quotes: QuotePanel, year: int) -> TradingCalendar:
+    """Trading calendar of one year implied by a quote panel: every date
+    quoted in that calendar year."""
+    dates = tuple(d for d in quotes.dates if d.year == year)
     if len(dates) < 2:
         raise EmptyUniverseError(f"no trading dates found for year {year}")
-    return TradingCalendar(tuple(sorted(dates)))
+    return TradingCalendar(dates)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientFeaturesError, ParameterError
+from .errors import InsufficientFeaturesError, ParameterError, ParseError
 from .manifold import AdjacencyGraph
 from .spectral import EigenBasis
 
@@ -109,4 +109,6 @@ def read_constituents_csv(path) -> list[str]:
     """Tickers from a constituent export, in rank order."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        if "ticker" not in (reader.fieldnames or ()):
+            raise ParseError(path, 1, "missing required column 'ticker'")
         return [row["ticker"] for row in reader]

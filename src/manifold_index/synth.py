@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ParseError
 from .indexcalc import IndexSeries
-from .marketdata import RawQuote
+from .marketdata import QuotePanel
 
 RETURN_FLOOR = -0.99
 
@@ -58,14 +58,17 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SyntheticMarket:
-    """Generator output: per-ticker quotes, the dates they cover, the sector
-    of each stock, and the full-market benchmark series."""
+    """Generator output: the quote panel (every stock quoted on every date),
+    the sector of each stock, and the full-market benchmark series."""
 
     config: SynthConfig
-    dates: tuple[dt.date, ...]
-    quotes: dict[str, list[RawQuote]]
+    quotes: QuotePanel
     sectors: np.ndarray
     benchmark: IndexSeries
+
+    @property
+    def dates(self) -> tuple[dt.date, ...]:
+        return self.quotes.dates
 
 
 def trading_dates(start_year: int, n_years: int, m_days: int) -> tuple[dt.date, ...]:
@@ -101,14 +104,12 @@ def generate_market(config: SynthConfig) -> SyntheticMarket:
     prices[1:] = start[None, :] * np.cumprod(1.0 + returns, axis=0)
 
     shares = caps / start
-    tickers = [f"S{i:04d}" for i in range(n)]
-    quotes = {
-        tickers[i]: [
-            RawQuote(tickers[i], d, float(prices[j, i]), float(shares[i]))
-            for j, d in enumerate(dates)
-        ]
-        for i in range(n)
-    }
+    quotes = QuotePanel(
+        dates=dates,
+        tickers=tuple(f"S{i:04d}" for i in range(n)),
+        close=prices,
+        shares=np.tile(shares, (n_days, 1)),
+    )
 
     base_level = 1000.0
     market_cap = prices @ shares
@@ -118,18 +119,22 @@ def generate_market(config: SynthConfig) -> SyntheticMarket:
         values=tuple(float(v) for v in market_cap / divisor),
         divisors=(float(divisor),) * n_days,
     )
-    return SyntheticMarket(
-        config=config, dates=dates, quotes=quotes, sectors=sectors, benchmark=benchmark
-    )
+    return SyntheticMarket(config=config, quotes=quotes, sectors=sectors, benchmark=benchmark)
 
 
 def write_quotes_csv(path, market: SyntheticMarket) -> None:
-    """Emit the quote schema the loader consumes: date,ticker,close,shares_issued."""
+    """Emit the quote schema the loader consumes: date,ticker,close,shares_issued,
+    one row per ticker-day, ticker by ticker."""
+    quotes = market.quotes
+    dates = [d.isoformat() for d in quotes.dates]
     with open(path, "w", newline="") as fh:
         fh.write("date,ticker,close,shares_issued\n")
-        for ticker in sorted(market.quotes):
-            for q in market.quotes[ticker]:
-                fh.write(f"{q.date.isoformat()},{q.ticker},{q.close!r},{q.shares_issued!r}\n")
+        for j, ticker in enumerate(quotes.tickers):
+            # tolist() yields Python floats: their repr is the shortest exact
+            # form, with no NumPy scalar type name around it
+            columns = zip(dates, quotes.close[:, j].tolist(), quotes.shares[:, j].tolist())
+            for date, close, shares in columns:
+                fh.write(f"{date},{ticker},{close!r},{shares!r}\n")
 
 
 def write_benchmark_csv(path, benchmark: IndexSeries) -> None:
@@ -141,10 +146,14 @@ def write_benchmark_csv(path, benchmark: IndexSeries) -> None:
 
 
 def read_benchmark_csv(path) -> IndexSeries:
+    """Read ``date,level`` rows; a bad or short row raises ParseError."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         dates, values = [], []
         for row in reader:
-            dates.append(dt.date.fromisoformat(row["date"]))
-            values.append(float(row["level"]))
+            try:
+                dates.append(dt.date.fromisoformat(row["date"]))
+                values.append(float(row["level"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(path, reader.line_num, f"bad benchmark row: {exc}") from None
     return IndexSeries(dates=tuple(dates), values=tuple(values))

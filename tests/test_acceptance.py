@@ -190,22 +190,24 @@ def _pipeline_pearson(market, n_list, k=10):
     study = market.config.start_year
     cal = marketdata.calendar_from_quotes(market.quotes, study)
     frame = marketdata.build_market_frame(market.quotes, cal, cal.dates[-1])
-    graph, w, a = manifold.build_operator(frame, k=k, mode="balanced")
+    graph, w, a = manifold.build_operator(frame.vectors, k=k, mode="balanced")
     picks = cli.grow_basis_and_select(
-        w, a, graph, frame.caps_vector(), n_list, batch=32
+        w, a, graph, frame.caps, n_list, batch=32
     )
     target_cal = marketdata.calendar_from_quotes(market.quotes, study + 1)
     bench = [
         v for d, v in zip(market.benchmark.dates, market.benchmark.values)
         if d.year == study + 1
     ]
+    quotes = market.quotes
+    column = {t: j for j, t in enumerate(quotes.tickers)}
     out = {}
     for n_target in n_list:
         names = [frame.tickers[i] for i in picks[n_target].members]
         members = [
-            indexcalc.Constituent(t, market.quotes[t][0].shares_issued) for t in names
+            indexcalc.Constituent(t, float(quotes.shares[0, column[t]])) for t in names
         ]
-        prices = {t: {q.date: q.close for q in market.quotes[t]} for t in names}
+        prices = {t: dict(zip(quotes.dates, quotes.close[:, column[t]].tolist())) for t in names}
         series = indexcalc.compute_series(target_cal.dates, prices, members, 1000.0)
         out[n_target] = metrics.pearson(series.values, bench)
     return out
@@ -253,8 +255,9 @@ def test_criterion_9_desk_scale_runtime(tmp_path):
             mode="balanced",
             n_list=(380,),
         )
-        constituent_files = cli.cmd_select(cfg)
-        series_files = cli.cmd_index(cfg, constituent_files)
+        quotes = marketdata.load_quotes(quotes_path)
+        constituent_files = cli.cmd_select(cfg, quotes)
+        series_files = cli.cmd_index(cfg, quotes, constituent_files)
         report_path, stability_path = cli.cmd_metrics(cfg, series_files)
         assert report_path.exists() and stability_path.exists()
         assert len(report_path.read_text().splitlines()) == 2

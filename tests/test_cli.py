@@ -78,6 +78,17 @@ class TestSelectCommand:
         b = (tmp_path / "b" / "constituents_008.csv").read_bytes()
         assert a == b
 
+    def test_missing_quote_file_is_clean_diagnostic(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.csv"
+        rc = run([
+            "select", "--quotes", str(missing), "--study-year", "2020",
+            "--outdir", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and str(missing) in err[0]
+
     def test_n_larger_than_universe_fails(self, small_market, tmp_path, capsys):
         rc = run([
             "select", "--quotes", str(small_market / "quotes.csv"),
@@ -175,6 +186,32 @@ class TestIndexAndMetrics:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_bad_benchmark_level_names_line(self, artifacts, tmp_path, capsys):
+        bench_path = tmp_path / "bench.csv"
+        bench_path.write_text("date,level\n2021-01-04,1000.0\n2021-01-05,abc\n")
+        rc = run([
+            "metrics", "--benchmark", str(bench_path), "--outdir", str(tmp_path),
+            "--series", str(artifacts / "index_005_2021.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bench_path}:3:")
+
+    def test_constituents_without_ticker_column(self, small_market, tmp_path, capsys):
+        cfile = tmp_path / "constituents_005.csv"
+        cfile.write_text("rank,symbol\n1,S0001\n")
+        rc = run([
+            "index", "--quotes", str(small_market / "quotes.csv"),
+            "--study-year", "2020", "--outdir", str(tmp_path),
+            "--constituents", str(cfile),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {cfile}:1:")
+
+
 class TestBacktest:
     def test_two_stage_pipeline_end_to_end(self, small_market, tmp_path):
         rc = run([
@@ -252,9 +289,9 @@ class TestBatchedEigenGrowth:
         quotes = marketdata.load_quotes(small_market / "quotes.csv")
         cal = marketdata.calendar_from_quotes(quotes, 2020)
         frame = marketdata.build_market_frame(quotes, cal, cal.dates[-1])
-        graph, w, a = manifold.build_operator(frame, k=6, mode="balanced")
+        graph, w, a = manifold.build_operator(frame.vectors, k=6, mode="balanced")
         picks = cli.grow_basis_and_select(
-            w, a, graph, frame.caps_vector(), [12], batch=1
+            w, a, graph, frame.caps, [12], batch=1
         )
         assert len(picks[12].members) == 12
         # provenance proves more than one eigenvector contributed

@@ -4,11 +4,14 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from manifold_index import marketdata as md
 from manifold_index.errors import (
     DuplicateQuoteError,
     EmptyUniverseError,
+    MissingPriceError,
     NormalizationError,
     NotCompletableError,
     ParameterError,
@@ -37,10 +40,12 @@ class TestLoadQuotes:
             "2020-01-03,BBB,5.1,200\n"
             "2020-01-06,BBB,5.2,200\n",
         )
-        groups = md.load_quotes(path)
-        assert sorted(groups) == ["AAA", "BBB"]
-        assert [len(v) for v in groups.values()] == [3, 3]
-        assert [q.date for q in groups["AAA"]] == [D[0], D[1], D[2]]
+        panel = md.load_quotes(path)
+        assert panel.tickers == ("AAA", "BBB")
+        assert (~np.isnan(panel.close)).sum(axis=0).tolist() == [3, 3]
+        assert panel.dates == (D[0], D[1], D[2])
+        assert panel.close[:, 0].tolist() == [10.0, 10.5, 11.0]
+        assert panel.shares[:, 1].tolist() == [200.0, 200.0, 200.0]
 
     def test_na_and_empty_close_become_absent(self, tmp_path):
         path = write_csv(
@@ -49,8 +54,9 @@ class TestLoadQuotes:
             "2020-01-02,AAA,NA,100\n"
             "2020-01-03,AAA,,100\n",
         )
-        groups = md.load_quotes(path)
-        assert [q.close for q in groups["AAA"]] == [None, None]
+        panel = md.load_quotes(path)
+        assert np.isnan(panel.close[:, 0]).all()
+        assert panel.shares[:, 0].tolist() == [100.0, 100.0]
 
     def test_duplicate_ticker_date_rejected(self, tmp_path):
         path = write_csv(
@@ -59,7 +65,7 @@ class TestLoadQuotes:
             "2020-01-02,AAA,10,100\n"
             "2020-01-02,AAA,11,100\n",
         )
-        with pytest.raises(DuplicateQuoteError, match=r"AAA.*2020-01-02"):
+        with pytest.raises(DuplicateQuoteError, match=r":3:.*AAA.*2020-01-02"):
             md.load_quotes(path)
 
     def test_malformed_row_names_line_number(self, tmp_path):
@@ -83,18 +89,8 @@ class TestLoadQuotes:
             "volume,date,ticker,close,shares_issued\n"
             "999,2020-01-02,AAA,10,100\n",
         )
-        groups = md.load_quotes(path)
-        assert groups["AAA"][0].close == 10.0
-
-    def test_calendar_window_filters_rows(self, tmp_path):
-        path = write_csv(
-            tmp_path,
-            "date,ticker,close,shares_issued\n"
-            "2019-12-31,AAA,9,100\n"
-            "2020-01-02,AAA,10,100\n",
-        )
-        groups = md.load_quotes(path, calendar_window=(D[0], D[-1]))
-        assert len(groups["AAA"]) == 1
+        panel = md.load_quotes(path)
+        assert panel.close[0, 0] == 10.0
 
     def test_negative_close_rejected(self, tmp_path):
         path = write_csv(
@@ -104,13 +100,37 @@ class TestLoadQuotes:
         with pytest.raises(ParseError):
             md.load_quotes(path)
 
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_close_rejected(self, tmp_path, token):
+        path = write_csv(
+            tmp_path,
+            "date,ticker,close,shares_issued\n"
+            "2020-01-02,AAA,10,100\n"
+            f"2020-01-03,AAA,{token},100\n",
+        )
+        with pytest.raises(ParseError, match=":3: close must be finite"):
+            md.load_quotes(path)
 
-def quotes_for(closes, ticker="AAA", shares=100.0):
-    return [
-        md.RawQuote(ticker, d, c, shares)
-        for d, c in zip(D, closes)
-        if c != "skip"
-    ]
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_shares_rejected(self, tmp_path, token):
+        path = write_csv(
+            tmp_path,
+            "date,ticker,close,shares_issued\n"
+            "2020-01-02,AAA,10,100\n"
+            f"2020-01-03,AAA,11,{token}\n",
+        )
+        with pytest.raises(ParseError, match=":3: shares_issued must be finite"):
+            md.load_quotes(path)
+
+
+def make_panel(closes, shares, dates=D):
+    """QuotePanel over ``dates`` from ticker -> values columns (None absent)."""
+    tickers = sorted(closes)
+
+    def block(columns):
+        return np.array([columns[t] for t in tickers], dtype=float).reshape(len(tickers), -1).T
+
+    return md.QuotePanel(tuple(dates), tuple(tickers), block(closes), block(shares))
 
 
 class TestCompleteSeries:
@@ -126,10 +146,24 @@ class TestCompleteSeries:
         with pytest.raises(NotCompletableError):
             md.complete_series([None, 5.0, 6.0, 7.0], CAL)
 
-    def test_accepts_raw_quotes_with_missing_rows(self):
-        quotes = quotes_for([10.0, "skip", None, 11.0])
-        out = md.complete_series(quotes, CAL)
+    def test_accepts_raw_quotes_with_missing_rows(self, tmp_path):
+        # a loaded panel column: no row on D[1], an NA close on D[2]
+        path = write_csv(
+            tmp_path,
+            "date,ticker,close,shares_issued\n"
+            "2020-01-02,AAA,10.0,100\n"
+            "2020-01-03,BBB,5.0,100\n"
+            "2020-01-06,AAA,NA,100\n"
+            "2020-01-07,AAA,11.0,100\n",
+        )
+        panel = md.load_quotes(path)
+        out = md.complete_series(panel.close[:, 0], CAL)
         assert out.tolist() == [10.0, 10.0, 10.0, 11.0]
+
+    def test_block_fills_each_column(self):
+        block = [[10.0, 1.0], [None, None], [12.0, None], [None, 4.0]]
+        out = md.complete_series(block, CAL)
+        assert out.tolist() == [[10.0, 1.0], [10.0, 1.0], [12.0, 1.0], [12.0, 4.0]]
 
     def test_idempotent(self, rng):
         for _ in range(50):
@@ -146,31 +180,35 @@ class TestCompleteSeries:
             assert np.array_equal(once, twice)
 
 
+def survivors(series):
+    """screen_universe over ticker -> calendar-aligned closes (None absent)."""
+    tickers = list(series)
+    block = np.array([series[t] for t in tickers], dtype=float).T
+    return [tickers[j] for j in md.screen_universe(block)]
+
+
 class TestScreenUniverse:
     def test_listed_mid_year_removed(self):
         series = {"AAA": [None, 5.0, 6.0, 7.0], "BBB": [1.0, 2.0, 3.0, 4.0]}
-        assert md.screen_universe(series, CAL) == ["BBB"]
+        assert survivors(series) == ["BBB"]
 
     def test_delisted_mid_year_removed(self):
         series = {"AAA": [5.0, 6.0, None, None], "BBB": [1.0, 2.0, 3.0, 4.0]}
-        assert md.screen_universe(series, CAL) == ["BBB"]
+        assert survivors(series) == ["BBB"]
 
     def test_gap_in_the_middle_survives(self):
         series = {"AAA": [5.0, None, None, 7.0]}
-        assert md.screen_universe(series, CAL) == ["AAA"]
+        assert survivors(series) == ["AAA"]
 
     def test_zero_survivors(self):
         with pytest.raises(EmptyUniverseError):
-            md.screen_universe({"AAA": [None, 5.0, 6.0, None]}, CAL)
+            survivors({"AAA": [None, 5.0, 6.0, None]})
 
     def test_monotone_under_window_shrink(self, rng):
         # A survivor of the full window that is still present on both
         # endpoints of a shrunken window survives the shrunken window too.
         for _ in range(50):
             m = int(rng.integers(4, 10))
-            cal = md.TradingCalendar(
-                tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(m))
-            )
             series = {
                 f"T{j}": [
                     float(rng.uniform(1, 10)) if rng.uniform() < 0.7 else None
@@ -179,14 +217,13 @@ class TestScreenUniverse:
                 for j in range(6)
             }
             lo, hi = 1, m - 1
-            small_cal = md.TradingCalendar(cal.dates[lo:hi])
             small = {t: s[lo:hi] for t, s in series.items()}
             try:
-                big_survivors = set(md.screen_universe(series, cal))
+                big_survivors = set(survivors(series))
             except EmptyUniverseError:
                 big_survivors = set()
             try:
-                small_survivors = set(md.screen_universe(small, small_cal))
+                small_survivors = set(survivors(small))
             except EmptyUniverseError:
                 small_survivors = set()
             for t in big_survivors:
@@ -220,20 +257,22 @@ class TestNormalize:
 
 def frame_fixture():
     """3 tickers x 4 dates; AAA has one gap, CCC delists, BBB has a shares gap."""
-    quotes = {
-        "AAA": quotes_for([10.0, None, None, 11.0]),
-        "BBB": [
-            md.RawQuote("BBB", D[0], 5.0, 200.0),
-            md.RawQuote("BBB", D[1], 6.0, None),
-            md.RawQuote("BBB", D[2], 7.0, None),
-            md.RawQuote("BBB", D[3], 8.0, 300.0),
-        ],
-        "CCC": [
-            md.RawQuote("CCC", D[0], 2.0, 50.0),
-            md.RawQuote("CCC", D[1], 2.5, 50.0),
-        ],
-    }
-    return quotes
+    return make_panel(
+        closes={
+            "AAA": [10.0, None, None, 11.0],
+            "BBB": [5.0, 6.0, 7.0, 8.0],
+            "CCC": [2.0, 2.5, None, None],
+        },
+        shares={
+            "AAA": [100.0] * 4,
+            "BBB": [200.0, None, None, 300.0],
+            "CCC": [50.0, 50.0, None, None],
+        },
+    )
+
+
+def caps_of(frame):
+    return dict(zip(frame.tickers, frame.caps.tolist()))
 
 
 class TestBuildMarketFrame:
@@ -243,13 +282,11 @@ class TestBuildMarketFrame:
         assert frame.tickers == ["AAA", "BBB"]
 
     def test_dense_identity_path(self):
-        quotes = {
-            "XXX": [md.RawQuote("XXX", d, float(i + 1), 10.0) for i, d in enumerate(D)]
-        }
+        quotes = make_panel({"XXX": [1.0, 2.0, 3.0, 4.0]}, {"XXX": [10.0] * 4})
         frame = md.build_market_frame(quotes, CAL, D[0])
         expected = np.array([1, 2, 3, 4], dtype=float)
         expected /= np.linalg.norm(expected)
-        assert np.allclose(frame.stocks[0].components, expected, atol=1e-15)
+        assert np.allclose(frame.vectors[0], expected, atol=1e-15)
 
     def test_hand_computed_frame(self):
         # AAA completes to (10,10,10,11): norm sqrt(421); caps at d4 = 11*100.
@@ -258,18 +295,31 @@ class TestBuildMarketFrame:
         frame = md.build_market_frame(frame_fixture(), CAL, D[-1])
         aaa = np.array([10, 10, 10, 11]) / np.sqrt(421.0)
         bbb = np.array([5, 6, 7, 8]) / np.sqrt(174.0)
-        assert np.allclose(frame.stocks[0].components, aaa, atol=1e-14)
-        assert np.allclose(frame.stocks[1].components, bbb, atol=1e-14)
-        assert frame.caps == {"AAA": 1100.0, "BBB": 2400.0}
+        assert np.allclose(frame.vectors[0], aaa, atol=1e-14)
+        assert np.allclose(frame.vectors[1], bbb, atol=1e-14)
+        assert caps_of(frame) == {"AAA": 1100.0, "BBB": 2400.0}
 
     def test_caps_use_selection_date(self):
         frame = md.build_market_frame(frame_fixture(), CAL, D[2])
         # completed closes on d3: AAA 10 (filled), BBB 7; shares 100 / 200 (filled)
-        assert frame.caps == {"AAA": 1000.0, "BBB": 1400.0}
+        assert caps_of(frame) == {"AAA": 1000.0, "BBB": 1400.0}
+
+    def test_shares_need_a_value_by_the_selection_date(self):
+        quotes = make_panel(
+            {"AAA": [1.0, 2.0, 3.0, 4.0]}, {"AAA": [None, None, 30.0, None]}
+        )
+        assert caps_of(md.build_market_frame(quotes, CAL, D[3])) == {"AAA": 120.0}
+        with pytest.raises(NotCompletableError, match="AAA"):
+            md.build_market_frame(quotes, CAL, D[1])
 
     def test_selection_date_must_be_trading_date(self):
         with pytest.raises(ParameterError):
             md.build_market_frame(frame_fixture(), CAL, dt.date(2020, 1, 4))
+
+    def test_calendar_date_missing_from_panel_rejected(self):
+        cal = md.TradingCalendar((D[0], dt.date(2020, 1, 4)))
+        with pytest.raises(ParameterError, match="2020-01-04"):
+            md.build_market_frame(frame_fixture(), cal, D[0])
 
     def test_every_vector_unit_norm_and_length_m(self, rng):
         for _ in range(10):
@@ -277,28 +327,37 @@ class TestBuildMarketFrame:
             cal = md.TradingCalendar(
                 tuple(dt.date(2021, 1, 1) + dt.timedelta(days=i) for i in range(m))
             )
-            quotes = {
-                f"T{j}": [
-                    md.RawQuote(f"T{j}", d, float(rng.uniform(1, 50)), 10.0)
-                    for d in cal.dates
-                ]
-                for j in range(n)
-            }
+            quotes = make_panel(
+                {f"T{j}": rng.uniform(1, 50, size=m).tolist() for j in range(n)},
+                {f"T{j}": [10.0] * m for j in range(n)},
+                dates=cal.dates,
+            )
             frame = md.build_market_frame(quotes, cal, cal.dates[-1])
-            for s in frame.stocks:
-                assert len(s.components) == m
-                assert abs(np.linalg.norm(s.components) - 1.0) <= 1e-12
+            for v in frame.vectors:
+                assert len(v) == m
+                assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+
+
+class TestIndexInputs:
+    def test_closes_filled_and_shares_on_first_date(self):
+        closes, shares = md.index_inputs(frame_fixture(), CAL, ["BBB", "AAA"])
+        assert closes.tolist() == [[5.0, 10.0], [6.0, 10.0], [7.0, 10.0], [8.0, 11.0]]
+        assert shares.tolist() == [200.0, 100.0]
+
+    def test_unquoted_or_unpriced_constituent_rejected(self):
+        # on D[2] ZZZ is not in the panel, AAA has no close, BBB no shares
+        cal = md.TradingCalendar(tuple(D[2:]))
+        for ticker in ("ZZZ", "AAA", "BBB"):
+            with pytest.raises(MissingPriceError, match=f"{ticker} on {D[2]}"):
+                md.index_inputs(frame_fixture(), cal, [ticker])
 
 
 class TestCalendarFromQuotes:
     def test_year_scoped(self):
-        quotes = {
-            "AAA": [
-                md.RawQuote("AAA", dt.date(2019, 12, 31), 1.0, 1.0),
-                md.RawQuote("AAA", D[0], 1.0, 1.0),
-                md.RawQuote("AAA", D[1], 1.0, 1.0),
-            ]
-        }
+        quotes = make_panel(
+            {"AAA": [1.0, 1.0, 1.0]}, {"AAA": [1.0, 1.0, 1.0]},
+            dates=(dt.date(2019, 12, 31), D[0], D[1]),
+        )
         cal = md.calendar_from_quotes(quotes, 2020)
         assert cal.dates == (D[0], D[1])
 
@@ -307,3 +366,133 @@ class TestCalendarFromQuotes:
             md.TradingCalendar((D[0],))
         with pytest.raises(ParameterError):
             md.TradingCalendar((D[1], D[0]))
+
+
+# ---------------------------------------------------------------------------
+# load_quotes against a plain per-row reference on random files
+
+FAULTS = (
+    "bad_date", "blank_date", "bad_close", "nan_close", "zero_close", "inf_shares",
+    "negative_shares", "empty_ticker", "short_row", "duplicate",
+)
+
+
+def reference_load(lines, names):
+    """Per-row reading of ``lines`` (header excluded): the panel as
+    (dates, tickers, close, shares), or the (error class, line) it fails at."""
+    col = {k: names.index(k) for k in ("date", "ticker", "close", "shares_issued")}
+    cells = {}
+    for line_no, line in enumerate(lines, start=2):
+        fields = line.split(",") if line else []
+        if not any(f.strip() for f in fields):
+            continue
+        if len(fields) < len(names):
+            return ParseError, line_no
+        try:
+            date = dt.date.fromisoformat(fields[col["date"]].strip())
+        except ValueError:
+            return ParseError, line_no
+        ticker = fields[col["ticker"]].strip()
+        if not ticker:
+            return ParseError, line_no
+        values = []
+        for name, positive in (("close", True), ("shares_issued", False)):
+            token = fields[col[name]].strip()
+            if token in ("", "NA"):
+                values.append(np.nan)
+                continue
+            try:
+                value = float(token)
+            except ValueError:
+                return ParseError, line_no
+            if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+                return ParseError, line_no
+            values.append(value)
+        if (date, ticker) in cells and "duplicate" not in cells:
+            cells["duplicate"] = line_no
+        cells.setdefault((date, ticker), values)
+    if "duplicate" in cells:
+        return DuplicateQuoteError, cells["duplicate"]
+    dates = sorted({d for d, _ in cells})
+    tickers = sorted({t for _, t in cells})
+    close = np.full((len(dates), len(tickers)), np.nan)
+    shares = close.copy()
+    for (d, t), (c, s) in cells.items():
+        close[dates.index(d), tickers.index(t)] = c
+        shares[dates.index(d), tickers.index(t)] = s
+    return tuple(dates), tuple(tickers), close, shares
+
+
+@st.composite
+def quote_files(draw):
+    """(lines, header names, injected fault or None) of a random quote file."""
+    names = ["date", "ticker", "close", "shares_issued"]
+    extra = draw(st.none() | st.integers(0, 4))
+    if extra is not None:
+        names.insert(extra, "volume")
+    dates = draw(st.lists(
+        st.dates(dt.date(2019, 12, 20), dt.date(2020, 1, 10)), min_size=1, max_size=6, unique=True
+    ))
+    tickers = draw(st.lists(
+        st.text("ABCXYZ", min_size=1, max_size=3), min_size=1, max_size=4, unique=True
+    ))
+    value = st.floats(0.01, 1e6, allow_nan=False) | st.sampled_from(["NA", "", " NA "])
+    lines = []
+    for d in dates:
+        for t in tickers:
+            if draw(st.booleans()):
+                close, shares = draw(value), draw(value | st.just(0.0))
+                row = {"date": d.isoformat(), "ticker": t, "volume": "7",
+                       "close": str(close), "shares_issued": str(shares)}
+                lines.append(",".join(row[n] for n in names))
+    if not lines:
+        lines.append(",".join({"date": dates[0].isoformat(), "ticker": tickers[0],
+                               "volume": "1", "close": "1.5", "shares_issued": "2"}[n]
+                              for n in names))
+    lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", ",,,", " "])))
+
+    fault = draw(st.none() | st.sampled_from(FAULTS))
+    data_rows = [i for i, line in enumerate(lines) if line.strip(", ")]
+    at = draw(st.sampled_from(data_rows))
+    fields = lines[at].split(",")
+    pos = {n: names.index(n) for n in names}
+    if fault == "duplicate":
+        lines.insert(draw(st.integers(0, len(lines))), lines[at])
+    elif fault == "short_row":
+        lines[at] = ",".join(fields[:-1])
+    elif fault is not None:
+        column, token = {
+            "bad_date": ("date", "2020-13-01"),
+            "blank_date": ("date", " "),
+            "bad_close": ("close", "abc"),
+            "nan_close": ("close", "nan"),
+            "zero_close": ("close", "0"),
+            "inf_shares": ("shares_issued", "inf"),
+            "negative_shares": ("shares_issued", "-3"),
+            "empty_ticker": ("ticker", " "),
+        }[fault]
+        fields[pos[column]] = token
+        lines[at] = ",".join(fields)
+    return lines, names, fault
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(quote_files())
+def test_load_matches_per_row_reference(tmp_path, case):
+    lines, names, fault = case
+    path = write_csv(tmp_path, "\n".join([",".join(names)] + lines) + "\n")
+    expected = reference_load(lines, names)
+    if fault is not None:
+        error, line_no = expected
+        with pytest.raises(error, match=f":{line_no}:"):
+            md.load_quotes(path)
+        return
+    panel = md.load_quotes(path)
+    dates, tickers, close, shares = expected
+    assert panel.dates == dates
+    assert panel.tickers == tickers
+    np.testing.assert_array_equal(panel.close, close)
+    np.testing.assert_array_equal(panel.shares, shares)

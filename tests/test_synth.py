@@ -1,9 +1,11 @@
 """Synthetic market generator: determinism, factor structure, benchmark."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from manifold_index import indexcalc, metrics, synth
+from manifold_index import indexcalc, marketdata, metrics, synth
 from manifold_index.errors import ParameterError
 
 
@@ -19,9 +21,9 @@ class TestDeterminism:
         b = synth.generate_market(small_config())
         assert a.dates == b.dates
         assert a.benchmark.values == b.benchmark.values
-        for t in a.quotes:
-            for qa, qb in zip(a.quotes[t], b.quotes[t]):
-                assert qa == qb
+        assert a.quotes.tickers == b.quotes.tickers
+        assert a.quotes.close.tobytes() == b.quotes.close.tobytes()
+        assert a.quotes.shares.tobytes() == b.quotes.shares.tobytes()
 
     def test_different_seed_differs(self):
         a = synth.generate_market(small_config(seed=1))
@@ -35,25 +37,40 @@ class TestDeterminism:
         synth.write_quotes_csv(p2, market)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_csv_bytes_pinned(self, tmp_path):
+        # digits (repr of each float), row order and header of the quote
+        # file are all part of its format
+        path = tmp_path / "quotes.csv"
+        synth.write_quotes_csv(path, synth.generate_market(small_config()))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "cdfd5ea401d6295c24845da718d6ab7aed9e6205e2cabd9a734ef7c685196241"
+        )
+
+    def test_quotes_csv_roundtrip(self, tmp_path):
+        market = synth.generate_market(small_config(n_years=2))
+        path = tmp_path / "quotes.csv"
+        synth.write_quotes_csv(path, market)
+        back = marketdata.load_quotes(path)
+        assert back.dates == market.quotes.dates
+        assert back.tickers == market.quotes.tickers
+        assert back.close.tobytes() == market.quotes.close.tobytes()
+        assert back.shares.tobytes() == market.quotes.shares.tobytes()
+
 
 class TestFactorStructure:
     def test_degenerate_single_factor_all_paths_proportional(self):
         market = synth.generate_market(
             small_config(idio_vol=0.0, n_sectors=1, m_days=60)
         )
-        closes = {
-            t: np.array([q.close for q in qs]) for t, qs in market.quotes.items()
-        }
         bench = np.array(market.benchmark.values)
-        for series in closes.values():
+        for series in market.quotes.close.T:
             assert metrics.pearson(series, bench) == pytest.approx(1.0, abs=1e-9)
 
     def test_prices_stay_positive(self):
         market = synth.generate_market(
             small_config(sector_vol=0.5, idio_vol=0.5, m_days=60, seed=5)
         )
-        for qs in market.quotes.values():
-            assert all(q.close > 0 for q in qs)
+        assert (market.quotes.close > 0).all()
 
     def test_sector_assignment_round_robin(self):
         market = synth.generate_market(small_config(n_sectors=4))
@@ -66,11 +83,15 @@ class TestBenchmark:
         # machinery, which shares no code with the generator's direct formula
         market = synth.generate_market(synth.SynthConfig(
             n_stocks=30, m_days=30, n_sectors=5, seed=3, n_years=1))
+        quotes = market.quotes
         members = [
-            indexcalc.Constituent(t, market.quotes[t][0].shares_issued)
-            for t in sorted(market.quotes)
+            indexcalc.Constituent(t, float(quotes.shares[0, j]))
+            for j, t in enumerate(quotes.tickers)
         ]
-        prices = {t: {q.date: q.close for q in qs} for t, qs in market.quotes.items()}
+        prices = {
+            t: dict(zip(quotes.dates, quotes.close[:, j].tolist()))
+            for j, t in enumerate(quotes.tickers)
+        }
         replay = indexcalc.compute_series(list(market.dates), prices, members, 1000.0)
         assert replay.dates == market.benchmark.dates
         assert np.allclose(replay.values, market.benchmark.values, rtol=1e-12)
@@ -90,8 +111,9 @@ class TestCalendar:
 
     def test_quotes_cover_every_date(self):
         market = synth.generate_market(small_config())
-        for qs in market.quotes.values():
-            assert tuple(q.date for q in qs) == market.dates
+        assert market.quotes.close.shape == (len(market.dates), 25)
+        assert not np.isnan(market.quotes.close).any()
+        assert not np.isnan(market.quotes.shares).any()
 
 
 class TestConfigValidation:
