@@ -214,9 +214,8 @@ def cmd_index(cfg: PipelineConfig, quotes: marketdata.QuotePanel, constituent_fi
         tickers = selection.read_constituents_csv(cfile)
         closes, shares = marketdata.index_inputs(quotes, calendar, tickers)
         members = [indexcalc.Constituent(t, s) for t, s in zip(tickers, shares.tolist())]
-        prices = {t: dict(zip(calendar.dates, closes[:, j])) for j, t in enumerate(tickers)}
         series = indexcalc.compute_series(
-            calendar.dates, prices, members, cfg.base_level, actions
+            calendar.dates, closes, members, cfg.base_level, actions
         )
         stem = cfile.stem.replace("constituents", "index")
         path = outdir / f"{stem}_{target_year}.csv"

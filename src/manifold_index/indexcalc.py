@@ -7,14 +7,28 @@ base level B exactly, and is rescaled by the cap ratio M_new / M_old
 whenever a non-trading event (share change, delisting, rights or bonus
 issue) moves the constituent cap; the ratio form makes the level exactly
 continuous at the event instant.
+
+Prices arrive as a dates x constituents close block (the forward-filled
+panel columns of the index members), and the divisor is a plain float.
+The block is valued one segment at a time, a segment running from the
+first date or an action date up to the next action date.  Within a
+segment each level is the caps added column by column in constituent
+order, then divided by D: the same operations, in the same order, as
+Python's ``sum`` over the constituents, so levels do not depend on how the
+dates are blocked.  A matrix product or ``ndarray.sum`` would add in
+another order and change the last bits of most levels.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     DegenerateUniverseError,
@@ -36,19 +50,6 @@ class Constituent:
     def __post_init__(self):
         if not self.shares_issued > 0:
             raise ParameterError(f"{self.ticker}: shares_issued must be > 0")
-
-
-@dataclass(frozen=True)
-class DivisorState:
-    divisor: float
-    base_level: float
-    base_date: dt.date
-
-    def __post_init__(self):
-        if not self.divisor > 0:
-            raise ParameterError(f"divisor must be > 0, got {self.divisor}")
-        if not self.base_level > 0:
-            raise ParameterError(f"base level must be > 0, got {self.base_level}")
 
 
 @dataclass(frozen=True)
@@ -89,73 +90,69 @@ class IndexSeries:
             raise ParameterError("dates and values must have equal length")
         if self.divisors and len(self.divisors) != len(self.dates):
             raise ParameterError("divisors must be empty or match dates")
-        if any(v <= 0 for v in self.values):
-            raise ParameterError("index levels must be positive")
+        if not all(0 < v < math.inf for v in self.values + self.divisors):
+            raise ParameterError("index levels and divisors must be finite and > 0")
         if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
             raise ParameterError("series dates must be strictly increasing")
 
 
-def _price(prices: Mapping[str, float], ticker: str, date) -> float:
-    try:
-        return prices[ticker]
-    except KeyError:
-        raise MissingPriceError(ticker, date) from None
+def index_value(prices, constituents: Sequence[Constituent], divisor: float):
+    """Total constituent cap / divisor.
 
-
-def total_cap(prices: Mapping[str, float], constituents: Sequence[Constituent], date=None) -> float:
-    return sum(_price(prices, c.ticker, date) * c.shares_issued for c in constituents)
+    ``prices[..., j]`` is the close of ``constituents[j]``: a vector gives
+    the level at one instant, a dates x constituents block one level per
+    date.  The caps are added left to right in constituent order, so every
+    level equals Python's ``sum`` of the same products bit for bit.  With
+    divisor 1.0 the result is the total cap itself.
+    """
+    prices = np.asarray(prices, dtype=float)
+    if prices.shape[-1:] != (len(constituents),):
+        raise ParameterError(
+            f"prices of shape {prices.shape} do not hold one close per "
+            f"constituent ({len(constituents)})"
+        )
+    total = np.zeros(prices.shape[:-1])
+    for j, c in enumerate(constituents):
+        total = total + prices[..., j] * c.shares_issued
+    return total / divisor
 
 
 def init_divisor(
     constituents: Sequence[Constituent],
-    prices_at_base: Mapping[str, float],
+    prices_at_base,
     base_level: float = DEFAULT_BASE_LEVEL,
-    base_date: dt.date | None = None,
-) -> DivisorState:
+) -> float:
     """Fix D so the base-date level equals the base level exactly."""
     if not base_level > 0:
         raise ParameterError(f"base level must be > 0, got {base_level}")
-    cap = total_cap(prices_at_base, constituents, base_date)
+    cap = float(index_value(prices_at_base, constituents, 1.0))
     if cap <= 0:
         raise DegenerateUniverseError(f"total cap at base is {cap}")
-    return DivisorState(
-        divisor=cap / base_level,
-        base_level=base_level,
-        base_date=base_date if base_date is not None else dt.date.min,
-    )
-
-
-def index_value(
-    prices_at_t: Mapping[str, float],
-    constituents: Sequence[Constituent],
-    state: DivisorState,
-    date: dt.date | None = None,
-) -> float:
-    """Level at one instant: total constituent cap / divisor."""
-    return total_cap(prices_at_t, constituents, date) / state.divisor
+    return cap / base_level
 
 
 def adjust_divisor(
-    state: DivisorState,
+    divisor: float,
     action: CorporateAction,
-    prices_at_event: Mapping[str, float],
+    prices_at_event,
     constituents: Sequence[Constituent],
-) -> tuple[DivisorState, list[Constituent]]:
+) -> tuple[float, list[Constituent]]:
     """Apply one corporate action: D_new = D_old x M_new / M_old.
 
-    Returns the adjusted state together with the post-event constituent
-    list.  The level computed with (post-event caps, D_new) equals the one
-    with (pre-event caps, D_old) at the event instant.
+    ``prices_at_event[j]`` is the close of ``constituents[j]``.  Returns the
+    adjusted divisor together with the post-event constituent list.  The
+    level computed with (post-event caps, D_new) equals the one with
+    (pre-event caps, D_old) at the event instant.
     """
     tickers = [c.ticker for c in constituents]
     if action.ticker not in tickers:
         raise ParameterError(f"{action.ticker} is not a constituent on {action.effective_date}")
-    m_old = total_cap(prices_at_event, constituents, action.effective_date)
+    m_old = float(index_value(prices_at_event, constituents, 1.0))
     if m_old <= 0:
         raise DegenerateUniverseError(f"pre-event cap is {m_old} on {action.effective_date}")
 
-    price = _price(prices_at_event, action.ticker, action.effective_date)
     pos = tickers.index(action.ticker)
+    price = float(prices_at_event[pos])
     old_cap = price * constituents[pos].shares_issued
 
     if action.kind == "delisting":
@@ -174,25 +171,44 @@ def adjust_divisor(
     m_new = m_old - old_cap + new_cap
     if m_new <= 0:
         raise DegenerateUniverseError(f"post-event cap is {m_new} on {action.effective_date}")
-    new_state = replace(state, divisor=state.divisor * (m_new / m_old))
-    return new_state, new_list
+    return divisor * (m_new / m_old), new_list
+
+
+def _member_closes(closes, dates, start, end, columns, members) -> np.ndarray:
+    """Rows ``start:end`` of the members' columns; a NaN is a MissingPriceError
+    naming the earliest date, then the first member in index order."""
+    block = closes[start:end, columns]
+    missing = np.argwhere(np.isnan(block))
+    if len(missing):
+        i, j = missing[0]
+        raise MissingPriceError(members[j].ticker, dates[start + i])
+    return block
 
 
 def compute_series(
     dates: Sequence[dt.date],
-    prices: Mapping[str, Mapping[dt.date, float]],
+    closes,
     constituents: Sequence[Constituent],
     base_level: float = DEFAULT_BASE_LEVEL,
     actions: Sequence[CorporateAction] = (),
 ) -> IndexSeries:
     """Daily index series over ``dates`` with the base on the first date.
 
-    ``prices`` maps ticker -> date -> close and must cover every constituent
-    on every date it is still in the index.  Actions apply in (date, ticker)
-    order, each before that day's closing valuation.
+    ``closes[i, j]`` is the close of ``constituents[j]`` on ``dates[i]``; it
+    must be present while the constituent is in the index and may be NaN
+    after its delisting.  Actions apply in (date, ticker) order on the first
+    date on or after their effective date, each before that day's closing
+    valuation, so the divisor is constant between action dates and each
+    such segment is valued as one block.
     """
     if not dates:
         raise ParameterError("dates must be nonempty")
+    closes = np.asarray(closes, dtype=float)
+    if closes.shape != (len(dates), len(constituents)):
+        raise ParameterError(
+            f"closes of shape {closes.shape} do not match {len(dates)} dates x "
+            f"{len(constituents)} constituents"
+        )
     for action in actions:
         if not dates[0] <= action.effective_date <= dates[-1]:
             raise ParameterError(
@@ -200,39 +216,41 @@ def compute_series(
                 f"falls outside [{dates[0]}, {dates[-1]}]"
             )
     pending = sorted(actions, key=lambda x: (x.effective_date, x.ticker, x.kind))
+    action_rows = [bisect.bisect_left(dates, a.effective_date) for a in pending]
+    bounds = sorted({0, *action_rows}) + [len(dates)]
 
-    def snapshot(date, members):
-        out = {}
-        for c in members:
-            by_date = prices.get(c.ticker)
-            if by_date is None or date not in by_date:
-                raise MissingPriceError(c.ticker, date)
-            out[c.ticker] = by_date[date]
-        return out
-
-    current = list(constituents)
-    state = init_divisor(current, snapshot(dates[0], current), base_level, dates[0])
-
-    levels: list[float] = []
-    divisors: list[float] = []
+    members = list(constituents)
+    columns = list(range(len(members)))
+    at_base = _member_closes(closes, dates, 0, 1, columns, members)[0]
+    divisor = init_divisor(members, at_base, base_level)
+    levels = np.empty(len(dates))
+    divisors = np.empty(len(dates))
     cursor = 0
-    for date in dates:
-        while cursor < len(pending) and pending[cursor].effective_date <= date:
+    for start, end in zip(bounds, bounds[1:]):
+        while cursor < len(pending) and action_rows[cursor] == start:
             action = pending[cursor]
-            state, current = adjust_divisor(state, action, snapshot(date, current), current)
+            at_event = _member_closes(closes, dates, start, start + 1, columns, members)[0]
+            divisor, after = adjust_divisor(divisor, action, at_event, members)
+            if action.kind == "delisting":
+                columns = [j for j, c in zip(columns, members) if c.ticker != action.ticker]
+            members = after
             cursor += 1
-        levels.append(index_value(snapshot(date, current), current, state, date))
-        divisors.append(state.divisor)
-    return IndexSeries(dates=tuple(dates), values=tuple(levels), divisors=tuple(divisors))
+        block = _member_closes(closes, dates, start, end, columns, members)
+        levels[start:end] = index_value(block, members, divisor)
+        divisors[start:end] = divisor
+    return IndexSeries(
+        dates=tuple(dates), values=tuple(levels.tolist()), divisors=tuple(divisors.tolist())
+    )
 
 
 def write_series_csv(path, series: IndexSeries) -> None:
     """Export ``date,level,divisor`` rows."""
-    divisors = series.divisors if series.divisors else (float("nan"),) * len(series.dates)
+    if not series.divisors:
+        raise ParameterError("a series CSV needs the divisor of every date")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "level", "divisor"])
-        for date, level, div in zip(series.dates, series.values, divisors):
+        for date, level, div in zip(series.dates, series.values, series.divisors):
             writer.writerow([date.isoformat(), repr(float(level)), repr(float(div))])
 
 
@@ -240,13 +258,15 @@ def read_series_csv(path) -> IndexSeries:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         dates, values, divisors = [], [], []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 dates.append(dt.date.fromisoformat(row["date"]))
                 values.append(float(row["level"]))
                 divisors.append(float(row["divisor"]))
-            except (KeyError, ValueError) as exc:
-                raise ParseError(path, line_no, f"bad series row: {exc}") from None
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(path, reader.line_num, f"bad series row: {exc}") from None
+            if not (0 < values[-1] < math.inf and 0 < divisors[-1] < math.inf):
+                raise ParseError(path, reader.line_num, "level and divisor must be finite and > 0")
     return IndexSeries(dates=tuple(dates), values=tuple(values), divisors=tuple(divisors))
 
 

@@ -202,13 +202,3 @@ def build_operator(
         t = auto_bandwidth(graph)
     weights = symmetrize(weight_tilde(graph, t), t, mode)
     return graph, weights, mass_matrix(weights)
-
-
-def dump_triplets(matrix, path) -> None:
-    """Debug dump in sparse triplet form: one ``i j value`` line per stored
-    entry, 0-based indices, sorted by (i, j)."""
-    coo = sparse.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{int(i)} {int(j)} {float(v)!r}\n")

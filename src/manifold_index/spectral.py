@@ -28,7 +28,6 @@ eigenspace is a valid answer.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,13 +234,3 @@ def solve_generalized(
     if worst > RESIDUAL_RTOL:
         raise ConvergenceError("eigenpairs failed the residual contract", worst)
     return basis
-
-
-def dump_eigenbasis(basis: EigenBasis, path) -> None:
-    """CSV dump: ``index,eigenvalue,phi_1..phi_n`` with one row per pair."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue"] + [f"phi_{i + 1}" for i in range(basis.n)])
-        for i in range(basis.count):
-            writer.writerow([i, repr(float(basis.values[i]))]
-                            + [repr(float(x)) for x in basis.vectors[:, i]])

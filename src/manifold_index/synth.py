@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +147,8 @@ def write_benchmark_csv(path, benchmark: IndexSeries) -> None:
 
 
 def read_benchmark_csv(path) -> IndexSeries:
-    """Read ``date,level`` rows; a bad or short row raises ParseError."""
+    """Read ``date,level`` rows; a bad or short row, or a level that is not
+    finite and > 0, raises ParseError."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         dates, values = [], []
@@ -156,4 +158,6 @@ def read_benchmark_csv(path) -> IndexSeries:
                 values.append(float(row["level"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(path, reader.line_num, f"bad benchmark row: {exc}") from None
+            if not 0 < values[-1] < math.inf:
+                raise ParseError(path, reader.line_num, "level must be finite and > 0")
     return IndexSeries(dates=tuple(dates), values=tuple(values))

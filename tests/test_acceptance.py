@@ -146,8 +146,8 @@ def test_criterion_6_divisor_continuity():
             cons = [
                 indexcalc.Constituent(t, float(rng.uniform(1, 1000))) for t in tickers
             ]
-            prices = {t: float(rng.uniform(0.5, 500)) for t in tickers}
-            state = indexcalc.init_divisor(cons, prices, 1000.0, base)
+            prices = [float(rng.uniform(0.5, 500)) for _ in tickers]
+            divisor = indexcalc.init_divisor(cons, prices, 1000.0)
             target = tickers[int(rng.integers(0, n))]
             kind = ("share_change", "delisting", "rights_or_bonus_issue")[trial % 3]
             if kind == "delisting" and n == 1:
@@ -161,12 +161,16 @@ def test_criterion_6_divisor_continuity():
                     float(rng.uniform(0.5, 500)) if kind == "rights_or_bonus_issue" else None
                 ),
             )
-            before = indexcalc.index_value(prices, cons, state)
-            new_state, new_cons = indexcalc.adjust_divisor(state, action, prices, cons)
-            post_prices = dict(prices)
-            if kind == "rights_or_bonus_issue":
-                post_prices[target] = action.replacement_price
-            after = indexcalc.index_value(post_prices, new_cons, new_state)
+            before = indexcalc.index_value(prices, cons, divisor)
+            new_divisor, new_cons = indexcalc.adjust_divisor(divisor, action, prices, cons)
+            # post-event closes, aligned with the post-event constituents
+            post_prices = list(prices)
+            pos = tickers.index(target)
+            if kind == "delisting":
+                del post_prices[pos]
+            elif kind == "rights_or_bonus_issue":
+                post_prices[pos] = action.replacement_price
+            after = indexcalc.index_value(post_prices, new_cons, new_divisor)
             assert abs(after - before) / before < 1e-10
 
 
@@ -199,16 +203,12 @@ def _pipeline_pearson(market, n_list, k=10):
         v for d, v in zip(market.benchmark.dates, market.benchmark.values)
         if d.year == study + 1
     ]
-    quotes = market.quotes
-    column = {t: j for j, t in enumerate(quotes.tickers)}
     out = {}
     for n_target in n_list:
         names = [frame.tickers[i] for i in picks[n_target].members]
-        members = [
-            indexcalc.Constituent(t, float(quotes.shares[0, column[t]])) for t in names
-        ]
-        prices = {t: dict(zip(quotes.dates, quotes.close[:, column[t]].tolist())) for t in names}
-        series = indexcalc.compute_series(target_cal.dates, prices, members, 1000.0)
+        closes, shares = marketdata.index_inputs(market.quotes, target_cal, names)
+        members = [indexcalc.Constituent(t, s) for t, s in zip(names, shares.tolist())]
+        series = indexcalc.compute_series(target_cal.dates, closes, members, 1000.0)
         out[n_target] = metrics.pearson(series.values, bench)
     return out
 

@@ -198,6 +198,36 @@ class TestIndexAndMetrics:
         assert len(err) == 1
         assert err[0].startswith(f"error: {bench_path}:3:")
 
+    def test_nonfinite_benchmark_level_names_line(self, artifacts, tmp_path, capsys):
+        bench_path = tmp_path / "bench.csv"
+        bench_path.write_text("date,level\n2021-01-04,1000.0\n2021-01-05,nan\n")
+        rc = run([
+            "metrics", "--benchmark", str(bench_path), "--outdir", str(tmp_path),
+            "--series", str(artifacts / "index_005_2021.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bench_path}:3:")
+
+    @pytest.mark.parametrize("rows, line", [
+        ("2021-01-05,inf,0.5", 3),
+        ("2021-01-05,1000.0,nan", 3),
+        ("2021-01-05,1000.0", 3),  # short row
+        ("\n2021-01-05,abc,0.5", 4),  # a blank line still counts
+    ])
+    def test_bad_series_row_names_line(self, small_market, tmp_path, capsys, rows, line):
+        series_path = tmp_path / "index_005_2021.csv"
+        series_path.write_text(f"date,level,divisor\n2021-01-04,1000.0,0.5\n{rows}\n")
+        rc = run([
+            "metrics", "--benchmark", str(small_market / "benchmark.csv"),
+            "--outdir", str(tmp_path), "--series", str(series_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {series_path}:{line}:")
+
     def test_constituents_without_ticker_column(self, small_market, tmp_path, capsys):
         cfile = tmp_path / "constituents_005.csv"
         cfile.write_text("rank,symbol\n1,S0001\n")

@@ -4,6 +4,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manifold_index import indexcalc as ic
 from manifold_index.errors import (
@@ -23,49 +25,60 @@ def constituents(*pairs):
 class TestInitDivisor:
     def test_forced_by_definition(self):
         cons = constituents(("A", 6.0), ("B", 4.0))
-        state = ic.init_divisor(cons, {"A": 10.0, "B": 10.0}, 1000.0, BASE)
-        assert state.divisor == 0.1
-        assert ic.index_value({"A": 10.0, "B": 10.0}, cons, state) == 1000.0
+        divisor = ic.init_divisor(cons, [10.0, 10.0], 1000.0)
+        assert divisor == 0.1
+        assert ic.index_value([10.0, 10.0], cons, divisor) == 1000.0
 
     def test_single_stock_cap_equals_base(self):
         cons = constituents(("X", 10.0))
-        state = ic.init_divisor(cons, {"X": 100.0}, 1000.0, BASE)
-        assert state.divisor == 1.0
+        assert ic.init_divisor(cons, [100.0], 1000.0) == 1.0
 
     def test_five_stock_hand_sum(self):
         cons = constituents(("A", 10), ("B", 20), ("C", 5), ("D", 8), ("E", 100))
-        prices = {"A": 3.0, "B": 1.5, "C": 12.0, "D": 2.5, "E": 0.8}
+        prices = [3.0, 1.5, 12.0, 2.5, 0.8]
         # caps: 30 + 30 + 60 + 20 + 80 = 220
-        state = ic.init_divisor(cons, prices, 1000.0, BASE)
-        assert state.divisor == pytest.approx(0.22, abs=1e-15)
+        divisor = ic.init_divisor(cons, prices, 1000.0)
+        assert divisor == pytest.approx(0.22, abs=1e-15)
 
     def test_zero_cap_degenerate(self):
         with pytest.raises(DegenerateUniverseError):
-            ic.init_divisor([], {}, 1000.0, BASE)
+            ic.init_divisor([], [], 1000.0)
 
 
 class TestIndexValue:
     def setup_method(self):
         self.cons = constituents(("A", 100.0), ("B", 50.0), ("C", 10.0))
-        self.base_prices = {"A": 2.0, "B": 4.0, "C": 30.0}
-        self.state = ic.init_divisor(self.cons, self.base_prices, 1000.0, BASE)
+        self.base_prices = np.array([2.0, 4.0, 30.0])
+        self.divisor = ic.init_divisor(self.cons, self.base_prices, 1000.0)
 
     def test_base_identity(self):
-        assert ic.index_value(self.base_prices, self.cons, self.state) == pytest.approx(1000.0)
+        assert ic.index_value(self.base_prices, self.cons, self.divisor) == pytest.approx(1000.0)
 
     def test_homogeneous_in_prices(self):
-        doubled = {t: 2 * p for t, p in self.base_prices.items()}
-        assert ic.index_value(doubled, self.cons, self.state) == pytest.approx(2000.0)
+        doubled = 2 * self.base_prices
+        assert ic.index_value(doubled, self.cons, self.divisor) == pytest.approx(2000.0)
 
     def test_hand_computed_mixed_moves(self):
         # caps: A 100*2.2=220, B 50*3.8=190, C 10*33=330 -> total 740
         # base cap = 200+200+300 = 700, D = 0.7 -> level 740/0.7
-        prices = {"A": 2.2, "B": 3.8, "C": 33.0}
-        assert ic.index_value(prices, self.cons, self.state) == pytest.approx(740 / 0.7)
+        prices = [2.2, 3.8, 33.0]
+        assert ic.index_value(prices, self.cons, self.divisor) == pytest.approx(740 / 0.7)
+
+    def test_block_gives_one_level_per_date(self):
+        block = np.array([self.base_prices, 2 * self.base_prices])
+        levels = ic.index_value(block, self.cons, self.divisor)
+        assert levels.tolist() == [
+            ic.index_value(row, self.cons, self.divisor) for row in block
+        ]
 
     def test_missing_price_names_ticker_and_date(self):
+        closes = np.array([self.base_prices, [2.0, np.nan, 30.0]])
         with pytest.raises(MissingPriceError, match=r"B.*2021-01-05"):
-            ic.index_value({"A": 2.0, "C": 30.0}, self.cons, self.state, DAYS[1])
+            ic.compute_series(DAYS[:2], closes, self.cons, 1000.0)
+
+    def test_one_close_per_constituent(self):
+        with pytest.raises(ParameterError):
+            ic.index_value([2.0, 4.0], self.cons, self.divisor)
 
 
 class TestAdjustDivisor:
@@ -73,163 +86,185 @@ class TestAdjustDivisor:
         # M_old 100, M_new 110 via a share change: 10 -> 21 shares at price 10/11...
         # simplest: one stock at price 1 with 100 shares -> 110 shares
         cons = constituents(("A", 100.0))
-        state = ic.DivisorState(2.0, 1000.0, BASE)
         action = ic.CorporateAction("share_change", "A", DAYS[1], new_shares=110.0)
-        new_state, new_cons = ic.adjust_divisor(state, action, {"A": 1.0}, cons)
-        assert new_state.divisor == pytest.approx(2.2, abs=1e-15)
+        new_divisor, new_cons = ic.adjust_divisor(2.0, action, [1.0], cons)
+        assert new_divisor == pytest.approx(2.2, abs=1e-15)
         assert new_cons[0].shares_issued == 110.0
 
     def test_delisting_ten_percent(self):
         cons = constituents(("A", 90.0), ("B", 10.0))
-        prices = {"A": 1.0, "B": 1.0}
-        state = ic.init_divisor(cons, prices, 1000.0, BASE)
-        before = ic.index_value(prices, cons, state)
+        prices = [1.0, 1.0]
+        divisor = ic.init_divisor(cons, prices, 1000.0)
+        before = ic.index_value(prices, cons, divisor)
         action = ic.CorporateAction("delisting", "B", DAYS[1])
-        new_state, new_cons = ic.adjust_divisor(state, action, prices, cons)
-        assert new_state.divisor == pytest.approx(0.9 * state.divisor, rel=1e-15)
-        after = ic.index_value(prices, new_cons, new_state)
+        new_divisor, new_cons = ic.adjust_divisor(divisor, action, prices, cons)
+        assert new_divisor == pytest.approx(0.9 * divisor, rel=1e-15)
+        after = ic.index_value(prices[:1], new_cons, new_divisor)
         assert abs(after - before) / before < 1e-10
         assert [c.ticker for c in new_cons] == ["A"]
 
     def test_share_change_continuity(self):
         cons = constituents(("A", 100.0), ("B", 60.0))
-        prices = {"A": 5.0, "B": 2.0}
-        state = ic.init_divisor(cons, prices, 1000.0, BASE)
-        before = ic.index_value(prices, cons, state)
+        prices = [5.0, 2.0]
+        divisor = ic.init_divisor(cons, prices, 1000.0)
+        before = ic.index_value(prices, cons, divisor)
         action = ic.CorporateAction("share_change", "A", DAYS[2], new_shares=150.0)
-        new_state, new_cons = ic.adjust_divisor(state, action, prices, cons)
-        after = ic.index_value(prices, new_cons, new_state)
+        new_divisor, new_cons = ic.adjust_divisor(divisor, action, prices, cons)
+        after = ic.index_value(prices, new_cons, new_divisor)
         assert abs(after - before) / before < 1e-10
 
     def test_rights_issue_uses_replacement_price(self):
         cons = constituents(("A", 100.0), ("B", 100.0))
-        prices = {"A": 10.0, "B": 10.0}
-        state = ic.init_divisor(cons, prices, 1000.0, BASE)
-        before = ic.index_value(prices, cons, state)
+        prices = [10.0, 10.0]
+        divisor = ic.init_divisor(cons, prices, 1000.0)
+        before = ic.index_value(prices, cons, divisor)
         action = ic.CorporateAction(
             "rights_or_bonus_issue", "A", DAYS[3], new_shares=200.0, replacement_price=6.0
         )
-        new_state, new_cons = ic.adjust_divisor(state, action, prices, cons)
+        new_divisor, new_cons = ic.adjust_divisor(divisor, action, prices, cons)
         # post-event caps: A 200*6 = 1200, B 1000 -> continuity at ex price
-        after = ic.index_value({"A": 6.0, "B": 10.0}, new_cons, new_state)
+        after = ic.index_value([6.0, 10.0], new_cons, new_divisor)
         assert abs(after - before) / before < 1e-10
 
     def test_composition_equals_combined_ratio(self, rng):
         # two adjustments compose multiplicatively
         for _ in range(20):
-            cons = constituents(("A", float(rng.uniform(10, 100))), ("B", float(rng.uniform(10, 100))))
-            prices = {"A": float(rng.uniform(1, 50)), "B": float(rng.uniform(1, 50))}
-            state = ic.init_divisor(cons, prices, 1000.0, BASE)
-            a1 = ic.CorporateAction("share_change", "A", DAYS[1], new_shares=float(rng.uniform(10, 200)))
-            a2 = ic.CorporateAction("share_change", "B", DAYS[2], new_shares=float(rng.uniform(10, 200)))
-            s1, c1 = ic.adjust_divisor(state, a1, prices, cons)
-            s2, c2 = ic.adjust_divisor(s1, a2, prices, c1)
-            m_first = ic.total_cap(prices, cons)
-            m_last = ic.total_cap(prices, c2)
-            assert s2.divisor == pytest.approx(state.divisor * m_last / m_first, rel=1e-12)
+            cons = constituents(
+                ("A", float(rng.uniform(10, 100))), ("B", float(rng.uniform(10, 100)))
+            )
+            prices = [float(rng.uniform(1, 50)), float(rng.uniform(1, 50))]
+            divisor = ic.init_divisor(cons, prices, 1000.0)
+            a1 = ic.CorporateAction(
+                "share_change", "A", DAYS[1], new_shares=float(rng.uniform(10, 200))
+            )
+            a2 = ic.CorporateAction(
+                "share_change", "B", DAYS[2], new_shares=float(rng.uniform(10, 200))
+            )
+            d1, c1 = ic.adjust_divisor(divisor, a1, prices, cons)
+            d2, c2 = ic.adjust_divisor(d1, a2, prices, c1)
+            # divisor 1 turns a level into the total cap
+            m_first = ic.index_value(prices, cons, 1.0)
+            m_last = ic.index_value(prices, c2, 1.0)
+            assert d2 == pytest.approx(divisor * m_last / m_first, rel=1e-12)
 
     def test_unknown_ticker_rejected(self):
         cons = constituents(("A", 1.0))
-        state = ic.DivisorState(1.0, 1000.0, BASE)
         action = ic.CorporateAction("delisting", "Z", DAYS[1])
         with pytest.raises(ParameterError):
-            ic.adjust_divisor(state, action, {"A": 1.0}, cons)
+            ic.adjust_divisor(1.0, action, [1.0], cons)
 
 
 def make_panel(tickers, start_prices, moves):
-    prices = {}
-    for t in tickers:
+    """DAYS x tickers close block; ``moves[(t, i)]`` is t's return on day i."""
+    closes = np.empty((len(DAYS), len(tickers)))
+    for j, t in enumerate(tickers):
         level = start_prices[t]
-        per = {}
-        for i, d in enumerate(DAYS):
+        for i in range(len(DAYS)):
             level = level * (1 + moves.get((t, i), 0.0))
-            per[d] = level
-        prices[t] = per
-    return prices
+            closes[i, j] = level
+    return closes
 
 
 class TestComputeSeries:
     def test_constant_prices_give_constant_base(self):
         cons = constituents(("A", 10.0), ("B", 5.0))
-        prices = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {})
-        series = ic.compute_series(DAYS, prices, cons, 1000.0)
+        closes = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {})
+        series = ic.compute_series(DAYS, closes, cons, 1000.0)
         assert all(v == pytest.approx(1000.0, rel=1e-14) for v in series.values)
 
     def test_delisting_is_continuous(self):
         cons = constituents(("A", 10.0), ("B", 5.0))
-        prices = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {("A", 3): 0.1, ("B", 4): -0.2})
+        closes = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {("A", 3): 0.1, ("B", 4): -0.2})
         actions = [ic.CorporateAction("delisting", "B", DAYS[5])]
-        series = ic.compute_series(DAYS, prices, cons, 1000.0, actions)
-        no_event = ic.compute_series(DAYS[:5], prices, cons, 1000.0)
+        series = ic.compute_series(DAYS, closes, cons, 1000.0, actions)
+        no_event = ic.compute_series(DAYS[:5], closes[:5], cons, 1000.0)
         # identical up to the event; continuous across it (prices static day 5)
         assert series.values[:5] == no_event.values
         assert series.values[5] == pytest.approx(series.values[4], rel=1e-10)
 
+    def test_delisted_column_may_be_nan_after_delisting_only(self):
+        cons = constituents(("A", 10.0), ("B", 5.0))
+        closes = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {("A", 3): 0.1})
+        actions = [ic.CorporateAction("delisting", "B", DAYS[5])]
+        filled = ic.compute_series(DAYS, closes, cons, 1000.0, actions)
+        closes[6:, 1] = np.nan
+        assert ic.compute_series(DAYS, closes, cons, 1000.0, actions) == filled
+        closes[5, 1] = np.nan
+        with pytest.raises(MissingPriceError, match=r"B.*2021-01-09"):
+            ic.compute_series(DAYS, closes, cons, 1000.0, actions)
+
+    def test_block_shape_must_match(self):
+        cons = constituents(("A", 10.0), ("B", 5.0))
+        closes = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {})
+        with pytest.raises(ParameterError):
+            ic.compute_series(DAYS, closes[:, :1], cons, 1000.0)
+        with pytest.raises(ParameterError):
+            ic.compute_series(DAYS, closes[:-1], cons, 1000.0)
+
     def test_matches_day_by_day_replay(self, rng):
         # independent replay: walk days, apply ratio adjustments by hand
         tickers = ["A", "B", "C"]
+        col = {t: j for j, t in enumerate(tickers)}
         cons = constituents(("A", 10.0), ("B", 20.0), ("C", 30.0))
         moves = {
             (t, i): float(rng.normal(0, 0.02)) for t in tickers for i in range(1, len(DAYS))
         }
-        prices = make_panel(tickers, {"A": 10.0, "B": 5.0, "C": 2.0}, moves)
+        closes = make_panel(tickers, {"A": 10.0, "B": 5.0, "C": 2.0}, moves)
         actions = [
             ic.CorporateAction("share_change", "B", DAYS[3], new_shares=25.0),
             ic.CorporateAction("delisting", "C", DAYS[7]),
         ]
-        series = ic.compute_series(DAYS, prices, cons, 1000.0, actions)
+        series = ic.compute_series(DAYS, closes, cons, 1000.0, actions)
 
         shares = {"A": 10.0, "B": 20.0, "C": 30.0}
-        divisor = sum(prices[t][DAYS[0]] * shares[t] for t in tickers) / 1000.0
+        divisor = sum(closes[0, col[t]] * shares[t] for t in tickers) / 1000.0
         expected = []
-        for day in DAYS:
+        for i, day in enumerate(DAYS):
             if day == DAYS[3]:
-                m_old = sum(prices[t][day] * shares[t] for t in shares)
+                m_old = sum(closes[i, col[t]] * shares[t] for t in shares)
                 shares["B"] = 25.0
-                m_new = sum(prices[t][day] * shares[t] for t in shares)
+                m_new = sum(closes[i, col[t]] * shares[t] for t in shares)
                 divisor *= m_new / m_old
             if day == DAYS[7]:
-                m_old = sum(prices[t][day] * shares[t] for t in shares)
+                m_old = sum(closes[i, col[t]] * shares[t] for t in shares)
                 del shares["C"]
-                m_new = sum(prices[t][day] * shares[t] for t in shares)
+                m_new = sum(closes[i, col[t]] * shares[t] for t in shares)
                 divisor *= m_new / m_old
-            expected.append(sum(prices[t][day] * shares[t] for t in shares) / divisor)
+            expected.append(sum(closes[i, col[t]] * shares[t] for t in shares) / divisor)
         assert np.allclose(series.values, expected, rtol=1e-13)
 
     def test_homogeneity_in_prices(self, rng):
         cons = constituents(("A", 3.0), ("B", 7.0))
         moves = {(t, i): float(rng.normal(0, 0.03)) for t in "AB" for i in range(1, len(DAYS))}
-        prices = make_panel(["A", "B"], {"A": 10.0, "B": 20.0}, moves)
-        series = ic.compute_series(DAYS, prices, cons, 1000.0)
+        closes = make_panel(["A", "B"], {"A": 10.0, "B": 20.0}, moves)
+        series = ic.compute_series(DAYS, closes, cons, 1000.0)
         c = 3.7
-        scaled = {t: {d: c * p for d, p in per.items()} for t, per in prices.items()}
-        series_c = ic.compute_series(DAYS, scaled, cons, 1000.0)
+        series_c = ic.compute_series(DAYS, c * closes, cons, 1000.0)
         # base re-anchors, so levels match (homogeneity applies to index_value
         # at fixed divisor; check that too)
-        state = ic.init_divisor(cons, {t: prices[t][DAYS[0]] for t in "AB"}, 1000.0, DAYS[0])
-        v1 = ic.index_value({t: prices[t][DAYS[3]] for t in "AB"}, cons, state)
-        vc = ic.index_value({t: c * prices[t][DAYS[3]] for t in "AB"}, cons, state)
+        divisor = ic.init_divisor(cons, closes[0], 1000.0)
+        v1 = ic.index_value(closes[3], cons, divisor)
+        vc = ic.index_value(c * closes[3], cons, divisor)
         assert vc == pytest.approx(c * v1, rel=1e-12)
         assert np.allclose(series_c.values, series.values, rtol=1e-12)
 
     def test_equal_shares_reduces_to_mean_price(self, rng):
         cons = constituents(("A", 5.0), ("B", 5.0), ("C", 5.0))
         moves = {(t, i): float(rng.normal(0, 0.02)) for t in "ABC" for i in range(1, len(DAYS))}
-        prices = make_panel(["A", "B", "C"], {"A": 1.0, "B": 2.0, "C": 4.0}, moves)
-        state = ic.init_divisor(cons, {t: prices[t][DAYS[0]] for t in "ABC"}, 1000.0, DAYS[0])
-        for day in DAYS:
-            snap = {t: prices[t][day] for t in "ABC"}
-            level = ic.index_value(snap, cons, state)
-            mean_price = np.mean(list(snap.values()))
+        closes = make_panel(["A", "B", "C"], {"A": 1.0, "B": 2.0, "C": 4.0}, moves)
+        divisor = ic.init_divisor(cons, closes[0], 1000.0)
+        for snap in closes:
+            level = ic.index_value(snap, cons, divisor)
+            mean_price = np.mean(snap)
             # shares s=5 on n=3 stocks: level = s*n*mean(P)/D
-            assert level == pytest.approx(mean_price * 15.0 / state.divisor, rel=1e-12)
+            assert level == pytest.approx(mean_price * 15.0 / divisor, rel=1e-12)
 
     def test_action_outside_window_rejected(self):
         cons = constituents(("A", 1.0))
-        prices = make_panel(["A"], {"A": 1.0}, {})
+        closes = make_panel(["A"], {"A": 1.0}, {})
         late = ic.CorporateAction("delisting", "A", DAYS[-1] + dt.timedelta(days=1))
         with pytest.raises(ParameterError):
-            ic.compute_series(DAYS, prices, cons, 1000.0, [late])
+            ic.compute_series(DAYS, closes, cons, 1000.0, [late])
 
 
 class TestActionValidation:
@@ -242,10 +277,22 @@ class TestActionValidation:
             ic.CorporateAction("share_change", "A", BASE)
 
 
+@pytest.mark.parametrize("values, divisors", [
+    ((1000.0, float("nan")), (1.0, 1.0)),
+    ((1000.0, float("inf")), (1.0, 1.0)),
+    ((1000.0, 0.0), ()),
+    ((1000.0, 1001.0), (1.0, float("nan"))),
+    ((1000.0, 1001.0), (1.0, -1.0)),
+])
+def test_series_levels_and_divisors_finite_and_positive(values, divisors):
+    with pytest.raises(ParameterError):
+        ic.IndexSeries(dates=tuple(DAYS[:2]), values=values, divisors=divisors)
+
+
 def test_series_csv_roundtrip(tmp_path):
     cons = constituents(("A", 10.0), ("B", 5.0))
-    prices = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {("A", 2): 0.05})
-    series = ic.compute_series(DAYS, prices, cons, 1000.0)
+    closes = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {("A", 2): 0.05})
+    series = ic.compute_series(DAYS, closes, cons, 1000.0)
     path = tmp_path / "series.csv"
     ic.write_series_csv(path, series)
     back = ic.read_series_csv(path)
@@ -265,3 +312,78 @@ def test_actions_csv(tmp_path):
     actions = ic.read_actions_csv(path)
     assert [a.kind for a in actions] == ["share_change", "delisting", "rights_or_bonus_issue"]
     assert actions[2].replacement_price == 6.5
+
+
+def replay_series(dates, closes, cons, base_level, actions):
+    """Per-day reference for compute_series: Python floats, Python ``sum``
+    over the live constituents in index order, one date at a time."""
+    members = [(c.ticker, c.shares_issued, j) for j, c in enumerate(cons)]
+
+    def cap(i):
+        return sum(float(closes[i, j]) * s for _, s, j in members)
+
+    divisor = cap(0) / base_level
+    pending = sorted(actions, key=lambda a: (a.effective_date, a.ticker, a.kind))
+    levels, divisors = [], []
+    for i, day in enumerate(dates):
+        while pending and pending[0].effective_date <= day:
+            action = pending.pop(0)
+            pos = [t for t, _, _ in members].index(action.ticker)
+            ticker, shares, j = members[pos]
+            price = float(closes[i, j])
+            m_old = cap(i)
+            if action.kind == "delisting":
+                del members[pos]
+                new_cap = 0.0
+            else:
+                members[pos] = (ticker, action.new_shares, j)
+                ex_price = price if action.replacement_price is None else action.replacement_price
+                new_cap = ex_price * action.new_shares
+            m_new = m_old - price * shares + new_cap
+            divisor = divisor * (m_new / m_old)
+        levels.append(cap(i) / divisor)
+        divisors.append(divisor)
+    return tuple(levels), tuple(divisors)
+
+
+@st.composite
+def index_inputs(draw):
+    """Dates with gaps, a close block, and actions that are valid in the
+    order they apply; a delisted column turns NaN after its delisting."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dates = [BASE + dt.timedelta(days=2 * i) for i in range(m)]
+    closes = rng.uniform(0.5, 500, size=(m, n))
+    cons = [ic.Constituent(f"T{j}", float(rng.uniform(1, 1000))) for j in range(n)]
+    candidates = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(ic.ACTION_KINDS))
+        ticker = f"T{draw(st.integers(0, n - 1))}"
+        # odd offsets fall between trading dates and apply on the next one;
+        # small ranges make several actions share a date
+        effective = BASE + dt.timedelta(days=draw(st.integers(0, 2 * (m - 1))))
+        repl = draw(st.none() | st.floats(0.5, 500)) if kind == "rights_or_bonus_issue" else None
+        shares = None if kind == "delisting" else draw(st.floats(1, 2000))
+        candidates.append(ic.CorporateAction(kind, ticker, effective, shares, repl))
+    live = {c.ticker for c in cons}
+    actions = []
+    for action in sorted(candidates, key=lambda a: (a.effective_date, a.ticker, a.kind)):
+        if action.ticker not in live or (action.kind == "delisting" and len(live) == 1):
+            continue
+        actions.append(action)
+        if action.kind == "delisting":
+            live.remove(action.ticker)
+            row = next(i for i, d in enumerate(dates) if d >= action.effective_date)
+            closes[row + 1:, int(action.ticker[1:])] = np.nan
+    return dates, closes, cons, actions
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_inputs())
+def test_segment_valuation_equals_per_day_python_sum(inputs):
+    dates, closes, cons, actions = inputs
+    series = ic.compute_series(dates, closes, cons, 1000.0, actions)
+    levels, divisors = replay_series(dates, closes, cons, 1000.0, actions)
+    assert series.values == levels
+    assert series.divisors == divisors

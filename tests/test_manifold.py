@@ -228,13 +228,3 @@ class TestAutoBandwidth:
         )
         with pytest.raises(ParameterError):
             manifold.auto_bandwidth(graph)
-
-
-def test_dump_triplets(tmp_path):
-    w = sparse.csr_matrix(np.array([[0.5, -0.5], [-0.5, 0.5]]))
-    path = tmp_path / "w.txt"
-    manifold.dump_triplets(w, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "0 0 0.5"
-    assert lines[1] == "0 1 -0.5"
-    assert len(lines) == 4

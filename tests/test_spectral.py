@@ -196,13 +196,3 @@ class TestGuards:
         a = manifold.MassMatrix(np.ones(3))
         with pytest.raises(ParameterError):
             spectral.solve_generalized(w, a, 1)
-
-
-def test_dump_eigenbasis(tmp_path):
-    w, a = two_point_pair()
-    basis = spectral.dense_oracle(w, a)
-    path = tmp_path / "basis.csv"
-    spectral.dump_eigenbasis(basis, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,eigenvalue,phi_1,phi_2"
-    assert len(lines) == 3

@@ -88,11 +88,7 @@ class TestBenchmark:
             indexcalc.Constituent(t, float(quotes.shares[0, j]))
             for j, t in enumerate(quotes.tickers)
         ]
-        prices = {
-            t: dict(zip(quotes.dates, quotes.close[:, j].tolist()))
-            for j, t in enumerate(quotes.tickers)
-        }
-        replay = indexcalc.compute_series(list(market.dates), prices, members, 1000.0)
+        replay = indexcalc.compute_series(list(market.dates), quotes.close, members, 1000.0)
         assert replay.dates == market.benchmark.dates
         assert np.allclose(replay.values, market.benchmark.values, rtol=1e-12)
 
