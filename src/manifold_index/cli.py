@@ -151,10 +151,13 @@ def grow_basis_and_select(
 ) -> dict[int, selection.FeatureSet]:
     """Select constituents for each target count, requesting eigenpairs in
     batches and expanding the basis whenever the accumulated features run
-    short.  Fatal once all n eigenpairs are exhausted."""
+    short.  Every request extends one Lanczos factorization, so growing
+    the basis to p costs the steps of one solve at p.  Fatal once all n
+    eigenpairs are exhausted."""
     n = weights.n
     p = min(n, batch)
-    basis = spectral.solve_generalized(weights, mass, p, seed=seed)
+    lanczos = spectral.LanczosFactorization(weights, mass, seed=seed)
+    basis = spectral.solve_generalized(weights, mass, p, seed=seed, factorization=lanczos)
     out: dict[int, selection.FeatureSet] = {}
     for n_target in sorted(n_targets):
         while True:
@@ -165,7 +168,9 @@ def grow_basis_and_select(
                 if basis.count >= n:
                     raise
                 p = min(n, p + batch)
-                basis = spectral.solve_generalized(weights, mass, p, seed=seed)
+                basis = spectral.solve_generalized(
+                    weights, mass, p, seed=seed, factorization=lanczos
+                )
     return out
 
 

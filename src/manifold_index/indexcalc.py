@@ -275,7 +275,13 @@ def read_actions_csv(path) -> list[CorporateAction]:
     actions = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num
+            missing = [name for name, value in row.items() if value is None]
+            if missing:
+                raise ParseError(
+                    path, line_no, f"bad action row: no value for {', '.join(missing)}"
+                )
             try:
                 new_shares = row.get("new_shares", "").strip()
                 repl = row.get("replacement_price", "").strip()

@@ -14,7 +14,10 @@ Two production paths plus one verification path:
   restarts on breakdown (so later steps can pick up remaining eigenspace
   directions, including copies of repeated eigenvalues), and adaptive
   extension of the factorization until the requested pairs meet the
-  residual tolerance.  At desk scale the basis may grow to n columns, at
+  residual tolerance.  One LanczosFactorization per operator is extended
+  across basis sizes: a caller that grows p passes it to every solve and
+  pays for the steps of the largest p once, with every basis bit-identical
+  to a fresh solve's.  At desk scale the basis may grow to n columns, at
   which point the factorization is exact.
 * dense_oracle: an independent check that scales W by A^{-1/2} explicitly
   and calls the dense ordinary eigensolver; used by tests against both
@@ -110,80 +113,99 @@ def _solve_dense(w: WeightMatrix, a: MassMatrix, p: int) -> EigenBasis:
     return EigenBasis(values=values, vectors=_fix_signs(phi))
 
 
-def _lanczos_smallest(
-    matvec,
-    n: int,
-    p: int,
-    tol: float,
-    max_steps: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full-reorthogonalization Lanczos; returns the p smallest Ritz pairs.
+class LanczosFactorization:
+    """Full-reorthogonalization Lanczos on C = A^{-1/2} W A^{-1/2}, kept so a
+    larger basis extends the factorization instead of restarting it.
+
+    Step k of the recurrence does not depend on how many pairs are wanted:
+    the matvec, the rng draws and the breakdown restarts are the same for
+    every p.  ``smallest(p)`` only picks the checkpoints at which the Ritz
+    pairs are checked, and a check changes no state, so the pairs it returns
+    are bit-identical to those of a fresh factorization asked for the same p.
 
     On breakdown (invariant subspace exhausted) a fresh random direction is
     injected with zero coupling, which turns T block-diagonal and lets the
     iteration pick up remaining eigenspace dimensions, including copies of
-    repeated eigenvalues.  The factorization is checked at geometrically
-    spaced checkpoints and extended until the p smallest Ritz residual
-    bounds pass ``tol``; small problems simply run to exhaustion, where the
-    factorization is exact.
+    repeated eigenvalues.
     """
-    m_max = min(max_steps, n)
-    big_q = np.zeros((n, m_max))
-    alphas = np.zeros(m_max)
-    betas = np.zeros(m_max)
 
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    beta_prev = 0.0
-    m = 0
-    checkpoint = m_max if m_max <= 160 else min(m_max, max(2 * p + 32, 48))
+    def __init__(
+        self, w: WeightMatrix, a: MassMatrix, max_steps: int | None = None, seed: int = 0
+    ):
+        n = _check_pair(w, a)
+        self.w, self.a, self.max_steps, self.seed = w, a, max_steps, seed
+        self.scale = 1.0 / np.sqrt(a.diag)
+        self.m_max = min(n if max_steps is None else max_steps, n)
+        self.krylov = np.zeros((n, self.m_max))
+        self.alphas = np.zeros(self.m_max)
+        self.betas = np.zeros(self.m_max)
+        self._rng = np.random.default_rng(seed)
+        self.steps = 0
+        self.exhausted = False  # numerically spanned all of R^n
+        q = self._rng.standard_normal(n)
+        self._q = q / np.linalg.norm(q)
+        self._beta_prev = 0.0
 
-    while m < m_max:
-        big_q[:, m] = q
-        u = matvec(q)
-        alphas[m] = q @ u
-        r = u - alphas[m] * q
-        if m > 0 and beta_prev != 0.0:
-            r -= beta_prev * big_q[:, m - 1]
-        # two reorthogonalization passes keep the basis orthonormal to ~eps
-        for _ in range(2):
-            r -= big_q[:, : m + 1] @ (big_q[:, : m + 1].T @ r)
-        beta = float(np.linalg.norm(r))
-        m += 1
-        exhausted = False
-        if beta < _BREAKDOWN:
-            betas[m - 1] = 0.0
-            r = rng.standard_normal(n)
+    def _extend(self, target: int) -> None:
+        big_q, alphas, betas = self.krylov, self.alphas, self.betas
+        d, entries = self.scale, self.w.entries
+        while self.steps < target and not self.exhausted:
+            m, q, beta_prev = self.steps, self._q, self._beta_prev
+            big_q[:, m] = q
+            u = d * (entries @ (d * q))
+            alphas[m] = q @ u
+            r = u - alphas[m] * q
+            if m > 0 and beta_prev != 0.0:
+                r -= beta_prev * big_q[:, m - 1]
+            # two reorthogonalization passes keep the basis orthonormal to ~eps
             for _ in range(2):
-                r -= big_q[:, :m] @ (big_q[:, :m].T @ r)
+                r -= big_q[:, : m + 1] @ (big_q[:, : m + 1].T @ r)
             beta = float(np.linalg.norm(r))
+            self.steps = m = m + 1
             if beta < _BREAKDOWN:
-                exhausted = True  # numerically spanned all of R^n
+                betas[m - 1] = 0.0
+                r = self._rng.standard_normal(len(q))
+                for _ in range(2):
+                    r -= big_q[:, :m] @ (big_q[:, :m].T @ r)
+                beta = float(np.linalg.norm(r))
+                if beta < _BREAKDOWN:
+                    self.exhausted = True
+                else:
+                    self._q, self._beta_prev = r / beta, 0.0
             else:
-                q = r / beta
-                beta_prev = 0.0
-        else:
-            betas[m - 1] = beta
-            q = r / beta
-            beta_prev = beta
+                betas[m - 1] = beta
+                self._q, self._beta_prev = r / beta, beta
 
-        if exhausted or m == m_max or m == checkpoint:
+    def smallest(self, p: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """The p smallest Ritz pairs (theta, y) of C.
+
+        Walks a fresh factorization's checkpoint schedule for p: geometric
+        steps from max(2p + 32, 48), or the step limit alone when it is at
+        most 160.  A checkpoint already passed is re-checked on the stored
+        T; a later one is reached by extending the factorization.
+        Returns at the first checkpoint where the p smallest Ritz residual
+        bounds pass ``tol``, at breakdown exhaustion (the factorization is
+        then exact) or at the step limit.
+        """
+        m_max = self.m_max
+        checkpoint = m_max if m_max <= 160 else min(m_max, max(2 * p + 32, 48))
+        while True:
+            self._extend(checkpoint)
+            m = min(checkpoint, self.steps)
+            exhausted = self.exhausted and m == self.steps
             if m >= p:
-                theta, s = sla.eigh_tridiagonal(alphas[:m], betas[: m - 1])
-                bound = np.abs(betas[m - 1] * s[m - 1, :p]) if not exhausted else np.zeros(p)
+                theta, s = sla.eigh_tridiagonal(self.alphas[:m], self.betas[: m - 1])
+                bound = np.abs(self.betas[m - 1] * s[m - 1, :p]) if not exhausted else np.zeros(p)
                 scale = max(1.0, float(np.max(np.abs(theta))))
                 if exhausted or m == m_max or np.all(bound <= tol * scale):
-                    y = big_q[:, :m] @ s[:, :p]
+                    y = self.krylov[:, :m] @ s[:, :p]
                     y /= np.linalg.norm(y, axis=0)[None, :]
                     return theta[:p], y
-            if exhausted:
-                break
+            if exhausted or m == m_max:
+                raise ConvergenceError(
+                    f"Lanczos exhausted {m} steps without producing {p} eigenpairs"
+                )
             checkpoint = min(m_max, int(checkpoint * 1.5) + 16)
-
-    raise ConvergenceError(
-        f"Lanczos exhausted {m} steps without producing {p} eigenpairs"
-    )
 
 
 def solve_generalized(
@@ -194,6 +216,7 @@ def solve_generalized(
     tol: float = 1e-10,
     max_steps: int | None = None,
     seed: int = 0,
+    factorization: LanczosFactorization | None = None,
 ) -> EigenBasis:
     """The p algebraically smallest eigenpairs of W phi = lambda A phi,
     ascending and A-orthonormal.
@@ -202,6 +225,12 @@ def solve_generalized(
     ``lanczos``.  Raises ConvergenceError when the iterative path cannot
     push all requested pairs under the residual contract within
     ``max_steps`` Lanczos steps (default: n).
+
+    ``factorization`` is a LanczosFactorization of the same (w, a) with the
+    same ``max_steps`` and ``seed``; the iterative path extends it rather
+    than building a fresh one, so growing the basis over several calls
+    costs the steps of the largest p only.  The result is the same either
+    way.
     """
     n = _check_pair(w, a)
     if not 1 <= p <= n:
@@ -210,21 +239,21 @@ def solve_generalized(
         raise ParameterError(f"unknown method {method!r}")
     if method == "auto":
         method = "dense" if n <= DENSE_CUTOFF else "lanczos"
+    if factorization is not None and (
+        factorization.w is not w
+        or factorization.a is not a
+        or factorization.max_steps != max_steps
+        or factorization.seed != seed
+    ):
+        raise ParameterError("factorization was built for another operator, max_steps or seed")
 
     if method == "dense":
         basis = _solve_dense(w, a, p)
     else:
-        d = 1.0 / np.sqrt(a.diag)
-        entries = w.entries
-
-        def matvec(v):
-            return d * (entries @ (d * v))
-
-        rng = np.random.default_rng(seed)
-        theta, y = _lanczos_smallest(
-            matvec, n, p, tol, n if max_steps is None else max_steps, rng
-        )
-        phi = d[:, None] * y
+        if factorization is None:
+            factorization = LanczosFactorization(w, a, max_steps, seed)
+        theta, y = factorization.smallest(p, tol)
+        phi = factorization.scale[:, None] * y
         phi /= np.sqrt(a.diag @ (phi * phi))[None, :]
         order = np.argsort(theta, kind="stable")
         basis = EigenBasis(values=theta[order], vectors=_fix_signs(phi[:, order]))

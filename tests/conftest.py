@@ -7,9 +7,12 @@ from scipy.sparse.csgraph import connected_components
 from manifold_index import manifold
 
 
-def random_operator(rng, n, k, mode, dim=3):
-    """Operator pair over a random point cloud; returns (graph, W, A)."""
+def random_operator(rng, n, k, mode, dim=3, clusters=1):
+    """Operator pair over a random point cloud; returns (graph, W, A).
+    ``clusters`` > 1 deals the points round-robin into that many groups 50
+    units apart, so the KNN graph falls apart into that many components."""
     points = rng.standard_normal((n, dim))
+    points[:, 0] += 50.0 * (np.arange(n) % clusters)
     return manifold.build_operator(points, k=k, mode=mode)
 
 

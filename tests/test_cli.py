@@ -241,6 +241,27 @@ class TestIndexAndMetrics:
         assert len(err) == 1
         assert err[0].startswith(f"error: {cfile}:1:")
 
+    @pytest.mark.parametrize("rows, line, names", [
+        ("\n2021-03-01,S0001,bogus", 3, "bogus"),  # a blank line still counts
+        ("2021-03-01,S0001", 2, "kind"),  # short row
+    ], ids=["blank-line", "short-row"])
+    def test_bad_action_row_names_line(
+        self, small_market, artifacts, tmp_path, capsys, rows, line, names
+    ):
+        actions_path = tmp_path / "act.csv"
+        actions_path.write_text(f"effective_date,ticker,kind\n{rows}\n")
+        rc = run([
+            "index", "--quotes", str(small_market / "quotes.csv"),
+            "--study-year", "2020", "--outdir", str(tmp_path),
+            "--actions", str(actions_path),
+            "--constituents", str(artifacts / "constituents_005.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {actions_path}:{line}:")
+        assert names in err[0]
+
 
 class TestBacktest:
     def test_two_stage_pipeline_end_to_end(self, small_market, tmp_path):
@@ -327,6 +348,56 @@ class TestBatchedEigenGrowth:
         # provenance proves more than one eigenvector contributed
         sources = {vec for vec, _ in picks[12].provenance.values()}
         assert max(sources) >= 1
+
+    def test_growth_costs_one_solve_at_the_final_p(self, tmp_path, monkeypatch):
+        """Above the dense cutoff every expansion extends one Lanczos
+        factorization: its steps are those of one fresh solve at the final p,
+        and the picks are those of a fresh solve at each p."""
+        from manifold_index import manifold, marketdata, selection, spectral
+        from manifold_index.errors import InsufficientFeaturesError
+
+        run([
+            "synth", "--outdir", str(tmp_path), "--seed", "4",
+            "--n-stocks", "360", "--m-days", "65", "--n-sectors", "6",
+            "--n-years", "1",
+        ])
+        quotes = marketdata.load_quotes(tmp_path / "quotes.csv")
+        cal = marketdata.calendar_from_quotes(quotes, 2020)
+        frame = marketdata.build_market_frame(quotes, cal, cal.dates[-1])
+        assert frame.n > spectral.DENSE_CUTOFF
+        graph, w, a = manifold.build_operator(frame.vectors, k=10, mode="balanced")
+
+        solve = spectral.solve_generalized
+        calls = []
+
+        def recording(w_, a_, p, **kwargs):
+            calls.append((p, kwargs["factorization"]))
+            return solve(w_, a_, p, **kwargs)
+
+        monkeypatch.setattr(spectral, "solve_generalized", recording)
+        picks = cli.grow_basis_and_select(w, a, graph, frame.caps, [140], batch=8)
+        monkeypatch.undo()
+
+        ps = [p for p, _ in calls]
+        assert len(ps) >= 4  # three growths
+        grown = calls[0][1]
+        assert all(f is grown for _, f in calls)
+        fresh = spectral.LanczosFactorization(w, a)
+        spectral.solve_generalized(w, a, ps[-1], factorization=fresh)
+        assert grown.steps == fresh.steps
+
+        # reference: a fresh solve at each p until the selection succeeds
+        p = 0
+        while True:
+            p += 8
+            basis = spectral.solve_generalized(w, a, p)
+            try:
+                want = selection.select_constituents(basis, graph, 140, frame.caps)
+                break
+            except InsufficientFeaturesError:
+                continue
+        assert p == ps[-1]
+        assert picks[140] == want
 
     def test_five_default_lists(self, tmp_path):
         """The default N list produces five constituent files."""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from conftest import random_connected_operator, random_operator
@@ -165,6 +167,57 @@ class TestDegenerate:
         assert np.allclose(got.values, [0.0, 0.0], atol=1e-10)
         # compare the 2-dim null spaces, not individual vectors
         assert_bases_agree(a.diag, got, want)
+
+
+def outcome(solve):
+    """A solve's (values, vectors), or its ConvergenceError's (class, message)."""
+    try:
+        basis = solve()
+    except ConvergenceError as exc:
+        return type(exc), str(exc)
+    return basis.values, basis.vectors
+
+
+class TestResumedFactorization:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_bit_identical_to_cold_solves(self, data):
+        """One factorization extended over increasing p gives exactly the
+        bases, and the errors, of a fresh solve at each p."""
+        n = data.draw(st.integers(120, 400), label="n")
+        clusters = data.draw(st.integers(1, 4), label="clusters")
+        mode = data.draw(st.sampled_from(manifold.MODES), label="mode")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="cloud"))
+        _, w, a = random_operator(rng, n, 5, mode, clusters=clusters)
+        seed = data.draw(st.integers(0, 3), label="seed")
+        max_steps = data.draw(st.none() | st.integers(1, n), label="max_steps")
+        ps = sorted(data.draw(st.sets(st.integers(1, 80), min_size=2, max_size=4), label="ps"))
+        kwargs = dict(method="lanczos", max_steps=max_steps, seed=seed)
+        factorization = spectral.LanczosFactorization(w, a, max_steps, seed)
+        for p in ps:
+            cold = outcome(lambda: spectral.solve_generalized(w, a, p, **kwargs))
+            resumed = outcome(
+                lambda: spectral.solve_generalized(w, a, p, factorization=factorization, **kwargs)
+            )
+            if isinstance(cold[0], type):
+                assert resumed[0] is cold[0] and resumed[1] == cold[1]
+            else:
+                assert np.array_equal(resumed[0], cold[0])
+                assert np.array_equal(resumed[1], cold[1])
+
+    def test_factorization_of_another_problem_rejected(self, rng):
+        _, w, a = random_connected_operator(rng, 40, 4, "balanced")
+        factorization = spectral.LanczosFactorization(w, a, seed=1)
+        _, w2, a2 = random_connected_operator(rng, 40, 4, "balanced")
+        for other in (
+            dict(w=w2, a=a2, seed=1),
+            dict(w=w, a=a, seed=0),
+            dict(w=w, a=a, seed=1, max_steps=20),
+        ):
+            with pytest.raises(ParameterError):
+                spectral.solve_generalized(
+                    p=3, method="lanczos", factorization=factorization, **other
+                )
 
 
 class TestGuards:
