@@ -27,7 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import indexcalc, manifold, marketdata, metrics, selection, spectral, synth
-from .errors import InsufficientFeaturesError, ParameterError, ParseError, PipelineError
+from .errors import (
+    InsufficientFeaturesError,
+    ParameterError,
+    ParseError,
+    PipelineError,
+    open_text,
+)
 
 DEFAULT_N_LIST = (50, 100, 150, 180, 380)
 
@@ -104,7 +110,7 @@ _CONFIG_PARSERS = {
 def load_config(path) -> PipelineConfig:
     """Read a flat key=value config file into a PipelineConfig."""
     values = {}
-    with open(path) as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

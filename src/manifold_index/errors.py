@@ -1,4 +1,7 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and the opener of the text
+files the readers parse, which turns bytes that are not UTF-8 into one."""
+
+from contextlib import contextmanager
 
 
 class PipelineError(Exception):
@@ -6,10 +9,12 @@ class PipelineError(Exception):
 
 
 class ParseError(PipelineError):
-    """An input file failed to parse; carries the offending line number."""
+    """An input file failed to parse; carries the offending line number, or
+    None when no one line is at fault."""
 
-    def __init__(self, path, line_no: int, message: str):
-        super().__init__(f"{path}:{line_no}: {message}")
+    def __init__(self, path, line_no: int | None, message: str):
+        where = path if line_no is None else f"{path}:{line_no}"
+        super().__init__(f"{where}: {message}")
         self.path = str(path)
         self.line_no = line_no
 
@@ -87,3 +92,20 @@ class AlignmentError(PipelineError):
 
 class UndefinedMetricError(PipelineError):
     """The metric is undefined for this input (constant series, zero variance)."""
+
+
+def not_utf8(path, line_no: int | None, exc: UnicodeDecodeError) -> ParseError:
+    """The ParseError for a byte of ``path`` that does not decode as UTF-8."""
+    byte = exc.object[exc.start]
+    return ParseError(path, line_no, f"not UTF-8 text: byte {byte:#04x} ({exc.reason})")
+
+
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading with ``newline=""``, as csv wants
+    it; a byte that is not UTF-8 raises ParseError naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, None, exc) from None

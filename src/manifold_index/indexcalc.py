@@ -35,6 +35,7 @@ from .errors import (
     MissingPriceError,
     ParameterError,
     ParseError,
+    open_text,
 )
 
 ACTION_KINDS = ("share_change", "delisting", "rights_or_bonus_issue")
@@ -255,7 +256,7 @@ def write_series_csv(path, series: IndexSeries) -> None:
 
 
 def read_series_csv(path) -> IndexSeries:
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.DictReader(fh)
         dates, values, divisors = [], [], []
         for row in reader:
@@ -273,10 +274,14 @@ def read_series_csv(path) -> IndexSeries:
 def read_actions_csv(path) -> list[CorporateAction]:
     """Corporate actions from ``effective_date,ticker,kind,new_shares,replacement_price``."""
     actions = []
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             line_no = reader.line_num
+            if None in row:  # DictReader files fields past the header under None
+                width = len(reader.fieldnames)
+                got = width + len(row[None])
+                raise ParseError(path, line_no, f"bad action row: expected {width} fields, got {got}")
             missing = [name for name, value in row.items() if value is None]
             if missing:
                 raise ParseError(

@@ -1,12 +1,22 @@
 """Quote ingestion and preprocessing.
 
-Raw daily quotes arrive as CSV rows ``date,ticker,close,shares_issued``
-(ISO-8601 dates; an absent value is an empty field or ``NA``).  The loader
-parses the file once into a :class:`QuotePanel`: the sorted quoted dates x
-the sorted tickers, with one ``close`` and one ``shares`` float array of
-that shape, in which NaN marks a value that is absent (its row is missing
-or its field is empty).  Three steps turn one study year of the panel into
-an aligned frame of unit-norm price vectors:
+Raw daily quotes arrive as a UTF-8 CSV file of rows
+``date,ticker,close,shares_issued`` (ISO-8601 dates; an absent value is an
+empty field or ``NA``; LF or CRLF line ends; fields may be quoted as CSV
+quotes them).  The loader parses the file once into a :class:`QuotePanel`:
+the sorted quoted dates x the sorted tickers, with one ``close`` and one
+``shares`` float array of that shape, in which NaN marks a value that is
+absent (its row is missing or its field is empty).
+
+The loader reads the file in blocks of whole lines.  A block without a
+quote character is split into fields by C-level string operations; from the
+first block with one, csv.reader tokenizes the rest of the file, so a quoted
+line break never straddles a block.  Either way a block's rows are checked
+and converted a column at a time, and the first faulty physical line of the
+file raises ParseError naming it.
+
+Three steps turn one study year of the panel into an aligned frame of
+unit-norm price vectors:
 
 1. completion      - forward-fill absent closes from the previous trading day
 2. screening       - keep only tickers quoted on the first and last calendar
@@ -23,8 +33,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 from array import array
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +49,7 @@ from .errors import (
     NotCompletableError,
     ParameterError,
     ParseError,
+    not_utf8,
 )
 
 MISSING_TOKENS = {"", "NA"}
@@ -145,89 +158,289 @@ def _value(token: str, column: str, positive: bool, path, line_no: int) -> float
     return value
 
 
+def _number(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        return np.nan
+
+
+def _numbers(tokens: list, positive: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A close or shares column as floats (NaN where absent), and a mask of
+    its malformed or out-of-range tokens; the rule is ``_value``'s."""
+    absent = np.zeros(len(tokens), dtype=bool)
+    try:
+        values = np.array(tokens, dtype=np.float64)  # parses as float() does
+    except ValueError:
+        absent = np.fromiter(map(MISSING_TOKENS.__contains__, map(str.strip, tokens)),
+                             dtype=bool, count=len(tokens))
+        present = list(compress(tokens, (~absent).tolist()))
+        values = np.full(len(tokens), np.nan)
+        try:
+            values[~absent] = np.array(present, dtype=np.float64)
+        except ValueError:  # a malformed token: the block holds a fault
+            values[~absent] = list(map(_number, present))
+    in_range = values > 0 if positive else values >= 0
+    return values, ~(in_range & (values != np.inf) | absent)
+
+
+def _ids(tokens: list, known: dict, parse) -> np.ndarray:
+    """The id of each token, -1 where it names no date or ticker.  Only
+    tokens ``known`` lacks are parsed (``parse`` returns an id or -1)."""
+    for token in set(tokens).difference(known):
+        token_id = parse(token)
+        if token_id >= 0:
+            known[token] = token_id
+    return np.fromiter(map(known.get, tokens, repeat(-1)), dtype=np.intc, count=len(tokens))
+
+
+def _blank(row: list) -> bool:
+    return not any(f.strip() for f in row)
+
+
+class _QuoteColumns:
+    """The checked rows of a quote file so far, one column of ids or values
+    each, in line order.  Rows arrive in batches of records."""
+
+    def __init__(self, source, header: list):
+        self.source = source
+        names = [h.strip() for h in header]
+        try:
+            self.columns = [names.index(k) for k in ("date", "ticker", "close", "shares_issued")]
+        except ValueError as exc:
+            raise ParseError(source, 1, f"missing required column: {exc}") from None
+        self.width = len(names)
+        # Each distinct date or ticker token is parsed once and then maps to
+        # an id; two tokens may name the same date or ticker.
+        self.date_of_token: dict[str, int] = {}
+        self.date_ids: dict[dt.date, int] = {}
+        self.ticker_of_token: dict[str, int] = {}
+        self.ticker_ids: dict[str, int] = {}
+        self.row_line, self.row_date, self.row_ticker = array("q"), array("i"), array("i")
+        self.closes, self.shares = array("d"), array("d")
+
+    def _date_id(self, token: str) -> int:
+        try:
+            date = dt.date.fromisoformat(token.strip())
+        except ValueError:
+            return -1
+        return self.date_ids.setdefault(date, len(self.date_ids))
+
+    def _ticker_id(self, token: str) -> int:
+        name = token.strip()
+        return self.ticker_ids.setdefault(name, len(self.ticker_ids)) if name else -1
+
+    def _raise_row_error(self, row: list, line_no: int):
+        """Raise the ParseError of a faulty row, checking in the order rows
+        have always been checked: width, date, ticker, close, shares."""
+        source = self.source
+        if len(row) < self.width:
+            raise ParseError(source, line_no, f"expected {self.width} fields, got {len(row)}")
+        di, ti, ci, si = self.columns
+        if self._date_id(row[di]) < 0:
+            raise ParseError(source, line_no, f"bad date {row[di]!r}")
+        if not row[ti].strip():
+            raise ParseError(source, line_no, "empty ticker")
+        _value(row[ci], "close", True, source, line_no)
+        _value(row[si], "shares_issued", False, source, line_no)
+
+    def add(self, fields: list, count: np.ndarray, line: np.ndarray) -> None:
+        """Check and keep a batch of records: record r has ``count[r]``
+        fields, the next ones of ``fields``, and ends on line ``line[r]``.
+        Blank records are skipped; the first faulty one raises ParseError."""
+        width = self.width
+        start = np.cumsum(count) - count
+
+        def record(r):
+            return fields[start[r]:start[r] + count[r]]
+
+        # Odd records one at a time: a short one is blank or a fault, a long
+        # one keeps the header's fields.  The runs between them stay whole.
+        faults, runs, at = [], [], 0
+        for r in np.flatnonzero(count != width):
+            runs.append(fields[at:start[r]])
+            if count[r] > width:
+                runs.append(record(r)[:width])
+            elif not _blank(record(r)):
+                faults.append(r)
+            at = start[r] + count[r]
+        regular = list(chain.from_iterable(runs + [fields[at:]])) if runs else fields
+        rows = np.flatnonzero(count >= width)
+        columns = [regular[c::width] for c in self.columns]
+        dates = _ids(columns[0], self.date_of_token, self._date_id)
+        tickers = _ids(columns[1], self.ticker_of_token, self._ticker_id)
+        closes, bad_close = _numbers(columns[2], positive=True)
+        shares, bad_shares = _numbers(columns[3], positive=False)
+        faulty = (dates < 0) | (tickers < 0) | bad_close | bad_shares
+        keep = slice(None)
+        if faulty.any():
+            # a blank record has no date either; it is skipped, not a fault
+            blank = [k for k in np.flatnonzero(dates < 0) if _blank(record(rows[k]))]
+            faulty[blank] = False
+            keep = np.ones(len(rows), dtype=bool)
+            keep[blank] = False
+            faults += rows[faulty][:1].tolist()
+        if faults:
+            r = min(faults)
+            self._raise_row_error(record(r), int(line[r]))
+        for store, column in ((self.row_line, line[rows]), (self.row_date, dates),
+                              (self.row_ticker, tickers), (self.closes, closes),
+                              (self.shares, shares)):
+            store.frombytes(column[keep].data.cast("B"))
+
+    def panel(self) -> QuotePanel:
+        if not self.ticker_ids:
+            raise EmptyUniverseError(f"{self.source}: no quote rows")
+        dates, i = _ranked(self.date_ids, self.row_date)
+        tickers, j = _ranked(self.ticker_ids, self.row_ticker)
+        shape = (len(dates), len(tickers))
+        seen = np.zeros(shape, dtype=bool)
+        seen[i, j] = True
+        if np.count_nonzero(seen) < len(i):
+            _, first_seen = np.unique(np.ravel_multi_index((i, j), shape), return_index=True)
+            p = np.setdiff1d(np.arange(len(i)), first_seen)[0]
+            raise DuplicateQuoteError(self.source, self.row_line[p],
+                                      f"duplicate quote for ({tickers[j[p]]}, {dates[i[p]]})")
+        close_panel, shares_panel = np.full(shape, np.nan), np.full(shape, np.nan)
+        close_panel[i, j] = np.frombuffer(self.closes)
+        shares_panel[i, j] = np.frombuffer(self.shares)
+        return QuotePanel(tuple(dates), tuple(tickers), close_panel, shares_panel)
+
+
 def _ranked(ids: dict, row_ids: array) -> tuple[list, np.ndarray]:
     """The keys of ``ids`` (key -> id) sorted, and each row's id replaced by
     the rank of its key."""
     keys = sorted(ids)
-    rank = np.empty(len(keys), dtype=np.intp)
+    rank = np.empty(len(keys), dtype=np.intc)
     rank[[ids[k] for k in keys]] = np.arange(len(keys))
-    return keys, rank[np.frombuffer(row_ids, dtype=np.int64)]
+    return keys, rank[np.frombuffer(row_ids, dtype=np.intc)]
+
+
+# Larger blocks load no faster but leave more of the heap resident after the
+# load, under the peak of the stages that follow.
+_BLOCK_BYTES = 1 << 16
+_CSV_BATCH = 4096  # records per batch of quoted input
+
+
+def _line_ends(text: str) -> int:
+    """Line ends in ``text``: LF, CRLF or a lone CR, as csv counts them."""
+    ends = text.count("\n")
+    return ends + text.count("\r") - text.count("\r\n") if "\r" in text else ends
+
+
+def _byte_blocks(fh):
+    """A binary file in blocks of about ``_BLOCK_BYTES``, each ending after a
+    line end but the last, which holds whatever follows the last one."""
+    tail = bytearray()
+    while chunk := fh.read(_BLOCK_BYTES):
+        # after the last "\n", or the last "\r" the chunk shows is no "\r\n"
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            yield tail + chunk[:cut]
+            tail = bytearray(chunk[cut:])
+        else:
+            tail += chunk
+    if tail:
+        yield tail
+
+
+def _text_blocks(fh, source):
+    """(first line number, text) of each block of a binary file.  A byte
+    that is not UTF-8 raises ParseError naming its line, once the lines
+    before it have been yielded."""
+    line_no = 1
+    for raw in _byte_blocks(fh):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = raw[:exc.start]
+            text = head[:max(head.rfind(b"\n"), head.rfind(b"\r")) + 1].decode("utf-8")
+            if text:
+                yield line_no, text
+            raise not_utf8(source, line_no + _line_ends(text), exc) from None
+        yield line_no, text
+        line_no += _line_ends(text)
+
+
+def _split(text: str, line_no: int):
+    """Tokenize a block of unquoted text that starts on line ``line_no``:
+    (fields, field count of each line, line number of each line)."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    buf = np.frombuffer(text.encode(), dtype=np.uint8)
+    last_field = np.flatnonzero(buf[(buf == ord(",")) | (buf == ord("\n"))] == ord("\n"))
+    count = np.diff(last_field, prepend=-1)
+    fields = text.replace("\n", ",").split(",")
+    del fields[-1]  # the empty token after the final line end
+    return fields, count, np.arange(line_no, line_no + len(count))
+
+
+def _csv_batches(blocks, first_line: int, source):
+    """Tokenize text blocks from line ``first_line`` on with csv.reader, in
+    batches shaped as ``_split`` returns them; a record's line number is
+    that of its last line."""
+    offset = first_line - 1
+    reader = csv.reader(chain.from_iterable(io.StringIO(text, newline="") for _, text in blocks))
+    records, lines = [], []
+
+    def batch():
+        count = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
+        return list(chain.from_iterable(records)), count, np.array(lines) + offset
+
+    error = None
+    try:
+        for record in reader:
+            records.append(record)
+            lines.append(reader.line_num)
+            if len(records) == _CSV_BATCH:
+                yield batch()
+                records, lines = [], []
+    except csv.Error as exc:
+        error = ParseError(source, offset + reader.line_num, f"bad CSV: {exc}")
+    except ParseError as exc:  # not UTF-8: the records before it are checked first
+        error = exc
+    if records:
+        yield batch()
+    if error is not None:
+        raise error
+
+
+def _record_batches(fh, source):
+    """The records of a binary quote file in batches shaped as ``_split``
+    returns them: split in C from block to block while the text holds no
+    quote character, through csv.reader from the first block that does."""
+    blocks = _text_blocks(fh, source)
+    for line_no, text in blocks:
+        if '"' in text:
+            yield from _csv_batches(chain([(line_no, text)], blocks), line_no, source)
+            return
+        yield _split(text, line_no)
 
 
 def load_quotes(source) -> QuotePanel:
     """Read a quote CSV into a QuotePanel.
 
-    The file must carry a header with at least ``date,ticker,close,
-    shares_issued``; unknown columns are ignored and blank rows skipped.
-    A close must be finite and > 0 and shares finite and >= 0; ``NA`` or an
-    empty field is absent.  A malformed row raises ParseError with its line
-    number; a second quote for the same (ticker, date) raises
-    DuplicateQuoteError once the rest of the file has parsed.
+    The file must be UTF-8 and carry a header with at least ``date,ticker,
+    close,shares_issued``; unknown columns are ignored, blank rows skipped
+    and fields past the header's dropped.  A close must be finite and > 0
+    and shares finite and >= 0; ``NA`` or an empty field is absent.  The
+    first malformed line raises ParseError naming it; a second quote for the
+    same (ticker, date) raises DuplicateQuoteError once the rest of the file
+    has parsed.
     """
-    with open(source, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyUniverseError(f"{source}: file is empty") from None
-        names = [h.strip() for h in header]
-        try:
-            di, ti, ci, si = (names.index(k) for k in ("date", "ticker", "close", "shares_issued"))
-        except ValueError as exc:
-            raise ParseError(source, 1, f"missing required column: {exc}") from None
-        width = len(names)
-
-        # Each distinct date or ticker token is parsed once and then maps to
-        # an id; two tokens may name the same date or ticker.
-        date_of_token: dict[str, int] = {}
-        date_ids: dict[dt.date, int] = {}
-        ticker_of_token: dict[str, int] = {}
-        ticker_ids: dict[str, int] = {}
-        row_line, row_date, row_ticker = array("q"), array("q"), array("q")
-        closes, shares = array("d"), array("d")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) < width:
-                if any(f.strip() for f in row):
-                    raise ParseError(source, line_no, f"expected {width} fields, got {len(row)}")
-                continue
-            token = row[di]
-            d = date_of_token.get(token)
-            if d is None:  # a blank row always lands here: blank tokens are never stored
-                if not any(f.strip() for f in row):
-                    continue
-                try:
-                    date = dt.date.fromisoformat(token.strip())
-                except ValueError:
-                    raise ParseError(source, line_no, f"bad date {token!r}") from None
-                d = date_of_token[token] = date_ids.setdefault(date, len(date_ids))
-            token = row[ti]
-            t = ticker_of_token.get(token)
-            if t is None:
-                if not token.strip():
-                    raise ParseError(source, line_no, "empty ticker")
-                t = ticker_of_token[token] = ticker_ids.setdefault(token.strip(), len(ticker_ids))
-            closes.append(_value(row[ci], "close", True, source, line_no))
-            shares.append(_value(row[si], "shares_issued", False, source, line_no))
-            row_line.append(line_no)
-            row_date.append(d)
-            row_ticker.append(t)
-
-    if not ticker_ids:
-        raise EmptyUniverseError(f"{source}: no quote rows")
-    dates, i = _ranked(date_ids, row_date)
-    tickers, j = _ranked(ticker_ids, row_ticker)
-    cell = i * len(tickers) + j
-    if np.bincount(cell).max() > 1:
-        _, first_seen = np.unique(cell, return_index=True)
-        p = np.setdiff1d(np.arange(len(cell)), first_seen)[0]
-        raise DuplicateQuoteError(
-            source, row_line[p], f"duplicate quote for ({tickers[j[p]]}, {dates[i[p]]})"
-        )
-    shape = (len(dates), len(tickers))
-    close_panel, shares_panel = np.full(shape, np.nan), np.full(shape, np.nan)
-    close_panel[i, j] = np.frombuffer(closes)
-    shares_panel[i, j] = np.frombuffer(shares)
-    return QuotePanel(tuple(dates), tuple(tickers), close_panel, shares_panel)
+    with open(source, "rb") as fh:
+        batches = _record_batches(fh, source)
+        first = next(batches, None)
+        if first is None:
+            raise EmptyUniverseError(f"{source}: file is empty")
+        fields, count, line = first
+        quotes = _QuoteColumns(source, fields[:count[0]])
+        quotes.add(fields[count[0]:], count[1:], line[1:])
+        for batch in batches:
+            quotes.add(*batch)
+    return quotes.panel()
 
 
 def _forward_fill(values: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientFeaturesError, ParameterError, ParseError
+from .errors import InsufficientFeaturesError, ParameterError, ParseError, open_text
 from .manifold import AdjacencyGraph
 from .spectral import EigenBasis
 
@@ -107,7 +107,7 @@ def write_constituents_csv(path, selected: FeatureSet, tickers, caps) -> None:
 
 def read_constituents_csv(path) -> list[str]:
     """Tickers from a constituent export, in rank order."""
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.DictReader(fh)
         if "ticker" not in (reader.fieldnames or ()):
             raise ParseError(path, 1, "missing required column 'ticker'")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ParseError
+from .errors import ParameterError, ParseError, open_text
 from .indexcalc import IndexSeries
 from .marketdata import QuotePanel
 
@@ -149,7 +149,7 @@ def write_benchmark_csv(path, benchmark: IndexSeries) -> None:
 def read_benchmark_csv(path) -> IndexSeries:
     """Read ``date,level`` rows; a bad or short row, or a level that is not
     finite and > 0, raises ParseError."""
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.DictReader(fh)
         dates, values = [], []
         for row in reader:

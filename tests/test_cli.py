@@ -1,8 +1,12 @@
 """CLI orchestration: artifacts, re-runnability, determinism, diagnostics."""
 
-import pytest
+import re
 
-from manifold_index import cli
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from manifold_index import cli, indexcalc, selection, synth
 from manifold_index.errors import ParameterError, ParseError
 
 
@@ -88,6 +92,18 @@ class TestSelectCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and str(missing) in err[0]
+
+    def test_non_utf8_quote_file_names_line(self, tmp_path, capsys):
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_bytes(b"date,ticker,close,shares_issued\n2020-01-02,AAA,1,2\n"
+                           b"2020-01-03,A\xffA,1,2\n")
+        rc = run([
+            "select", "--quotes", str(quotes), "--study-year", "2020", "--outdir", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {quotes}:3: not UTF-8")
 
     def test_n_larger_than_universe_fails(self, small_market, tmp_path, capsys):
         rc = run([
@@ -244,7 +260,8 @@ class TestIndexAndMetrics:
     @pytest.mark.parametrize("rows, line, names", [
         ("\n2021-03-01,S0001,bogus", 3, "bogus"),  # a blank line still counts
         ("2021-03-01,S0001", 2, "kind"),  # short row
-    ], ids=["blank-line", "short-row"])
+        ("2021-01-05,S0002,delisting,,,oops", 2, "expected 3 fields, got 6"),
+    ], ids=["blank-line", "short-row", "long-row"])
     def test_bad_action_row_names_line(
         self, small_market, artifacts, tmp_path, capsys, rows, line, names
     ):
@@ -447,6 +464,15 @@ class TestConfigFile:
         with pytest.raises(ParameterError):
             cli.PipelineConfig(study_year=2020, target_year=2022)
 
+    def test_non_utf8_config_names_file(self, small_market, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"k = 6\n# caf\xe9\n")
+        rc = run(["select", "--config", str(config), "--quotes", str(small_market / "quotes.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {config}: not UTF-8")
+
     def test_bad_bandwidth_is_clean_diagnostic(self, small_market, tmp_path, capsys):
         rc = run([
             "select", "--quotes", str(small_market / "quotes.csv"),
@@ -455,3 +481,53 @@ class TestConfigFile:
         ])
         assert rc == 1
         assert "bandwidth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("read", [
+    cli.load_config, synth.read_benchmark_csv, indexcalc.read_series_csv,
+    selection.read_constituents_csv, indexcalc.read_actions_csv,
+])
+def test_readers_reject_non_utf8_naming_the_file(tmp_path, read):
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"date,level\n2021-01-04,1000.0\xff\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not UTF-8 text: byte 0xff"):
+        read(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_quotes(tmp_path_factory):
+    """A small valid quote file that ``select`` runs through."""
+    outdir = tmp_path_factory.mktemp("fuzz")
+    rc = run(["synth", "--outdir", str(outdir), "--seed", "2",
+              "--n-stocks", "12", "--m-days", "20", "--n-sectors", "3"])
+    assert rc == 0
+    return (outdir / "quotes.csv").read_bytes()
+
+
+BYTES = st.sampled_from([b'"', b"\r", b"\n", b",", b"\xff", b"\xe9", b"\x00", b" ", b"N"])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(["flip", "insert", "delete"]),
+                          st.integers(0, 30_000), BYTES | st.binary(min_size=1, max_size=1)),
+                min_size=1, max_size=4))
+def test_mutated_quote_file_exits_cleanly(fuzz_quotes, tmp_path, capsys, mutations):
+    data = bytearray(fuzz_quotes)
+    for kind, at, byte in mutations:
+        at %= len(data)
+        if kind == "flip":
+            data[at:at + 1] = byte
+        elif kind == "insert":
+            data[at:at] = byte
+        else:
+            del data[at]
+    quotes = tmp_path / "quotes.csv"
+    quotes.write_bytes(data)
+    capsys.readouterr()
+    rc = run(["select", "--quotes", str(quotes), "--study-year", "2020",
+              "--outdir", str(tmp_path / "out"), "--k", "3", "--n-list", "2"])
+    err = capsys.readouterr().err
+    assert rc in (0, 1)
+    if rc == 1:
+        assert err.count("error: ") == 1 and err.splitlines()[-1].startswith("error: ")

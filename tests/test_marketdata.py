@@ -1,6 +1,8 @@
 """Preprocessing: ingestion, completion, screening, normalization."""
 
+import csv
 import datetime as dt
+import io
 
 import numpy as np
 import pytest
@@ -76,6 +78,16 @@ class TestLoadQuotes:
             "not-a-date,AAA,10,100\n",
         )
         with pytest.raises(ParseError, match=":3:"):
+            md.load_quotes(path)
+
+    def test_lines_are_physical_after_a_quoted_line_break(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            "date,ticker,close,shares_issued\n"
+            '2020-01-02,"S\n1",10,100\n'
+            "2020-01-03,AAA,abc,100\n",
+        )
+        with pytest.raises(ParseError, match=":4: bad close value 'abc'"):
             md.load_quotes(path)
 
     def test_empty_file_is_empty_universe(self, tmp_path):
@@ -371,19 +383,37 @@ class TestCalendarFromQuotes:
 # ---------------------------------------------------------------------------
 # load_quotes against a plain per-row reference on random files
 
-FAULTS = (
-    "bad_date", "blank_date", "bad_close", "nan_close", "zero_close", "inf_shares",
-    "negative_shares", "empty_ticker", "short_row", "duplicate",
-)
+FAULTS = {
+    "bad_date": ("date", "2020-13-01"),
+    "blank_date": ("date", " "),
+    "bad_close": ("close", "abc"),
+    "nan_close": ("close", "nan"),
+    "zero_close": ("close", "0"),
+    "inf_shares": ("shares_issued", "inf"),
+    "negative_shares": ("shares_issued", "-3"),
+    "empty_ticker": ("ticker", " "),
+    "not_utf8": ("ticker", "A\udcff"),  # written as the byte 0xff
+    "short_row": None,
+    "duplicate": None,
+}
 
 
-def reference_load(lines, names):
-    """Per-row reading of ``lines`` (header excluded): the panel as
-    (dates, tickers, close, shares), or the (error class, line) it fails at."""
+def reference_load(data):
+    """Per-row reading of a quote file's bytes through csv.reader: the panel
+    as (dates, tickers, close, shares), or the (error class, line) it fails
+    at.  A record's line is its last physical line."""
+    text = data.decode("utf-8", errors="surrogateescape")
+    bad_byte = text.find("\udcff")
+    if bad_byte >= 0:  # the line it is on
+        bad_line = len(io.StringIO(text[:bad_byte] + "x", newline="").readlines())
+    reader = csv.reader(io.StringIO(text, newline=""))
+    names = [h.strip() for h in next(reader)]
     col = {k: names.index(k) for k in ("date", "ticker", "close", "shares_issued")}
     cells = {}
-    for line_no, line in enumerate(lines, start=2):
-        fields = line.split(",") if line else []
+    for fields in reader:
+        line_no = reader.line_num
+        if bad_byte >= 0 and line_no >= bad_line:
+            return ParseError, bad_line
         if not any(f.strip() for f in fields):
             continue
         if len(fields) < len(names):
@@ -425,7 +455,10 @@ def reference_load(lines, names):
 
 @st.composite
 def quote_files(draw):
-    """(lines, header names, injected fault or None) of a random quote file."""
+    """(bytes, read block size) of a random quote file: shuffled rows, absent
+    values, missing ticker-days, an extra column, blank and whitespace-only
+    lines, rows longer than the header, LF, CRLF or CR line ends, quoted
+    fields (some holding a comma or a line break) and up to two faults."""
     names = ["date", "ticker", "close", "shares_issued"]
     extra = draw(st.none() | st.integers(0, 4))
     if extra is not None:
@@ -434,61 +467,62 @@ def quote_files(draw):
         st.dates(dt.date(2019, 12, 20), dt.date(2020, 1, 10)), min_size=1, max_size=6, unique=True
     ))
     tickers = draw(st.lists(
-        st.text("ABCXYZ", min_size=1, max_size=3), min_size=1, max_size=4, unique=True
+        st.text("ABCXYZÄ", min_size=1, max_size=3), min_size=1, max_size=4, unique=True
     ))
-    value = st.floats(0.01, 1e6, allow_nan=False) | st.sampled_from(["NA", "", " NA "])
-    lines = []
+    value = st.floats(0.01, 1e6, allow_nan=False).map(str) | st.sampled_from(["NA", "", " NA "])
+    rows = []
     for d in dates:
         for t in tickers:
             if draw(st.booleans()):
-                close, shares = draw(value), draw(value | st.just(0.0))
-                row = {"date": d.isoformat(), "ticker": t, "volume": "7",
-                       "close": str(close), "shares_issued": str(shares)}
-                lines.append(",".join(row[n] for n in names))
-    if not lines:
-        lines.append(",".join({"date": dates[0].isoformat(), "ticker": tickers[0],
-                               "volume": "1", "close": "1.5", "shares_issued": "2"}[n]
-                              for n in names))
-    lines = draw(st.permutations(lines))
+                close, shares = draw(value), draw(value | st.just("0.0"))
+                rows.append({"date": d.isoformat(), "ticker": t, "volume": "7",
+                             "close": close, "shares_issued": shares})
+    if not rows:
+        rows.append({"date": dates[0].isoformat(), "ticker": tickers[0], "volume": "1",
+                     "close": "1.5", "shares_issued": "2"})
+    rows = [[row[n] for n in names] for row in draw(st.permutations(rows))]
+    quoting = draw(st.booleans())
+    for row in rows:
+        row += draw(st.lists(st.sampled_from(["x", "", " "]), max_size=2))  # past the header
+        if quoting and draw(st.booleans()):
+            t = names.index("ticker")
+            row[t] = '"' + row[t] + draw(st.sampled_from(["", "\n1", "\r\n2"])) + '"'
+            if "volume" in names:
+                row[names.index("volume")] = '"7,5"'
+
+    for fault in [draw(st.sampled_from(sorted(FAULTS))) for _ in range(draw(st.integers(0, 2)))]:
+        at = draw(st.integers(0, len(rows) - 1))
+        if fault == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[at]))
+        elif fault == "short_row":
+            rows[at] = rows[at][:len(names) - 1]
+        elif names.index(FAULTS[fault][0]) < len(rows[at]):  # not cut short before
+            column, token = FAULTS[fault]
+            rows[at][names.index(column)] = token
+    lines = [",".join(row) for row in rows]
     for _ in range(draw(st.integers(0, 3))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", ",,,", " "])))
-
-    fault = draw(st.none() | st.sampled_from(FAULTS))
-    data_rows = [i for i, line in enumerate(lines) if line.strip(", ")]
-    at = draw(st.sampled_from(data_rows))
-    fields = lines[at].split(",")
-    pos = {n: names.index(n) for n in names}
-    if fault == "duplicate":
-        lines.insert(draw(st.integers(0, len(lines))), lines[at])
-    elif fault == "short_row":
-        lines[at] = ",".join(fields[:-1])
-    elif fault is not None:
-        column, token = {
-            "bad_date": ("date", "2020-13-01"),
-            "blank_date": ("date", " "),
-            "bad_close": ("close", "abc"),
-            "nan_close": ("close", "nan"),
-            "zero_close": ("close", "0"),
-            "inf_shares": ("shares_issued", "inf"),
-            "negative_shares": ("shares_issued", "-3"),
-            "empty_ticker": ("ticker", " "),
-        }[fault]
-        fields[pos[column]] = token
-        lines[at] = ",".join(fields)
-    return lines, names, fault
+        blank = draw(st.sampled_from(["", ",,,", " ", "\t", " , ,,,, "]))
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join([",".join(names)] + lines) + draw(st.sampled_from([eol, ""]))
+    block = draw(st.integers(1, 48) | st.just(1 << 18))
+    return text.encode("utf-8", errors="surrogateescape"), block
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(quote_files())
-def test_load_matches_per_row_reference(tmp_path, case):
-    lines, names, fault = case
-    path = write_csv(tmp_path, "\n".join([",".join(names)] + lines) + "\n")
-    expected = reference_load(lines, names)
-    if fault is not None:
+def test_load_matches_per_row_reference(tmp_path, monkeypatch, case):
+    data, block = case
+    monkeypatch.setattr(md, "_BLOCK_BYTES", block)
+    path = tmp_path / "quotes.csv"
+    path.write_bytes(data)
+    expected = reference_load(data)
+    if len(expected) == 2:
         error, line_no = expected
-        with pytest.raises(error, match=f":{line_no}:"):
+        with pytest.raises(ParseError, match=f":{line_no}:") as caught:
             md.load_quotes(path)
+        assert caught.type is error
         return
     panel = md.load_quotes(path)
     dates, tickers, close, shares = expected
