@@ -190,12 +190,12 @@ def cmd_select(cfg: PipelineConfig, quotes: marketdata.QuotePanel) -> list[Path]
 
     calendar = marketdata.calendar_from_quotes(quotes, cfg.study_year)
     frame = marketdata.build_market_frame(quotes, calendar, calendar.dates[-1])
-    _log(f"select: {frame.n} stocks x {calendar.m} days after preprocessing")
     for n_target in cfg.n_list:
         if n_target >= frame.n:
             raise ParameterError(
                 f"requested N={n_target} but only {frame.n} stocks survive screening"
             )
+    _log(f"select: {frame.n} stocks x {calendar.m} days after preprocessing")
 
     graph, weights, mass = manifold.build_operator(frame.vectors, k=cfg.k, t=cfg.t, mode=cfg.mode)
     picks = grow_basis_and_select(

@@ -2,10 +2,12 @@
 
 Each stock is a unit-norm point in R^m.  A directed KNN graph links every
 point to its k nearest neighbours (exact search, ties broken by ascending
-point index).  Gaussian kernel weights over the directed graph give a
-row-zero-sum matrix W~; averaging with its transpose restores symmetry, and
-the diagonal supplies the positive mass matrix A.  The pair (W, A) is the
-discrete operator whose generalized eigenproblem the spectral module solves.
+point index).  The search holds one n x n float Gram matrix and the squared
+distances of one block of rows at a time; it never sorts a whole row.
+Gaussian kernel weights over the directed graph give a row-zero-sum matrix
+W~; averaging with its transpose restores symmetry, and the diagonal
+supplies the positive mass matrix A.  The pair (W, A) is the discrete
+operator whose generalized eigenproblem the spectral module solves.
 
 Two operator modes are exposed:
 
@@ -65,20 +67,30 @@ def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ParameterError(f"points must be a 2-d array, got shape {pts.shape}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if len(bad):
+        raise ParameterError(f"point {bad[0]} has a non-finite coordinate")
     return pts
 
 
-def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:
-    sq_norms = np.einsum("ij,ij->i", pts, pts)
-    d2 = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (pts @ pts.T)
+# The search takes distances one block of rows at a time, each block about
+# this many bytes of float64; with the n x n Gram matrix it bounds memory.
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_sq_dists(pts, sq_norms, gram, s: int, e: int) -> np.ndarray:
+    """Squared distances from points s..e-1 to every point, diagonal 0."""
+    d2 = sq_norms[s:e, None] + sq_norms[None, :] - 2.0 * gram[s:e]
     np.maximum(d2, 0.0, out=d2)
+    d2[np.arange(e - s), np.arange(s, e)] = 0.0
     # The Gram form loses precision for near-coincident points; recompute
     # those few entries directly so exact duplicates land at exactly 0.
-    ii, jj = np.nonzero((d2 < 1e-12) & ~np.eye(len(pts), dtype=bool))
-    for start in range(0, len(ii), 100_000):
-        a = ii[start : start + 100_000]
-        b = jj[start : start + 100_000]
-        d2[a, b] = np.einsum("ij,ij->i", pts[a] - pts[b], pts[a] - pts[b])
+    ii, jj = np.nonzero(d2 < 1e-12)
+    pairs = max(1, _BLOCK_BYTES // (8 * max(1, pts.shape[1])))
+    for start in range(0, len(ii), pairs):
+        a, b = ii[start : start + pairs], jj[start : start + pairs]
+        diff = pts[s + a] - pts[b]
+        d2[a, b] = np.einsum("ij,ij->i", diff, diff)
     return d2
 
 
@@ -93,13 +105,28 @@ def knn_graph(points, k: int) -> AdjacencyGraph:
     n = len(pts)
     if not 1 <= k < n:
         raise ParameterError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    d2 = _pairwise_sq_dists(pts)
-    order = np.argsort(d2, axis=1, kind="stable")
+    sq_norms = np.einsum("ij,ij->i", pts, pts)
+    # One product for all rows: numpy computes it as a symmetric rank-k
+    # update, whose entries can differ in the last bit from a product per block.
+    gram = pts @ pts.T
     neighbors = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        row = order[i]
-        neighbors[i] = row[row != i][:k]
-    distances = np.take_along_axis(d2, neighbors, axis=1)
+    distances = np.empty((n, k))
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    for s in range(0, n, rows):
+        e = min(n, s + rows)
+        d2 = _block_sq_dists(pts, sq_norms, gram, s, e)
+        # The diagonal 0 is a row's smallest entry, so the row's (k+1)-th
+        # smallest is the k-th smallest distance to another point.
+        kth = np.partition(d2, k, axis=1)[:, k]
+        keep = d2 <= kth[:, None]  # every tie at the k-th distance
+        keep[np.arange(e - s), np.arange(s, e)] = False
+        row, col = np.nonzero(keep)
+        dist = d2[row, col]
+        order = np.lexsort((col, dist, row))  # by row, distance, then index
+        counts = np.count_nonzero(keep, axis=1)
+        pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        neighbors[s:e] = col[pick]
+        distances[s:e] = dist[pick]
     return AdjacencyGraph(k=k, neighbors=neighbors, distances=distances)
 
 

@@ -165,13 +165,21 @@ def _number(token: str) -> float:
         return np.nan
 
 
-def _numbers(tokens: list, positive: bool) -> tuple[np.ndarray, np.ndarray]:
+def _numbers(tokens: list, positive: bool, mask_first: bool) -> tuple[np.ndarray, np.ndarray]:
     """A close or shares column as floats (NaN where absent), and a mask of
-    its malformed or out-of-range tokens; the rule is ``_value``'s."""
+    its malformed or out-of-range tokens; the rule is ``_value``'s.
+
+    A parse of the whole column stops at its first absent token and is lost,
+    so ``mask_first`` finds the absent tokens before any parse; without it
+    the column is parsed first and masked only if that fails."""
     absent = np.zeros(len(tokens), dtype=bool)
-    try:
-        values = np.array(tokens, dtype=np.float64)  # parses as float() does
-    except ValueError:
+    values = None
+    if not mask_first:
+        try:
+            values = np.array(tokens, dtype=np.float64)  # parses as float() does
+        except ValueError:
+            pass
+    if values is None:
         absent = np.fromiter(map(MISSING_TOKENS.__contains__, map(str.strip, tokens)),
                              dtype=bool, count=len(tokens))
         present = list(compress(tokens, (~absent).tolist()))
@@ -218,6 +226,9 @@ class _QuoteColumns:
         self.ticker_ids: dict[str, int] = {}
         self.row_line, self.row_date, self.row_ticker = array("q"), array("i"), array("i")
         self.closes, self.shares = array("d"), array("d")
+        # Once a close or shares column held an absent token, later batches
+        # of it are masked before they are parsed (see ``_numbers``).
+        self.absent_seen = {"close": False, "shares": False}
 
     def _date_id(self, token: str) -> int:
         try:
@@ -269,8 +280,10 @@ class _QuoteColumns:
         columns = [regular[c::width] for c in self.columns]
         dates = _ids(columns[0], self.date_of_token, self._date_id)
         tickers = _ids(columns[1], self.ticker_of_token, self._ticker_id)
-        closes, bad_close = _numbers(columns[2], positive=True)
-        shares, bad_shares = _numbers(columns[3], positive=False)
+        closes, bad_close = _numbers(columns[2], True, self.absent_seen["close"])
+        shares, bad_shares = _numbers(columns[3], False, self.absent_seen["shares"])
+        self.absent_seen["close"] |= np.isnan(closes).any()
+        self.absent_seen["shares"] |= np.isnan(shares).any()
         faulty = (dates < 0) | (tickers < 0) | bad_close | bad_shares
         keep = slice(None)
         if faulty.any():

@@ -112,7 +112,9 @@ class TestSelectCommand:
             "--n-list", "500",
         ])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1  # no progress line before the error
+        assert err[0].startswith("error: requested N=500")
 
 
 @pytest.fixture(scope="module")

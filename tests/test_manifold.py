@@ -1,7 +1,11 @@
 """KNN graph and operator-pair construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from conftest import random_operator
@@ -62,6 +66,81 @@ class TestKnnGraph:
             for i in range(n):
                 order = sorted((d2[i, j], j) for j in range(n) if j != i)
                 assert graph.neighbors[i].tolist() == [j for _, j in order[:k]]
+
+
+def reference_knn(points, k):
+    """Full-matrix search: every squared distance in one n x n array (the
+    near-coincident pairs recomputed directly), each row stably argsorted
+    and the point itself dropped.  (neighbors, distances)."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    sq_norms = np.einsum("ij,ij->i", pts, pts)
+    d2 = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (pts @ pts.T)
+    np.maximum(d2, 0.0, out=d2)
+    a, b = np.nonzero((d2 < 1e-12) & ~np.eye(n, dtype=bool))
+    d2[a, b] = np.einsum("ij,ij->i", pts[a] - pts[b], pts[a] - pts[b])
+    order = np.argsort(d2, axis=1, kind="stable")
+    neighbors = np.empty((n, k), dtype=np.int64)
+    for i in range(n):
+        row = order[i]
+        neighbors[i] = row[row != i][:k]
+    return neighbors, np.take_along_axis(d2, neighbors, axis=1)
+
+
+BLOCK_BYTES = manifold._BLOCK_BYTES  # before any test patches it
+
+
+@st.composite
+def tied_clouds(draw):
+    """(points, k, block bytes): small-integer lattice points, scaled so the
+    Gram form may round, drawn with repeats from a few distinct rows (one
+    row gives a fully duplicated cloud)."""
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(0, 4))
+    distinct = draw(st.integers(1, n))
+    lattice = np.array(
+        draw(st.lists(st.integers(-2, 2), min_size=distinct * m, max_size=distinct * m)),
+        dtype=float,
+    ).reshape(distinct, m)
+    rows = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 0.1, 1 / 3, 1e-7]))
+    k = draw(st.integers(1, n - 1))
+    block = draw(st.sampled_from([1, BLOCK_BYTES]) | st.integers(1, 8 * 3 * n))
+    return lattice[rows] * scale, k, block
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tied_clouds())
+def test_knn_matches_full_matrix_reference(monkeypatch, case):
+    points, k, block = case
+    monkeypatch.setattr(manifold, "_BLOCK_BYTES", block)  # 1: one row per block
+    graph = manifold.knn_graph(points, k)
+    neighbors, distances = reference_knn(points, k)
+    assert np.array_equal(graph.neighbors, neighbors)
+    assert np.array_equal(graph.distances, distances)
+
+
+def test_knn_memory_is_one_gram_plus_a_block():
+    n = 2000
+    points = np.random.default_rng(0).standard_normal((n, 61))
+    tracemalloc.start()
+    try:
+        manifold.knn_graph(points, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_rejected_naming_row(bad):
+    points = np.random.default_rng(0).standard_normal((6, 3))
+    points[3, 1] = bad
+    points[5, 0] = bad
+    for build in (manifold.knn_graph, manifold.build_operator):
+        with pytest.raises(ParameterError, match="point 3 has a non-finite coordinate"):
+            build(points, 2)
 
 
 class TestWeightTilde:
