@@ -5,23 +5,25 @@ Subcommands:
     synth     generate a synthetic market (quotes.csv + benchmark.csv)
     select    study-year preprocessing, operator build, eigen solve and
               constituent selection; one constituent CSV per requested N
-    index     divisor-maintained index series for the target year from
-              constituent CSVs; one series CSV per input
+    index     divisor-maintained index series for the year after the study
+              year from constituent CSVs; one series CSV per input
     metrics   per-index-per-year reports against a benchmark, plus the
               stability summary
     backtest  select + index over consecutive year pairs, then metrics
 
-Configuration is a flat ``key=value`` file ('#' starts a comment); any flag
-given on the command line overrides the file.  Stages communicate through
-CSV artifacts only, so each can be re-run from the previous stage's output.
-Exit code is 0 on success; failures print one diagnostic line to stderr.
+Configuration is a flat ``key=value`` file ('#' starts a comment) whose keys
+are the PipelineConfig fields; a command's flags are the fields it reads, and
+any flag given on the command line overrides the file.  Stages communicate
+through CSV artifacts only, so each can be re-run from the previous stage's
+output.  Exit code is 0 on success; failures, usage errors included, print
+one diagnostic line to stderr and exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,42 +38,9 @@ from .errors import (
 )
 
 DEFAULT_N_LIST = (50, 100, 150, 180, 380)
+EIGEN_BATCH = 32  # eigenpairs added to the basis per growth step
 
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    quotes: str | None = None
-    benchmark: str | None = None
-    actions: str | None = None
-    outdir: str = "out"
-    study_year: int | None = None
-    target_year: int | None = None
-    k: int = manifold.DEFAULT_K
-    t: float | None = None  # None = self-tuning bandwidth
-    mode: str = "balanced"
-    n_list: tuple[int, ...] = DEFAULT_N_LIST
-    base_level: float = indexcalc.DEFAULT_BASE_LEVEL
-    eigen_batch: int = 32
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.study_year is not None and self.target_year is not None:
-            if self.target_year != self.study_year + 1:
-                raise ParameterError(
-                    f"target_year must be study_year + 1, got {self.study_year} "
-                    f"-> {self.target_year}"
-                )
-        if self.mode not in manifold.MODES:
-            raise ParameterError(f"mode must be one of {manifold.MODES}")
-        if self.eigen_batch < 1:
-            raise ParameterError("eigen_batch must be >= 1")
-
-    def resolved_target_year(self) -> int:
-        if self.target_year is not None:
-            return self.target_year
-        if self.study_year is not None:
-            return self.study_year + 1
-        raise ParameterError("no study_year/target_year configured")
+_SELECTING = ("select", "backtest")
 
 
 def _parse_t(text: str) -> float | None:
@@ -90,25 +59,46 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return values
 
 
-_CONFIG_PARSERS = {
-    "quotes": str,
-    "benchmark": str,
-    "actions": str,
-    "outdir": str,
-    "study_year": int,
-    "target_year": int,
-    "k": int,
-    "t": _parse_t,
-    "mode": str,
-    "n_list": _parse_n_list,
-    "base_level": float,
-    "eigen_batch": int,
-    "seed": int,
-}
+def _setting(default, parse, help: str, commands: tuple[str, ...]):
+    """A PipelineConfig field: ``parse`` reads its config-file value and its
+    flag's text; the flag exists on ``commands`` only."""
+    return field(default=default, metadata={"parse": parse, "help": help, "commands": commands})
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Settings of the pipeline commands.  Each field is a config-file key
+    and the flag ``--name`` (``_`` written ``-``) of the commands that read it."""
+
+    quotes: str | None = _setting(None, str, "quote CSV path", ("select", "index", "backtest"))
+    benchmark: str | None = _setting(None, str, "benchmark CSV path", ("metrics", "backtest"))
+    actions: str | None = _setting(None, str, "corporate-action CSV path", ("index", "backtest"))
+    outdir: str = _setting(
+        "out", str, "output directory", ("select", "index", "metrics", "backtest")
+    )
+    study_year: int | None = _setting(
+        None, int, "study year; index values the year after it", ("select", "index")
+    )
+    k: int = _setting(manifold.DEFAULT_K, int, "KNN neighbor count", _SELECTING)
+    t: float | None = _setting(
+        None, _parse_t, "kernel bandwidth, or 'auto' for the mean squared KNN distance", _SELECTING
+    )
+    mode: str = _setting("balanced", str, f"operator mode, one of {manifold.MODES}", _SELECTING)
+    n_list: tuple[int, ...] = _setting(
+        DEFAULT_N_LIST, _parse_n_list, "comma-separated constituent counts", _SELECTING
+    )
+    base_level: float = _setting(
+        indexcalc.DEFAULT_BASE_LEVEL, float, "index level on the first day", ("index", "backtest")
+    )
+
+    def __post_init__(self):
+        if self.mode not in manifold.MODES:
+            raise ParameterError(f"mode must be one of {manifold.MODES}, got {self.mode!r}")
 
 
 def load_config(path) -> PipelineConfig:
     """Read a flat key=value config file into a PipelineConfig."""
+    parsers = {f.name: f.metadata["parse"] for f in fields(PipelineConfig)}
     values = {}
     with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -118,24 +108,28 @@ def load_config(path) -> PipelineConfig:
             if "=" not in line:
                 raise ParseError(path, line_no, f"expected key=value, got {line!r}")
             key, text = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_PARSERS:
+            if key not in parsers:
                 raise ParseError(path, line_no, f"unknown config key {key!r}")
             try:
-                values[key] = _CONFIG_PARSERS[key](text)
+                values[key] = parsers[key](text)
             except ValueError as exc:
                 raise ParseError(path, line_no, f"bad value for {key}: {exc}") from None
     return PipelineConfig(**values)
 
 
-def _merge_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
+def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
+    """The config file's settings overridden by the flags given, whose text
+    goes through the same parsers."""
+    cfg = load_config(args.config) if args.config else PipelineConfig()
     updates = {}
     for f in fields(PipelineConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            if f.name == "t":
-                value = _parse_t(value)  # '--t auto' resets a config-file bandwidth
-            updates[f.name] = value
-    return replace(cfg, **updates) if updates else cfg
+        text = getattr(args, f.name, None)
+        if text is not None:
+            try:
+                updates[f.name] = f.metadata["parse"](text)
+            except ValueError as exc:
+                raise ParameterError(f"bad value for {_flag(f.name)}: {exc}") from None
+    return replace(cfg, **updates)
 
 
 def _log(message: str) -> None:
@@ -152,8 +146,7 @@ def grow_basis_and_select(
     graph: manifold.AdjacencyGraph,
     caps: np.ndarray,
     n_targets,
-    batch: int,
-    seed: int = 0,
+    batch: int = EIGEN_BATCH,
 ) -> dict[int, selection.FeatureSet]:
     """Select constituents for each target count, requesting eigenpairs in
     batches and expanding the basis whenever the accumulated features run
@@ -162,8 +155,8 @@ def grow_basis_and_select(
     eigenpairs are exhausted."""
     n = weights.n
     p = min(n, batch)
-    lanczos = spectral.LanczosFactorization(weights, mass, seed=seed)
-    basis = spectral.solve_generalized(weights, mass, p, seed=seed, factorization=lanczos)
+    lanczos = spectral.LanczosFactorization(weights, mass)
+    basis = spectral.solve_generalized(weights, mass, p, factorization=lanczos)
     out: dict[int, selection.FeatureSet] = {}
     for n_target in sorted(n_targets):
         while True:
@@ -174,9 +167,7 @@ def grow_basis_and_select(
                 if basis.count >= n:
                     raise
                 p = min(n, p + batch)
-                basis = spectral.solve_generalized(
-                    weights, mass, p, seed=seed, factorization=lanczos
-                )
+                basis = spectral.solve_generalized(weights, mass, p, factorization=lanczos)
     return out
 
 
@@ -198,9 +189,7 @@ def cmd_select(cfg: PipelineConfig, quotes: marketdata.QuotePanel) -> list[Path]
     _log(f"select: {frame.n} stocks x {calendar.m} days after preprocessing")
 
     graph, weights, mass = manifold.build_operator(frame.vectors, k=cfg.k, t=cfg.t, mode=cfg.mode)
-    picks = grow_basis_and_select(
-        weights, mass, graph, frame.caps, cfg.n_list, cfg.eigen_batch, cfg.seed
-    )
+    picks = grow_basis_and_select(weights, mass, graph, frame.caps, cfg.n_list)
     paths = []
     for n_target in cfg.n_list:
         path = outdir / f"constituents_{n_target:03d}.csv"
@@ -211,8 +200,11 @@ def cmd_select(cfg: PipelineConfig, quotes: marketdata.QuotePanel) -> list[Path]
 
 
 def cmd_index(cfg: PipelineConfig, quotes: marketdata.QuotePanel, constituent_files) -> list[Path]:
-    """Compute the target-year index series for each constituent CSV."""
-    target_year = cfg.resolved_target_year()
+    """Compute the index series of the year after the study year for each
+    constituent CSV."""
+    if cfg.study_year is None:
+        raise ParameterError("index needs --study-year")
+    target_year = cfg.study_year + 1
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -317,18 +309,8 @@ def cmd_metrics(cfg: PipelineConfig, series_files) -> tuple[Path, Path]:
 
 def cmd_synth(args) -> tuple[Path, Path]:
     """Generate a synthetic market and emit quotes.csv + benchmark.csv."""
-    config = synth.SynthConfig(
-        n_stocks=args.n_stocks,
-        m_days=args.m_days,
-        n_sectors=args.n_sectors,
-        sector_vol=args.sector_vol,
-        idio_vol=args.idio_vol,
-        cap_log_mean=args.cap_log_mean,
-        cap_log_sd=args.cap_log_sd,
-        seed=args.seed,
-        start_year=args.start_year,
-        n_years=args.n_years,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(synth.SynthConfig)}
+    config = synth.SynthConfig(**{k: v for k, v in given.items() if v is not None})
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     market = synth.generate_market(config)
@@ -346,13 +328,12 @@ def cmd_backtest(
     """Annual refresh loop: for each study year in [start, end], select
     constituents and compute the next year's index, then evaluate all series
     against the benchmark."""
+    if cfg.benchmark is None:
+        raise ParameterError("backtest needs --benchmark")
     series_files: list[Path] = []
     for study_year in range(start_year, end_year + 1):
         year_cfg = replace(
-            cfg,
-            study_year=study_year,
-            target_year=study_year + 1,
-            outdir=str(Path(cfg.outdir) / str(study_year)),
+            cfg, study_year=study_year, outdir=str(Path(cfg.outdir) / str(study_year))
         )
         constituent_files = cmd_select(year_cfg, quotes)
         series_files.extend(cmd_index(year_cfg, quotes, constituent_files))
@@ -363,71 +344,53 @@ def cmd_backtest(
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--quotes", help="quote CSV path")
-    parser.add_argument("--benchmark", help="benchmark CSV path")
-    parser.add_argument("--actions", help="corporate-action CSV path")
-    parser.add_argument("--outdir", help="output directory")
-    parser.add_argument("--study-year", dest="study_year", type=int)
-    parser.add_argument("--target-year", dest="target_year", type=int)
-    parser.add_argument("--k", type=int, help="KNN neighbor count")
-    parser.add_argument("--t", help="kernel bandwidth or 'auto'")
-    parser.add_argument("--mode", choices=manifold.MODES)
-    parser.add_argument("--n-list", dest="n_list", type=_parse_n_list,
-                        help="comma-separated constituent counts")
-    parser.add_argument("--base-level", dest="base_level", type=float)
-    parser.add_argument("--eigen-batch", dest="eigen_batch", type=int)
-    parser.add_argument("--seed", type=int)
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Turns a usage error into the one-line ``error:`` exit of ``main``."""
+
+    def error(self, message):
+        raise ParameterError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="manifold-index", description=__doc__)
+    parser = _Parser(prog="manifold-index", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic market")
-    p_synth.add_argument("--outdir", default="out")
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--n-stocks", dest="n_stocks", type=int, default=300)
-    p_synth.add_argument("--m-days", dest="m_days", type=int, default=244)
-    p_synth.add_argument("--n-sectors", dest="n_sectors", type=int, default=8)
-    p_synth.add_argument("--sector-vol", dest="sector_vol", type=float, default=0.012)
-    p_synth.add_argument("--idio-vol", dest="idio_vol", type=float, default=0.006)
-    p_synth.add_argument("--cap-log-mean", dest="cap_log_mean", type=float, default=16.0)
-    p_synth.add_argument("--cap-log-sd", dest="cap_log_sd", type=float, default=0.8)
-    p_synth.add_argument("--start-year", dest="start_year", type=int, default=2020)
-    p_synth.add_argument("--n-years", dest="n_years", type=int, default=2)
+    p_synth.add_argument("--outdir", default="out", help="output directory")
+    for f in fields(synth.SynthConfig):
+        p_synth.add_argument(_flag(f.name), type=type(f.default), help=f"default {f.default}")
 
-    p_select = sub.add_parser("select", help="select constituents from the study year")
-    _add_common(p_select)
-
-    p_index = sub.add_parser("index", help="compute target-year index series")
-    _add_common(p_index)
-    p_index.add_argument("--constituents", nargs="+", required=True,
-                         help="constituent CSVs from the select stage")
-
-    p_metrics = sub.add_parser("metrics", help="evaluate series against a benchmark")
-    _add_common(p_metrics)
-    p_metrics.add_argument("--series", nargs="+", required=True, help="index series CSVs")
-
-    p_back = sub.add_parser("backtest", help="run select+index over year pairs, then metrics")
-    _add_common(p_back)
-    p_back.add_argument("--start-year", dest="bt_start", type=int, required=True,
-                        help="first study year")
-    p_back.add_argument("--end-year", dest="bt_end", type=int, required=True,
-                        help="last study year")
-
+    commands = {
+        "select": sub.add_parser("select", help="select constituents from the study year"),
+        "index": sub.add_parser("index", help="index series of the year after the study year"),
+        "metrics": sub.add_parser("metrics", help="evaluate series against a benchmark"),
+        "backtest": sub.add_parser(
+            "backtest", help="run select+index over year pairs, then metrics"
+        ),
+    }
+    for command in commands.values():
+        command.add_argument("--config", help="flat key=value config file")
+    for f in fields(PipelineConfig):
+        for name in f.metadata["commands"]:
+            commands[name].add_argument(_flag(f.name), help=f.metadata["help"])
+    commands["index"].add_argument("--constituents", nargs="+", required=True,
+                                   help="constituent CSVs from the select stage")
+    commands["metrics"].add_argument("--series", nargs="+", required=True,
+                                     help="index series CSVs")
+    commands["backtest"].add_argument("--start-year", type=int, required=True,
+                                      help="first study year")
+    commands["backtest"].add_argument("--end-year", type=int, required=True,
+                                      help="last study year")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    return _merge_overrides(cfg, args)
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "synth":
             cmd_synth(args)
             return 0
@@ -444,7 +407,7 @@ def main(argv=None) -> int:
         elif args.command == "index":
             cmd_index(cfg, quotes, args.constituents)
         else:
-            cmd_backtest(cfg, quotes, args.bt_start, args.bt_end)
+            cmd_backtest(cfg, quotes, args.start_year, args.end_year)
     except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

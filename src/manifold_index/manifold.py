@@ -106,6 +106,10 @@ def knn_graph(points, k: int) -> AdjacencyGraph:
     if not 1 <= k < n:
         raise ParameterError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
     sq_norms = np.einsum("ij,ij->i", pts, pts)
+    # A squared distance is at most 4 max |x|^2; under that bound none overflows.
+    bad = np.flatnonzero(sq_norms > np.finfo(float).max / 4)
+    if len(bad):
+        raise ParameterError(f"point {bad[0]} is too large: its distances overflow")
     # One product for all rows: numpy computes it as a symmetric rank-k
     # update, whose entries can differ in the last bit from a product per block.
     gram = pts @ pts.T
@@ -141,8 +145,8 @@ def auto_bandwidth(graph: AdjacencyGraph) -> float:
 def weight_tilde(graph: AdjacencyGraph, t: float) -> sparse.csr_matrix:
     """Directed kernel matrix W~: -exp(-d2/t) on KNN edges, row-sum-cancelling
     diagonal, zero elsewhere.  Every row sums to zero by construction."""
-    if not t > 0:
-        raise ParameterError(f"bandwidth t must be > 0, got {t}")
+    if not 0 < t < np.inf:
+        raise ParameterError(f"bandwidth t must be finite and > 0, got {t}")
     n, k = graph.neighbors.shape
     kern = np.exp(-graph.distances / t)
     rows = np.repeat(np.arange(n), k)
@@ -181,7 +185,7 @@ class MassMatrix:
     diag: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.diag <= 0):
+        if not np.all(self.diag > 0):
             raise SingularMassError("mass diagonal must be strictly positive")
 
     @property
@@ -208,9 +212,9 @@ def symmetrize(w_tilde: sparse.spmatrix, t: float, mode: str = "balanced") -> We
 def mass_matrix(weights: WeightMatrix) -> MassMatrix:
     """A = diag(W): the diagonal of the (possibly rebalanced) symmetric W."""
     diag = np.asarray(weights.entries.diagonal(), dtype=float).copy()
-    if np.any(diag <= 1e-300):
+    if not np.all(diag > 1e-300):
         bad = int(np.argmin(diag))
-        raise SingularMassError(f"mass entry {bad} is {diag[bad]:.3e}; point is isolated")
+        raise SingularMassError(f"mass entry {bad} is {diag[bad]:.3e}; isolated point or NaN")
     return MassMatrix(diag=diag)
 
 

@@ -43,6 +43,7 @@ DENSE_CUTOFF = 300
 ORACLE_GUARD = 2000
 
 RESIDUAL_RTOL = 1e-8
+RITZ_TOL = 1e-10  # Lanczos stop: Ritz residual bounds over max(1, |Ritz values|)
 _BREAKDOWN = 1e-13
 
 
@@ -176,7 +177,7 @@ class LanczosFactorization:
                 betas[m - 1] = beta
                 self._q, self._beta_prev = r / beta, beta
 
-    def smallest(self, p: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    def smallest(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         """The p smallest Ritz pairs (theta, y) of C.
 
         Walks a fresh factorization's checkpoint schedule for p: geometric
@@ -184,7 +185,7 @@ class LanczosFactorization:
         most 160.  A checkpoint already passed is re-checked on the stored
         T; a later one is reached by extending the factorization.
         Returns at the first checkpoint where the p smallest Ritz residual
-        bounds pass ``tol``, at breakdown exhaustion (the factorization is
+        bounds pass ``RITZ_TOL``, at breakdown exhaustion (the factorization is
         then exact) or at the step limit.
         """
         m_max = self.m_max
@@ -197,7 +198,7 @@ class LanczosFactorization:
                 theta, s = sla.eigh_tridiagonal(self.alphas[:m], self.betas[: m - 1])
                 bound = np.abs(self.betas[m - 1] * s[m - 1, :p]) if not exhausted else np.zeros(p)
                 scale = max(1.0, float(np.max(np.abs(theta))))
-                if exhausted or m == m_max or np.all(bound <= tol * scale):
+                if exhausted or m == m_max or np.all(bound <= RITZ_TOL * scale):
                     y = self.krylov[:, :m] @ s[:, :p]
                     y /= np.linalg.norm(y, axis=0)[None, :]
                     return theta[:p], y
@@ -213,7 +214,6 @@ def solve_generalized(
     a: MassMatrix,
     p: int,
     method: str = "auto",
-    tol: float = 1e-10,
     max_steps: int | None = None,
     seed: int = 0,
     factorization: LanczosFactorization | None = None,
@@ -252,7 +252,7 @@ def solve_generalized(
     else:
         if factorization is None:
             factorization = LanczosFactorization(w, a, max_steps, seed)
-        theta, y = factorization.smallest(p, tol)
+        theta, y = factorization.smallest(p)
         phi = factorization.scale[:, None] * y
         phi /= np.sqrt(a.diag @ (phi * phi))[None, :]
         order = np.argsort(theta, kind="stable")

@@ -250,7 +250,6 @@ def test_criterion_9_desk_scale_runtime(tmp_path):
             benchmark=str(bench_path),
             outdir=str(tmp_path),
             study_year=2020,
-            target_year=2021,
             k=10,
             mode="balanced",
             n_list=(380,),

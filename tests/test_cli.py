@@ -462,9 +462,34 @@ class TestConfigFile:
         with pytest.raises(ParseError):
             cli.load_config(config)
 
-    def test_year_pair_invariant(self):
-        with pytest.raises(ParameterError):
-            cli.PipelineConfig(study_year=2020, target_year=2022)
+    @pytest.mark.parametrize("key", ["seed", "eigen_batch", "target_year"])
+    def test_removed_settings_are_unknown_keys(self, tmp_path, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"k = 6\n{key} = 1\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(config))}:2: unknown config key"):
+            cli.load_config(config)
+
+    def test_config_file_and_flags_select_the_same(self, small_market, tmp_path):
+        quotes = str(small_market / "quotes.csv")
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"quotes = {quotes}\nstudy_year = 2020\nk = 6\nt = auto\nmode = paper\n"
+            f"n_list = 5,10\noutdir = {tmp_path / 'file'}\n"
+        )
+        assert run(["select", "--config", str(config)]) == 0
+        flags = ["--quotes", quotes, "--study-year", "2020", "--k", "6", "--t", "auto",
+                 "--mode", "paper", "--n-list", "5,10"]
+        assert run(["select", *flags, "--outdir", str(tmp_path / "flags")]) == 0
+        # flags override the file, and '--t auto' resets a bandwidth from it
+        config.write_text(f"k = 3\nt = 0.5\nmode = balanced\nn_list = 7\n")
+        assert run(["select", "--config", str(config), *flags,
+                    "--outdir", str(tmp_path / "over")]) == 0
+        for n in (5, 10):
+            name = f"constituents_{n:03d}.csv"
+            want = (tmp_path / "file" / name).read_bytes()
+            assert (tmp_path / "flags" / name).read_bytes() == want
+            assert (tmp_path / "over" / name).read_bytes() == want
+
 
     def test_non_utf8_config_names_file(self, small_market, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -483,6 +508,86 @@ class TestConfigFile:
         ])
         assert rc == 1
         assert "bandwidth" in capsys.readouterr().err
+
+
+# Every PipelineConfig field is a config key and a flag of the commands that
+# read it, and of no other.
+COMMAND_FLAGS = {
+    "select": {"config", "quotes", "outdir", "study-year", "k", "t", "mode", "n-list"},
+    "index": {"config", "quotes", "actions", "outdir", "study-year", "base-level",
+              "constituents"},
+    "metrics": {"config", "benchmark", "outdir", "series"},
+    "backtest": {"config", "quotes", "benchmark", "actions", "outdir", "k", "t", "mode",
+                 "n-list", "base-level", "start-year", "end-year"},
+}
+COMMAND_EXTRAS = {
+    "select": [],
+    "index": ["--constituents", "c.csv"],
+    "metrics": ["--series", "s.csv"],
+    "backtest": ["--start-year", "2020", "--end-year", "2021"],
+}
+SETTING_TEXT = {
+    "quotes": "q.csv", "benchmark": "b.csv", "actions": "a.csv", "outdir": "o",
+    "study_year": "2020", "k": "6", "t": "0.5", "mode": "paper", "n_list": "5,10",
+    "base_level": "100",
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_command_flags_are_the_settings_it_reads(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run([command, "--help"])
+    assert exit_.value.code == 0
+    shown = set(re.findall(r"(?<![\w-])--([a-z][a-z-]*)", capsys.readouterr().out))
+    assert shown - {"help"} == COMMAND_FLAGS[command]
+
+    config = tmp_path / "all.cfg"
+    config.write_text("".join(f"{key} = {text}\n" for key, text in SETTING_TEXT.items()))
+    from_file = cli.load_config(config)
+    assert from_file == cli.PipelineConfig(
+        quotes="q.csv", benchmark="b.csv", actions="a.csv", outdir="o", study_year=2020,
+        k=6, t=0.5, mode="paper", n_list=(5, 10), base_level=100.0,
+    )
+    read = [key for key in SETTING_TEXT if key.replace("_", "-") in COMMAND_FLAGS[command]]
+    argv = [command, *COMMAND_EXTRAS[command]]
+    for key in read:
+        argv += ["--" + key.replace("_", "-"), SETTING_TEXT[key]]
+    from_flags = cli._config_from_args(cli._build_parser().parse_args(argv))
+    assert from_flags == cli.PipelineConfig(**{key: getattr(from_file, key) for key in read})
+
+
+def test_synth_defaults_come_from_synth_config(tmp_path, monkeypatch):
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        raise ParameterError("recorded")
+
+    monkeypatch.setattr(synth, "generate_market", record)
+    assert run(["synth", "--outdir", str(tmp_path)]) == 1
+    assert run(["synth", "--outdir", str(tmp_path), "--seed", "3", "--sector-vol", "0.02"]) == 1
+    assert seen == [synth.SynthConfig(), synth.SynthConfig(seed=3, sector_vol=0.02)]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["select", "--k", "abc"], "--k"),
+    (["select", "--mode", "foo"], "'foo'"),
+    (["select", "--n-list", "0"], "--n-list"),
+    (["select", "--bogus"], "--bogus"),
+    (["metrics", "--benchmark", "b.csv", "--series", "s.csv", "--k", "5"], "--k"),
+    (["index", "--quotes", "QUOTES", "--constituents", "c.csv"], "--study-year"),
+    (["backtest", "--quotes", "QUOTES", "--outdir", "OUT", "--start-year", "2020",
+      "--end-year", "2020"], "--benchmark"),  # before any stage runs
+], ids=["bad-int", "bad-mode", "bad-n-list", "unknown-flag", "flag-of-another-command",
+        "index-without-study-year", "backtest-without-benchmark"])
+def test_usage_error_is_one_error_line(small_market, tmp_path, capsys, argv, names):
+    given = {"QUOTES": str(small_market / "quotes.csv"), "OUT": str(tmp_path)}
+    argv = [given.get(a, a) for a in argv]
+    rc = run(argv)
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and names in err[0]
 
 
 @pytest.mark.parametrize("read", [

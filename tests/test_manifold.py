@@ -143,6 +143,16 @@ def test_non_finite_point_rejected_naming_row(bad):
             build(points, 2)
 
 
+@pytest.mark.parametrize("points, row", [
+    ([[1e200, 0.0], [2e200, 0.0], [0.0, 1.0], [0.0, 2.0]], 0),  # squared norms overflow
+    ([[0.0, 1.0], [1e154, 0.0], [-1e154, 0.0], [0.0, 2.0]], 1),  # only the distance does
+])
+def test_overflowing_cloud_rejected_naming_row(points, row):
+    for build in (manifold.knn_graph, manifold.build_operator):
+        with pytest.raises(ParameterError, match=f"point {row} is too large"):
+            build(points, 1)
+
+
 class TestWeightTilde:
     def graph_with_distances(self, neighbors, distances):
         return manifold.AdjacencyGraph(
@@ -186,7 +196,7 @@ class TestWeightTilde:
 
     def test_bad_bandwidth(self):
         graph = self.graph_with_distances([[1], [0]], [[0.0], [0.0]])
-        for t in (0.0, -1.0):
+        for t in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ParameterError):
                 manifold.weight_tilde(graph, t=t)
 
@@ -290,6 +300,15 @@ class TestMassMatrix:
         )
         with pytest.raises(SingularMassError):
             manifold.mass_matrix(w)
+
+    def test_nan_diagonal_rejected(self):
+        w = manifold.WeightMatrix(
+            sparse.csr_matrix(np.diag([1.0, np.nan, 2.0])), t_param=1.0, mode="paper"
+        )
+        with pytest.raises(SingularMassError, match="mass entry 1 is nan"):
+            manifold.mass_matrix(w)
+        with pytest.raises(SingularMassError):
+            manifold.MassMatrix(np.array([1.0, np.nan]))
 
 
 class TestAutoBandwidth:
