@@ -59,6 +59,12 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def _parse_mode(text: str) -> str:
+    if text not in manifold.MODES:
+        raise ParameterError(f"expected one of {manifold.MODES}, got {text!r}")
+    return text
+
+
 def _setting(default, parse, help: str, commands: tuple[str, ...]):
     """A PipelineConfig field: ``parse`` reads its config-file value and its
     flag's text; the flag exists on ``commands`` only."""
@@ -83,17 +89,15 @@ class PipelineConfig:
     t: float | None = _setting(
         None, _parse_t, "kernel bandwidth, or 'auto' for the mean squared KNN distance", _SELECTING
     )
-    mode: str = _setting("balanced", str, f"operator mode, one of {manifold.MODES}", _SELECTING)
+    mode: str = _setting(
+        "balanced", _parse_mode, f"operator mode, one of {manifold.MODES}", _SELECTING
+    )
     n_list: tuple[int, ...] = _setting(
         DEFAULT_N_LIST, _parse_n_list, "comma-separated constituent counts", _SELECTING
     )
     base_level: float = _setting(
         indexcalc.DEFAULT_BASE_LEVEL, float, "index level on the first day", ("index", "backtest")
     )
-
-    def __post_init__(self):
-        if self.mode not in manifold.MODES:
-            raise ParameterError(f"mode must be one of {manifold.MODES}, got {self.mode!r}")
 
 
 def load_config(path) -> PipelineConfig:
@@ -179,14 +183,14 @@ def cmd_select(cfg: PipelineConfig, quotes: marketdata.QuotePanel) -> list[Path]
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    calendar = marketdata.calendar_from_quotes(quotes, cfg.study_year)
-    frame = marketdata.build_market_frame(quotes, calendar, calendar.dates[-1])
+    rows = marketdata.calendar_from_quotes(quotes, cfg.study_year)
+    frame = marketdata.build_market_frame(quotes, rows)
     for n_target in cfg.n_list:
         if n_target >= frame.n:
             raise ParameterError(
                 f"requested N={n_target} but only {frame.n} stocks survive screening"
             )
-    _log(f"select: {frame.n} stocks x {calendar.m} days after preprocessing")
+    _log(f"select: {frame.n} stocks x {frame.vectors.shape[1]} days after preprocessing")
 
     graph, weights, mass = manifold.build_operator(frame.vectors, k=cfg.k, t=cfg.t, mode=cfg.mode)
     picks = grow_basis_and_select(weights, mass, graph, frame.caps, cfg.n_list)
@@ -208,17 +212,17 @@ def cmd_index(cfg: PipelineConfig, quotes: marketdata.QuotePanel, constituent_fi
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    calendar = marketdata.calendar_from_quotes(quotes, target_year)
+    rows = marketdata.calendar_from_quotes(quotes, target_year)
     actions = indexcalc.read_actions_csv(cfg.actions) if cfg.actions else []
 
     paths = []
     for cfile in constituent_files:
         cfile = Path(cfile)
         tickers = selection.read_constituents_csv(cfile)
-        closes, shares = marketdata.index_inputs(quotes, calendar, tickers)
+        closes, shares = marketdata.index_inputs(quotes, rows, tickers)
         members = [indexcalc.Constituent(t, s) for t, s in zip(tickers, shares.tolist())]
         series = indexcalc.compute_series(
-            calendar.dates, closes, members, cfg.base_level, actions
+            quotes.dates[rows], closes, members, cfg.base_level, actions
         )
         stem = cfile.stem.replace("constituents", "index")
         path = outdir / f"{stem}_{target_year}.csv"
@@ -264,45 +268,8 @@ def cmd_metrics(cfg: PipelineConfig, series_files) -> tuple[Path, Path]:
     report_path = outdir / "metrics.csv"
     metrics.write_reports_csv(report_path, rows)
     _log(f"metrics: wrote {report_path}")
-
-    stability_rows: list[dict] = []
-    metric_names = ("pearson", "alpha", "beta", "jensen_alpha")
-    by_name: dict[str, list[metrics.MetricsReport]] = {}
-    by_year: dict[int, list[metrics.MetricsReport]] = {}
-    for name, year, report in rows:
-        by_name.setdefault(name, []).append(report)
-        by_year.setdefault(year, []).append(report)
-    for name in sorted(by_name):
-        reports = by_name[name]
-        for metric in metric_names:
-            values = [getattr(r, metric) for r in reports]
-            stability_rows.append(
-                {
-                    "scope": "index",
-                    "name": name,
-                    "metric": metric,
-                    "std": metrics.stability_std(values) if len(values) >= 2 else None,
-                    "mean_baseline_distance": metrics.mean_baseline_distance(
-                        values, metrics.BASELINES[metric]
-                    ),
-                }
-            )
-    for year in sorted(by_year):
-        reports = by_year[year]
-        if len(reports) < 2:
-            continue
-        for metric in metric_names:
-            values = [getattr(r, metric) for r in reports]
-            stability_rows.append(
-                {
-                    "scope": "year",
-                    "name": str(year),
-                    "metric": metric,
-                    "std": metrics.stability_std(values),
-                }
-            )
     stability_path = outdir / "stability.csv"
-    metrics.write_stability_csv(stability_path, stability_rows)
+    metrics.write_stability_csv(stability_path, metrics.stability_rows(rows))
     _log(f"metrics: wrote {stability_path}")
     return report_path, stability_path
 

@@ -25,8 +25,9 @@ unit-norm price vectors:
                      so distances between stocks reflect price shape, not
                      price magnitude
 
-Market caps (close x shares_issued on the selection date) ride along for
-constituent trimming and index weighting downstream.
+A study year is the range of panel rows quoted in it.  Market caps (close x
+shares_issued on the year's last date) ride along for constituent trimming
+and index weighting downstream.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ import csv
 import datetime as dt
 import io
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -80,55 +83,23 @@ class QuotePanel:
             if any(a >= b for a, b in zip(keys, keys[1:])):
                 raise ParameterError(f"panel {name} must be strictly increasing")
 
-    def rows(self, dates: Sequence[dt.date]) -> np.ndarray:
-        """Row index of each of ``dates``."""
-        position = {d: i for i, d in enumerate(self.dates)}
-        try:
-            return np.array([position[d] for d in dates], dtype=np.intp)
-        except KeyError as exc:
-            raise ParameterError(f"{exc.args[0]} is not a date of this quote panel") from None
-
-
-@dataclass(frozen=True)
-class TradingCalendar:
-    """Strictly increasing trading dates for one study window."""
-
-    dates: tuple[dt.date, ...]
-
-    def __post_init__(self):
-        if len(self.dates) < 2:
-            raise ParameterError("calendar needs at least 2 trading dates")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if not a < b:
-                raise ParameterError(f"calendar dates not strictly increasing at {b}")
-
-    @property
-    def m(self) -> int:
-        return len(self.dates)
-
-    def index_of(self, date: dt.date) -> int:
-        try:
-            return self.dates.index(date)
-        except ValueError:
-            raise ParameterError(f"{date} is not a trading date of this calendar") from None
-
 
 @dataclass
 class MarketFrame:
     """Aligned universe: row i of ``vectors`` is the unit-norm price curve
-    of ``tickers[i]`` and ``caps[i]`` its selection-date market cap."""
+    of ``tickers[i]`` over the study year and ``caps[i]`` its market cap on
+    the year's last date."""
 
-    calendar: TradingCalendar
     tickers: list[str]
     vectors: np.ndarray
     caps: np.ndarray
 
     def __post_init__(self):
         n = len(self.tickers)
-        if self.vectors.shape != (n, self.calendar.m) or self.caps.shape != (n,):
+        if self.vectors.ndim != 2 or len(self.vectors) != n or self.caps.shape != (n,):
             raise ParameterError(
-                f"{n} tickers x {self.calendar.m} days do not match vectors "
-                f"{self.vectors.shape} and caps {self.caps.shape}"
+                f"{n} tickers do not match vectors {self.vectors.shape} "
+                f"and caps {self.caps.shape}"
             )
         if len(set(self.tickers)) != n:
             raise ParameterError("duplicate ticker in frame")
@@ -465,17 +436,15 @@ def _forward_fill(values: np.ndarray) -> np.ndarray:
     return np.take_along_axis(values, source, axis=0)
 
 
-def complete_series(values, calendar: TradingCalendar) -> np.ndarray:
-    """Forward-fill closes over the calendar.
+def complete_series(values) -> np.ndarray:
+    """Forward-fill closes over their dates.
 
-    ``values`` is one calendar-aligned series, or a dates x tickers block,
-    with NaN (or None) where a close is absent.  Raises NotCompletableError
-    when a series has no close on the first calendar date (the caller routes
-    such tickers to screening).
+    ``values`` is one date-aligned series, or a dates x tickers block, with
+    NaN (or None) where a close is absent.  Raises NotCompletableError when
+    a series has no close on the first date (the caller routes such tickers
+    to screening).
     """
     values = np.asarray(values, dtype=float)
-    if len(values) != calendar.m:
-        raise ParameterError(f"series length {len(values)} != calendar m={calendar.m}")
     if np.isnan(values[0]).any():
         raise NotCompletableError("first calendar value is absent; cannot forward-fill")
     return _forward_fill(values)
@@ -502,66 +471,61 @@ def normalize(series) -> np.ndarray:
     return v / nrm
 
 
-def build_market_frame(
-    quotes: QuotePanel,
-    calendar: TradingCalendar,
-    selection_date: dt.date,
-) -> MarketFrame:
-    """Run completion, screening and normalization; attach selection-date caps.
+def build_market_frame(quotes: QuotePanel, rows: slice) -> MarketFrame:
+    """Run completion, screening and normalization over the panel rows
+    ``rows`` (a study year); attach caps on the last of them.
 
-    Caps are close x shares_issued on ``selection_date`` with both fields
-    forward-filled over the calendar.
+    Caps are close x shares_issued on the last date, both forward-filled
+    over the rows.
     """
-    sel_idx = calendar.index_of(selection_date)
-    rows = quotes.rows(calendar.dates)
     keep = screen_universe(quotes.close[rows])
     tickers = [quotes.tickers[j] for j in keep]
-    block = np.ix_(rows, keep)
 
     # One contiguous 1-D vector per stock: the norm of each is then taken
     # exactly as for a lone series.
-    closes = np.ascontiguousarray(complete_series(quotes.close[block], calendar).T)
+    closes = np.ascontiguousarray(complete_series(quotes.close[rows, keep]).T)
     vectors = np.array([normalize(c) for c in closes])
 
-    shares = _forward_fill(quotes.shares[block])[sel_idx]
+    shares = _forward_fill(quotes.shares[rows, keep])[-1]
     absent = np.flatnonzero(np.isnan(shares))
     if len(absent):
         raise NotCompletableError(
-            f"{tickers[absent[0]]}: shares_issued absent through {selection_date}"
+            f"{tickers[absent[0]]}: shares_issued absent through {quotes.dates[rows.stop - 1]}"
         )
-    return MarketFrame(calendar, tickers, vectors, closes[:, sel_idx] * shares)
+    return MarketFrame(tickers, vectors, closes[:, -1] * shares)
 
 
 def index_inputs(
     quotes: QuotePanel,
-    calendar: TradingCalendar,
+    rows: slice,
     tickers: Sequence[str],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closes forward-filled over ``calendar`` (dates x tickers) and shares
-    issued on its first date, for a list of index constituents.
+    """Closes forward-filled over the panel rows ``rows`` (dates x tickers)
+    and shares issued on the first of them, for a list of index constituents.
 
     Raises MissingPriceError for a ticker the panel lacks, or whose close or
-    shares are absent on the first calendar date.
+    shares are absent on the first date.
     """
-    base = calendar.dates[0]
+    base = quotes.dates[rows.start]
     column = {t: j for j, t in enumerate(quotes.tickers)}
     for t in tickers:
         if t not in column:
             raise MissingPriceError(t, base)
     cols = [column[t] for t in tickers]
-    rows = quotes.rows(calendar.dates)
-    closes = quotes.close[np.ix_(rows, cols)]
-    shares = quotes.shares[rows[0], cols]
+    closes = quotes.close[rows, cols]
+    shares = quotes.shares[rows.start, cols]
     absent = np.flatnonzero(np.isnan(closes[0]) | np.isnan(shares))
     if len(absent):
         raise MissingPriceError(tickers[absent[0]], base)
-    return complete_series(closes, calendar), shares
+    return complete_series(closes), shares
 
 
-def calendar_from_quotes(quotes: QuotePanel, year: int) -> TradingCalendar:
-    """Trading calendar of one year implied by a quote panel: every date
-    quoted in that calendar year."""
-    dates = tuple(d for d in quotes.dates if d.year == year)
-    if len(dates) < 2:
+def calendar_from_quotes(quotes: QuotePanel, year: int) -> slice:
+    """The rows of a quote panel quoted in one calendar year, a range of its
+    sorted dates."""
+    year_of = attrgetter("year")
+    rows = slice(bisect_left(quotes.dates, year, key=year_of),
+                 bisect_left(quotes.dates, year + 1, key=year_of))
+    if rows.stop - rows.start < 2:
         raise EmptyUniverseError(f"no trading dates found for year {year}")
-    return TradingCalendar(dates)
+    return rows

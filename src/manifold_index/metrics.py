@@ -23,22 +23,8 @@ from .indexcalc import IndexSeries
 
 DEFAULT_RISK_FREE = 0.002
 
+# Each reported metric, in report column order, and its ideal value.
 BASELINES = {"pearson": 1.0, "alpha": 0.0, "beta": 1.0, "jensen_alpha": 0.0}
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Simple per-calendar-month returns."""
-
-    period_returns: tuple[float, ...]
-
-    def __post_init__(self):
-        arr = np.asarray(self.period_returns, dtype=float)
-        if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= -1.0)):
-            raise UndefinedMetricError("returns must be finite and > -1")
-
-    def __len__(self) -> int:
-        return len(self.period_returns)
 
 
 @dataclass(frozen=True)
@@ -47,30 +33,26 @@ class MetricsReport:
     alpha: float
     beta: float
     jensen_alpha: float
-    risk_free: float
 
     def __post_init__(self):
         if abs(self.pearson) > 1.0 + 1e-12:
             raise UndefinedMetricError(f"pearson {self.pearson} outside [-1, 1]")
 
 
-def _as_array(returns) -> np.ndarray:
-    return np.asarray(getattr(returns, "period_returns", returns), dtype=float)
-
-
-def monthly_returns(series: IndexSeries) -> ReturnSeries:
+def monthly_returns(series: IndexSeries) -> np.ndarray:
     """Month-over-month returns from last-trading-day-of-month levels; the
-    first month is the baseline, not a return."""
+    first month is the baseline, not a return.  Every return must be finite
+    and > -1."""
     month_last: dict[tuple[int, int], float] = {}
     for date, level in zip(series.dates, series.values):
         month_last[(date.year, date.month)] = level  # dates ascending, last write wins
     if len(month_last) < 2:
         raise InsufficientDataError("need at least 2 calendar months of levels")
     closes = [month_last[k] for k in sorted(month_last)]
-    rets = tuple(
-        (curr - prev) / prev for prev, curr in zip(closes, closes[1:])
-    )
-    return ReturnSeries(period_returns=rets)
+    rets = np.array([(curr - prev) / prev for prev, curr in zip(closes, closes[1:])])
+    if not np.all(np.isfinite(rets)) or np.any(rets <= -1.0):
+        raise UndefinedMetricError("returns must be finite and > -1")
+    return rets
 
 
 def pearson(x, y) -> float:
@@ -92,8 +74,8 @@ def pearson(x, y) -> float:
 
 def alpha(index_returns, market_returns) -> float:
     """Mean excess monthly return over the market."""
-    ri = _as_array(index_returns)
-    rm = _as_array(market_returns)
+    ri = np.asarray(index_returns, dtype=float)
+    rm = np.asarray(market_returns, dtype=float)
     if ri.shape != rm.shape:
         raise AlignmentError(f"length mismatch: {ri.shape} vs {rm.shape}")
     return float(ri.mean() - rm.mean())
@@ -102,8 +84,8 @@ def alpha(index_returns, market_returns) -> float:
 def beta(index_returns, market_returns) -> float:
     """Regression slope of index returns on market returns
     (sample covariance over sample variance)."""
-    ri = _as_array(index_returns)
-    rm = _as_array(market_returns)
+    ri = np.asarray(index_returns, dtype=float)
+    rm = np.asarray(market_returns, dtype=float)
     if ri.shape != rm.shape:
         raise AlignmentError(f"length mismatch: {ri.shape} vs {rm.shape}")
     if ri.size < 2:
@@ -119,8 +101,8 @@ def beta(index_returns, market_returns) -> float:
 def jensen_alpha(index_returns, market_returns, risk_free: float = DEFAULT_RISK_FREE) -> float:
     """Mean index return minus the beta-adjusted benchmark return."""
     b = beta(index_returns, market_returns)
-    ri = _as_array(index_returns).mean()
-    rm = _as_array(market_returns).mean()
+    ri = np.asarray(index_returns, dtype=float).mean()
+    rm = np.asarray(market_returns, dtype=float).mean()
     return float(ri - (risk_free + b * (rm - risk_free)))
 
 
@@ -142,11 +124,7 @@ def mean_baseline_distance(values: Sequence[float], baseline: float) -> float:
     return float(np.abs(arr - baseline).mean())
 
 
-def evaluate(
-    series: IndexSeries,
-    benchmark: IndexSeries,
-    risk_free: float = DEFAULT_RISK_FREE,
-) -> MetricsReport:
+def evaluate(series: IndexSeries, benchmark: IndexSeries) -> MetricsReport:
     """Full report for one index against a benchmark over identical dates."""
     if series.dates != benchmark.dates:
         raise AlignmentError("series and benchmark are not on the same trading dates")
@@ -156,38 +134,59 @@ def evaluate(
         pearson=pearson(series.values, benchmark.values),
         alpha=alpha(ri, rm),
         beta=beta(ri, rm),
-        jensen_alpha=jensen_alpha(ri, rm, risk_free),
-        risk_free=risk_free,
+        jensen_alpha=jensen_alpha(ri, rm),
     )
 
 
 def write_reports_csv(path, rows: Sequence[tuple[str, int, MetricsReport]]) -> None:
-    """Export ``index_name,year,pearson,alpha,beta,jensen_alpha`` rows."""
+    """Export ``index_name,year`` and each metric of BASELINES, one row per
+    report."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["index_name", "year", "pearson", "alpha", "beta", "jensen_alpha"])
+        writer.writerow(["index_name", "year", *BASELINES])
         for name, year, report in rows:
-            writer.writerow(
-                [name, year]
-                + [repr(getattr(report, f)) for f in ("pearson", "alpha", "beta", "jensen_alpha")]
-            )
+            writer.writerow([name, year] + [repr(getattr(report, m)) for m in BASELINES])
 
 
-def write_stability_csv(path, rows: Sequence[dict]) -> None:
-    """Export stability rows: ``scope,name,metric,std,mean_baseline_distance``
-    (std across years for scope=index and across series for scope=year; the
-    mean distance to baseline is reported per index)."""
+def stability_rows(rows: Sequence[tuple[str, int, MetricsReport]]) -> list[tuple]:
+    """Stability of each metric of BASELINES over ``(name, year, report)``
+    rows, as ``(scope, name, metric, std, mean_baseline_distance)`` tuples.
+
+    scope=index rows come first, one per metric of each index across its
+    years: the sample std (None below 2 years) and the mean distance to the
+    metric's baseline.  An index is a series name less a trailing
+    ``_<report year>``, so ``index_050_2021`` and ``index_050_2022`` are
+    the years of ``index_050``.  scope=year rows follow, one per metric of
+    each year with at least 2 series: the std across those series, distance
+    None.
+    """
+    by_name: dict[str, list[MetricsReport]] = {}
+    by_year: dict[int, list[MetricsReport]] = {}
+    for name, year, report in rows:
+        by_name.setdefault(name.removesuffix(f"_{year}"), []).append(report)
+        by_year.setdefault(year, []).append(report)
+    out = []
+    for name in sorted(by_name):
+        for metric, baseline in BASELINES.items():
+            values = [getattr(r, metric) for r in by_name[name]]
+            std = stability_std(values) if len(values) >= 2 else None
+            out.append(("index", name, metric, std, mean_baseline_distance(values, baseline)))
+    for year in sorted(by_year):
+        if len(by_year[year]) >= 2:
+            for metric in BASELINES:
+                values = [getattr(r, metric) for r in by_year[year]]
+                out.append(("year", str(year), metric, stability_std(values), None))
+    return out
+
+
+def write_stability_csv(path, rows: Sequence[tuple]) -> None:
+    """Export stability_rows' tuples as ``scope,name,metric,std,
+    mean_baseline_distance`` (std across years for scope=index and across
+    series for scope=year; the mean distance to baseline is reported per
+    index).  None is written as an empty field."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scope", "name", "metric", "std", "mean_baseline_distance"])
-        for row in rows:
-            dist = row.get("mean_baseline_distance")
-            writer.writerow(
-                [
-                    row["scope"],
-                    row["name"],
-                    row["metric"],
-                    repr(row["std"]) if row.get("std") is not None else "",
-                    repr(dist) if dist is not None else "",
-                ]
-            )
+        for scope, name, metric, *values in rows:
+            writer.writerow([scope, name, metric]
+                            + ["" if v is None else repr(v) for v in values])

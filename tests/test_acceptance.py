@@ -192,13 +192,13 @@ def test_criterion_7_metric_identities():
 def _pipeline_pearson(market, n_list, k=10):
     """study-year selection -> target-year index -> pearson vs benchmark."""
     study = market.config.start_year
-    cal = marketdata.calendar_from_quotes(market.quotes, study)
-    frame = marketdata.build_market_frame(market.quotes, cal, cal.dates[-1])
+    rows = marketdata.calendar_from_quotes(market.quotes, study)
+    frame = marketdata.build_market_frame(market.quotes, rows)
     graph, w, a = manifold.build_operator(frame.vectors, k=k, mode="balanced")
     picks = cli.grow_basis_and_select(
         w, a, graph, frame.caps, n_list, batch=32
     )
-    target_cal = marketdata.calendar_from_quotes(market.quotes, study + 1)
+    target_rows = marketdata.calendar_from_quotes(market.quotes, study + 1)
     bench = [
         v for d, v in zip(market.benchmark.dates, market.benchmark.values)
         if d.year == study + 1
@@ -206,9 +206,11 @@ def _pipeline_pearson(market, n_list, k=10):
     out = {}
     for n_target in n_list:
         names = [frame.tickers[i] for i in picks[n_target].members]
-        closes, shares = marketdata.index_inputs(market.quotes, target_cal, names)
+        closes, shares = marketdata.index_inputs(market.quotes, target_rows, names)
         members = [indexcalc.Constituent(t, s) for t, s in zip(names, shares.tolist())]
-        series = indexcalc.compute_series(target_cal.dates, closes, members, 1000.0)
+        series = indexcalc.compute_series(
+            market.quotes.dates[target_rows], closes, members, 1000.0
+        )
         out[n_target] = metrics.pearson(series.values, bench)
     return out
 

@@ -296,6 +296,36 @@ class TestBacktest:
         assert (tmp_path / "metrics.csv").exists()
         assert (tmp_path / "stability.csv").exists()
 
+    def test_index_stability_spans_study_years(self, tmp_path):
+        """scope=index rows join one list's series across target years."""
+        import csv
+
+        from manifold_index import metrics
+
+        assert run([
+            "synth", "--outdir", str(tmp_path), "--seed", "9",
+            "--n-stocks", "60", "--m-days", "65", "--n-sectors", "4", "--n-years", "3",
+        ]) == 0
+        assert run([
+            "backtest", "--quotes", str(tmp_path / "quotes.csv"),
+            "--benchmark", str(tmp_path / "benchmark.csv"),
+            "--outdir", str(tmp_path / "out"), "--k", "6", "--n-list", "5,10",
+            "--start-year", "2020", "--end-year", "2021",
+        ]) == 0
+        with open(tmp_path / "out" / "metrics.csv", newline="") as fh:
+            reports = [r for r in csv.DictReader(fh) if r["index_name"].startswith("index_005_")]
+        assert [r["index_name"] for r in reports] == ["index_005_2021", "index_005_2022"]
+        with open(tmp_path / "out" / "stability.csv", newline="") as fh:
+            stability = {(r["scope"], r["name"], r["metric"]): r for r in csv.DictReader(fh)}
+        assert not any(name.startswith("index_005_") for _, name, _ in stability)
+        for metric, baseline in metrics.BASELINES.items():
+            values = [float(r[metric]) for r in reports]
+            row = stability[("index", "index_005", metric)]
+            assert float(row["std"]) == metrics.stability_std(values)
+            assert float(row["mean_baseline_distance"]) == metrics.mean_baseline_distance(
+                values, baseline
+            )
+
     def test_metrics_match_independent_recompute(self, small_market, tmp_path):
         """Recompute every report row from the emitted CSV artifacts alone."""
         import csv
@@ -357,8 +387,9 @@ class TestBatchedEigenGrowth:
         from manifold_index import manifold, marketdata
 
         quotes = marketdata.load_quotes(small_market / "quotes.csv")
-        cal = marketdata.calendar_from_quotes(quotes, 2020)
-        frame = marketdata.build_market_frame(quotes, cal, cal.dates[-1])
+        frame = marketdata.build_market_frame(
+            quotes, marketdata.calendar_from_quotes(quotes, 2020)
+        )
         graph, w, a = manifold.build_operator(frame.vectors, k=6, mode="balanced")
         picks = cli.grow_basis_and_select(
             w, a, graph, frame.caps, [12], batch=1
@@ -381,8 +412,9 @@ class TestBatchedEigenGrowth:
             "--n-years", "1",
         ])
         quotes = marketdata.load_quotes(tmp_path / "quotes.csv")
-        cal = marketdata.calendar_from_quotes(quotes, 2020)
-        frame = marketdata.build_market_frame(quotes, cal, cal.dates[-1])
+        frame = marketdata.build_market_frame(
+            quotes, marketdata.calendar_from_quotes(quotes, 2020)
+        )
         assert frame.n > spectral.DENSE_CUTOFF
         graph, w, a = manifold.build_operator(frame.vectors, k=10, mode="balanced")
 
@@ -490,6 +522,16 @@ class TestConfigFile:
             assert (tmp_path / "flags" / name).read_bytes() == want
             assert (tmp_path / "over" / name).read_bytes() == want
 
+
+    def test_bad_mode_names_file_and_line(self, small_market, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("k = 6\nmode = foo\n")
+        rc = run(["select", "--config", str(config), "--quotes", str(small_market / "quotes.csv"),
+                  "--study-year", "2020", "--outdir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {config}:2:") and "'foo'" in err[0]
 
     def test_non_utf8_config_names_file(self, small_market, tmp_path, capsys):
         config = tmp_path / "run.cfg"

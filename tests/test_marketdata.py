@@ -16,12 +16,11 @@ from manifold_index.errors import (
     MissingPriceError,
     NormalizationError,
     NotCompletableError,
-    ParameterError,
     ParseError,
 )
 
 D = [dt.date(2020, 1, d) for d in (2, 3, 6, 7)]
-CAL = md.TradingCalendar(tuple(D))
+ALL = slice(0, len(D))  # every row of a panel over D
 
 
 def write_csv(tmp_path, text, name="quotes.csv"):
@@ -147,16 +146,16 @@ def make_panel(closes, shares, dates=D):
 
 class TestCompleteSeries:
     def test_forward_fill(self):
-        out = md.complete_series([10.0, None, None, 11.0], CAL)
+        out = md.complete_series([10.0, None, None, 11.0])
         assert out.tolist() == [10.0, 10.0, 10.0, 11.0]
 
     def test_dense_series_unchanged(self):
-        out = md.complete_series([10.0, 10.5, 11.0, 11.5], CAL)
+        out = md.complete_series([10.0, 10.5, 11.0, 11.5])
         assert out.tolist() == [10.0, 10.5, 11.0, 11.5]
 
     def test_no_predecessor_not_completable(self):
         with pytest.raises(NotCompletableError):
-            md.complete_series([None, 5.0, 6.0, 7.0], CAL)
+            md.complete_series([None, 5.0, 6.0, 7.0])
 
     def test_accepts_raw_quotes_with_missing_rows(self, tmp_path):
         # a loaded panel column: no row on D[1], an NA close on D[2]
@@ -169,26 +168,23 @@ class TestCompleteSeries:
             "2020-01-07,AAA,11.0,100\n",
         )
         panel = md.load_quotes(path)
-        out = md.complete_series(panel.close[:, 0], CAL)
+        out = md.complete_series(panel.close[:, 0])
         assert out.tolist() == [10.0, 10.0, 10.0, 11.0]
 
     def test_block_fills_each_column(self):
         block = [[10.0, 1.0], [None, None], [12.0, None], [None, 4.0]]
-        out = md.complete_series(block, CAL)
+        out = md.complete_series(block)
         assert out.tolist() == [[10.0, 1.0], [10.0, 1.0], [12.0, 1.0], [12.0, 4.0]]
 
     def test_idempotent(self, rng):
         for _ in range(50):
             m = int(rng.integers(2, 12))
-            cal = md.TradingCalendar(
-                tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(m))
-            )
             series = [float(rng.uniform(1, 100)) for _ in range(m)]
             for i in range(1, m):
                 if rng.uniform() < 0.4:
                     series[i] = None
-            once = md.complete_series(series, cal)
-            twice = md.complete_series(list(once), cal)
+            once = md.complete_series(series)
+            twice = md.complete_series(list(once))
             assert np.array_equal(once, twice)
 
 
@@ -289,13 +285,13 @@ def caps_of(frame):
 
 class TestBuildMarketFrame:
     def test_screening_drops_one(self):
-        frame = md.build_market_frame(frame_fixture(), CAL, D[-1])
+        frame = md.build_market_frame(frame_fixture(), ALL)
         assert frame.n == 2
         assert frame.tickers == ["AAA", "BBB"]
 
     def test_dense_identity_path(self):
         quotes = make_panel({"XXX": [1.0, 2.0, 3.0, 4.0]}, {"XXX": [10.0] * 4})
-        frame = md.build_market_frame(quotes, CAL, D[0])
+        frame = md.build_market_frame(quotes, ALL)
         expected = np.array([1, 2, 3, 4], dtype=float)
         expected /= np.linalg.norm(expected)
         assert np.allclose(frame.vectors[0], expected, atol=1e-15)
@@ -304,7 +300,7 @@ class TestBuildMarketFrame:
         # AAA completes to (10,10,10,11): norm sqrt(421); caps at d4 = 11*100.
         # BBB is dense (5,6,7,8): norm sqrt(174); shares forward-fill to 200
         # on d2/d3, 300 on d4 -> cap 8*300.
-        frame = md.build_market_frame(frame_fixture(), CAL, D[-1])
+        frame = md.build_market_frame(frame_fixture(), ALL)
         aaa = np.array([10, 10, 10, 11]) / np.sqrt(421.0)
         bbb = np.array([5, 6, 7, 8]) / np.sqrt(174.0)
         assert np.allclose(frame.vectors[0], aaa, atol=1e-14)
@@ -312,39 +308,35 @@ class TestBuildMarketFrame:
         assert caps_of(frame) == {"AAA": 1100.0, "BBB": 2400.0}
 
     def test_caps_use_selection_date(self):
-        frame = md.build_market_frame(frame_fixture(), CAL, D[2])
-        # completed closes on d3: AAA 10 (filled), BBB 7; shares 100 / 200 (filled)
-        assert caps_of(frame) == {"AAA": 1000.0, "BBB": 1400.0}
+        # the selection date is the last date of the rows: the panel runs on
+        # into 2021, and a 2020 frame values caps on D[-1]
+        later = dt.date(2021, 1, 4)
+        quotes = make_panel(
+            {"AAA": [10.0, None, None, 11.0, 50.0], "BBB": [5.0, 6.0, 7.0, 8.0, 50.0]},
+            {"AAA": [100.0] * 4 + [900.0], "BBB": [200.0, None, None, 300.0, 900.0]},
+            dates=(*D, later),
+        )
+        frame = md.build_market_frame(quotes, md.calendar_from_quotes(quotes, 2020))
+        assert caps_of(frame) == {"AAA": 1100.0, "BBB": 2400.0}
+        assert frame.vectors.shape == (2, len(D))
 
     def test_shares_need_a_value_by_the_selection_date(self):
         quotes = make_panel(
             {"AAA": [1.0, 2.0, 3.0, 4.0]}, {"AAA": [None, None, 30.0, None]}
         )
-        assert caps_of(md.build_market_frame(quotes, CAL, D[3])) == {"AAA": 120.0}
-        with pytest.raises(NotCompletableError, match="AAA"):
-            md.build_market_frame(quotes, CAL, D[1])
-
-    def test_selection_date_must_be_trading_date(self):
-        with pytest.raises(ParameterError):
-            md.build_market_frame(frame_fixture(), CAL, dt.date(2020, 1, 4))
-
-    def test_calendar_date_missing_from_panel_rejected(self):
-        cal = md.TradingCalendar((D[0], dt.date(2020, 1, 4)))
-        with pytest.raises(ParameterError, match="2020-01-04"):
-            md.build_market_frame(frame_fixture(), cal, D[0])
+        assert caps_of(md.build_market_frame(quotes, ALL)) == {"AAA": 120.0}
+        with pytest.raises(NotCompletableError, match=f"AAA: shares_issued absent through {D[1]}"):
+            md.build_market_frame(quotes, slice(0, 2))
 
     def test_every_vector_unit_norm_and_length_m(self, rng):
         for _ in range(10):
             n, m = int(rng.integers(2, 8)), int(rng.integers(2, 10))
-            cal = md.TradingCalendar(
-                tuple(dt.date(2021, 1, 1) + dt.timedelta(days=i) for i in range(m))
-            )
             quotes = make_panel(
                 {f"T{j}": rng.uniform(1, 50, size=m).tolist() for j in range(n)},
                 {f"T{j}": [10.0] * m for j in range(n)},
-                dates=cal.dates,
+                dates=[dt.date(2021, 1, 1) + dt.timedelta(days=i) for i in range(m)],
             )
-            frame = md.build_market_frame(quotes, cal, cal.dates[-1])
+            frame = md.build_market_frame(quotes, slice(0, m))
             for v in frame.vectors:
                 assert len(v) == m
                 assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
@@ -352,16 +344,15 @@ class TestBuildMarketFrame:
 
 class TestIndexInputs:
     def test_closes_filled_and_shares_on_first_date(self):
-        closes, shares = md.index_inputs(frame_fixture(), CAL, ["BBB", "AAA"])
+        closes, shares = md.index_inputs(frame_fixture(), ALL, ["BBB", "AAA"])
         assert closes.tolist() == [[5.0, 10.0], [6.0, 10.0], [7.0, 10.0], [8.0, 11.0]]
         assert shares.tolist() == [200.0, 100.0]
 
     def test_unquoted_or_unpriced_constituent_rejected(self):
         # on D[2] ZZZ is not in the panel, AAA has no close, BBB no shares
-        cal = md.TradingCalendar(tuple(D[2:]))
         for ticker in ("ZZZ", "AAA", "BBB"):
             with pytest.raises(MissingPriceError, match=f"{ticker} on {D[2]}"):
-                md.index_inputs(frame_fixture(), cal, [ticker])
+                md.index_inputs(frame_fixture(), slice(2, 4), [ticker])
 
 
 class TestCalendarFromQuotes:
@@ -370,14 +361,22 @@ class TestCalendarFromQuotes:
             {"AAA": [1.0, 1.0, 1.0]}, {"AAA": [1.0, 1.0, 1.0]},
             dates=(dt.date(2019, 12, 31), D[0], D[1]),
         )
-        cal = md.calendar_from_quotes(quotes, 2020)
-        assert cal.dates == (D[0], D[1])
+        rows = md.calendar_from_quotes(quotes, 2020)
+        assert quotes.dates[rows] == (D[0], D[1])
 
-    def test_calendar_invariants(self):
-        with pytest.raises(ParameterError):
-            md.TradingCalendar((D[0],))
-        with pytest.raises(ParameterError):
-            md.TradingCalendar((D[1], D[0]))
+    @given(st.lists(st.dates(dt.date(2017, 1, 1), dt.date(2023, 12, 31)),
+                    min_size=1, max_size=40, unique=True),
+           st.integers(2016, 2024))
+    def test_rows_are_the_dates_of_the_year(self, dates, year):
+        dates = sorted(dates)
+        quotes = make_panel({"AAA": [1.0] * len(dates)}, {"AAA": [1.0] * len(dates)},
+                            dates=dates)
+        want = tuple(d for d in quotes.dates if d.year == year)
+        if len(want) < 2:
+            with pytest.raises(EmptyUniverseError, match=f"year {year}"):
+                md.calendar_from_quotes(quotes, year)
+        else:
+            assert quotes.dates[md.calendar_from_quotes(quotes, year)] == want
 
 
 # ---------------------------------------------------------------------------

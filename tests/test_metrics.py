@@ -1,9 +1,12 @@
 """Pearson / alpha / beta / Jensen and the stability statistics."""
 
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from manifold_index import metrics
 from manifold_index.indexcalc import IndexSeries
@@ -27,17 +30,24 @@ class TestMonthlyReturns:
         dates = month_days(2021, 1) + month_days(2021, 2)
         values = [990, 995, 1000, 1080, 1090, 1100]
         rets = metrics.monthly_returns(series_on(dates, values))
-        assert rets.period_returns == pytest.approx((0.10,))
+        assert rets.tolist() == pytest.approx([0.10])
 
     def test_constant_series(self):
         dates = month_days(2021, 1) + month_days(2021, 2) + month_days(2021, 3)
         rets = metrics.monthly_returns(series_on(dates, [7.0] * 9))
-        assert rets.period_returns == (0.0, 0.0)
+        assert rets.tolist() == [0.0, 0.0]
 
     def test_three_month_hand_case(self):
         dates = month_days(2021, 1, 1) + month_days(2021, 2, 1) + month_days(2021, 3, 1)
         rets = metrics.monthly_returns(series_on(dates, [1000.0, 1050.0, 945.0]))
-        assert rets.period_returns == pytest.approx((0.05, -0.10))
+        assert rets.tolist() == pytest.approx([0.05, -0.10])
+
+    @pytest.mark.parametrize("levels", [(1e300, 1e-10), (1e-300, 1e300)],
+                             ids=["rounds-to-minus-one", "overflows"])
+    def test_return_must_be_finite_and_above_minus_one(self, levels):
+        dates = month_days(2021, 1, 1) + month_days(2021, 2, 1)
+        with pytest.raises(UndefinedMetricError, match="> -1"):
+            metrics.monthly_returns(series_on(dates, levels))
 
     def test_single_month_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -46,7 +56,7 @@ class TestMonthlyReturns:
     def test_uses_last_trading_day_of_month(self):
         dates = [dt.date(2021, 1, 4), dt.date(2021, 1, 29), dt.date(2021, 2, 26)]
         rets = metrics.monthly_returns(series_on(dates, [500.0, 1000.0, 1200.0]))
-        assert rets.period_returns == pytest.approx((0.2,))
+        assert rets.tolist() == pytest.approx([0.2])
 
 
 class TestPearson:
@@ -212,7 +222,7 @@ class TestEvaluate:
 
 
 def test_report_csv_writers(tmp_path):
-    report = metrics.MetricsReport(0.99, 0.001, 1.02, -0.0005, 0.002)
+    report = metrics.MetricsReport(0.99, 0.001, 1.02, -0.0005)
     path = tmp_path / "metrics.csv"
     metrics.write_reports_csv(path, [("idx_a", 2021, report)])
     lines = path.read_text().splitlines()
@@ -222,7 +232,64 @@ def test_report_csv_writers(tmp_path):
     spath = tmp_path / "stability.csv"
     metrics.write_stability_csv(
         spath,
-        [{"scope": "index", "name": "idx_a", "metric": "pearson",
-          "std": 0.01, "mean_baseline_distance": 0.02}],
+        [("index", "idx_a", "pearson", None, 0.02), ("year", "2021", "beta", 0.01, None)],
     )
-    assert spath.read_text().splitlines()[1] == "index,idx_a,pearson,0.01,0.02"
+    assert spath.read_text().splitlines()[1:] == [
+        "index,idx_a,pearson,,0.02", "year,2021,beta,0.01,",
+    ]
+
+
+METRIC_VALUE = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def report_tables(draw):
+    """(name, year, report) rows in any order: each list reports in a
+    random subset of the years, so some years hold one series.  A list's
+    series are named ``<list>_<year>``, except ``custom``'s, which keep one
+    name across years, and ``spread_2019``'s, whose year suffix is not
+    always the report year."""
+    years = draw(st.lists(st.integers(2018, 2022), min_size=1, max_size=4, unique=True))
+    lists = draw(st.lists(st.sampled_from(["index_005", "index_010", "custom", "spread_2019"]),
+                          min_size=1, max_size=4, unique=True))
+    rows = []
+    for base in lists:
+        for year in years:
+            if draw(st.booleans()):
+                name = base if base in ("custom", "spread_2019") else f"{base}_{year}"
+                values = draw(st.tuples(*[METRIC_VALUE] * len(metrics.BASELINES)))
+                rows.append((name, year, metrics.MetricsReport(*values)))
+    return draw(st.permutations(rows))
+
+
+def stability_reference(rows):
+    """stability_rows recomputed metric by metric from the definitions."""
+    by_index, by_year = {}, {}
+    for name, year, report in rows:
+        own_year = re.fullmatch(f"(.*)_{year}", name)
+        by_index.setdefault(own_year[1] if own_year else name, []).append(report)
+        by_year.setdefault(year, []).append(report)
+    want = []
+    for index in sorted(by_index):
+        for metric, baseline in metrics.BASELINES.items():
+            v = np.array([getattr(r, metric) for r in by_index[index]])
+            std = float(np.std(v, ddof=1)) if len(v) > 1 else None
+            want.append(("index", index, metric, std, float(np.mean(np.abs(v - baseline)))))
+    for year in sorted(by_year):
+        for metric in metrics.BASELINES:
+            v = np.array([getattr(r, metric) for r in by_year[year]])
+            if len(v) > 1:
+                want.append(("year", str(year), metric, float(np.std(v, ddof=1)), None))
+    return want
+
+
+@given(report_tables())
+def test_stability_rows_match_reference(rows):
+    got = metrics.stability_rows(rows)
+    want = stability_reference(rows)
+    assert [row[:3] for row in got] == [row[:3] for row in want]
+    for g, w in zip(got, want):
+        for a, b in zip(g[3:], w[3:]):
+            assert (a is None) == (b is None)
+            if b is not None:
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
