@@ -22,6 +22,8 @@ one diagnostic line to stderr and exit 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -150,17 +152,12 @@ def grow_basis_and_select(
     graph: manifold.AdjacencyGraph,
     caps: np.ndarray,
     n_targets,
-    batch: int = EIGEN_BATCH,
 ) -> dict[int, selection.FeatureSet]:
-    """Select constituents for each target count, requesting eigenpairs in
-    batches and expanding the basis whenever the accumulated features run
-    short.  Every request extends one Lanczos factorization, so growing
-    the basis to p costs the steps of one solve at p.  Fatal once all n
-    eigenpairs are exhausted."""
-    n = weights.n
-    p = min(n, batch)
-    lanczos = spectral.LanczosFactorization(weights, mass)
-    basis = spectral.solve_generalized(weights, mass, p, factorization=lanczos)
+    """Select constituents for each target count from the smallest basis of
+    ``spectral.growing_bases`` (EIGEN_BATCH more eigenpairs per step) whose
+    features suffice.  Fatal once all n eigenpairs are exhausted."""
+    bases = spectral.growing_bases(weights, mass, EIGEN_BATCH)
+    basis = next(bases)
     out: dict[int, selection.FeatureSet] = {}
     for n_target in sorted(n_targets):
         while True:
@@ -168,10 +165,9 @@ def grow_basis_and_select(
                 out[n_target] = selection.select_constituents(basis, graph, n_target, caps)
                 break
             except InsufficientFeaturesError:
-                if basis.count >= n:
+                if basis.count >= weights.n:
                     raise
-                p = min(n, p + batch)
-                basis = spectral.solve_generalized(weights, mass, p, factorization=lanczos)
+                basis = next(bases)
     return out
 
 
@@ -256,10 +252,16 @@ def cmd_metrics(cfg: PipelineConfig, series_files) -> tuple[Path, Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     bench_years = _split_years(synth.read_benchmark_csv(cfg.benchmark))
 
-    rows: list[tuple[str, int, metrics.MetricsReport]] = []
+    named: dict[str, Path] = {}  # a report names its series by the file's stem
     for sfile in sorted(Path(p) for p in series_files):
+        if sfile.stem in named:
+            raise ParameterError(
+                f"series {named[sfile.stem]} and {sfile} share the name {sfile.stem!r}"
+            )
+        named[sfile.stem] = sfile
+    rows: list[tuple[str, int, metrics.MetricsReport]] = []
+    for name, sfile in named.items():
         series = indexcalc.read_series_csv(sfile)
-        name = sfile.stem
         for year, chunk in sorted(_split_years(series).items()):
             if year not in bench_years:
                 raise ParameterError(f"benchmark has no dates for year {year} ({sfile})")
@@ -355,29 +357,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(args: argparse.Namespace) -> None:
+    if args.command == "synth":
+        cmd_synth(args)
+        return
+    cfg = _config_from_args(args)
+    if args.command == "metrics":
+        cmd_metrics(cfg, args.series)
+        return
+    if cfg.quotes is None:
+        raise ParameterError(f"{args.command} needs --quotes")
+    # parsed once, however many years the command covers
+    quotes = marketdata.load_quotes(cfg.quotes)
+    if args.command == "select":
+        cmd_select(cfg, quotes)
+    elif args.command == "index":
+        cmd_index(cfg, quotes, args.constituents)
+    else:
+        cmd_backtest(cfg, quotes, args.start_year, args.end_year)
+
+
 def main(argv=None) -> int:
+    # stderr is held back until the command succeeds, so a failing command
+    # prints its one error line and nothing else
+    held = io.StringIO()
     try:
-        args = _build_parser().parse_args(argv)
-        if args.command == "synth":
-            cmd_synth(args)
-            return 0
-        cfg = _config_from_args(args)
-        if args.command == "metrics":
-            cmd_metrics(cfg, args.series)
-            return 0
-        if cfg.quotes is None:
-            raise ParameterError(f"{args.command} needs --quotes")
-        # parsed once, however many years the command covers
-        quotes = marketdata.load_quotes(cfg.quotes)
-        if args.command == "select":
-            cmd_select(cfg, quotes)
-        elif args.command == "index":
-            cmd_index(cfg, quotes, args.constituents)
-        else:
-            cmd_backtest(cfg, quotes, args.start_year, args.end_year)
+        with contextlib.redirect_stderr(held):
+            _dispatch(_build_parser().parse_args(argv))
     except (PipelineError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # escaped, text quoted from an input cannot break the line
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(exc))
+        print(f"error: {message}", file=sys.stderr)
         return 1
+    sys.stderr.write(held.getvalue())
     return 0
 
 

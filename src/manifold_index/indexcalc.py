@@ -255,20 +255,36 @@ def write_series_csv(path, series: IndexSeries) -> None:
             writer.writerow([date.isoformat(), repr(float(level)), repr(float(div))])
 
 
-def read_series_csv(path) -> IndexSeries:
+def read_levels_csv(path, what: str, columns: tuple[str, ...]):
+    """The dates and the ``columns`` of a ``date,<columns>`` file of ``what``
+    rows: at least one row, dates strictly increasing, every value finite
+    and > 0.  Returns the dates and one tuple of values per column."""
+    dates, rows = [], []
     with open_text(path) as fh:
         reader = csv.DictReader(fh)
-        dates, values, divisors = [], [], []
         for row in reader:
             try:
-                dates.append(dt.date.fromisoformat(row["date"]))
-                values.append(float(row["level"]))
-                divisors.append(float(row["divisor"]))
+                date = dt.date.fromisoformat(row["date"])
+                values = tuple(float(row[name]) for name in columns)
             except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(path, reader.line_num, f"bad series row: {exc}") from None
-            if not (0 < values[-1] < math.inf and 0 < divisors[-1] < math.inf):
-                raise ParseError(path, reader.line_num, "level and divisor must be finite and > 0")
-    return IndexSeries(dates=tuple(dates), values=tuple(values), divisors=tuple(divisors))
+                raise ParseError(path, reader.line_num, f"bad {what} row: {exc}") from None
+            if not all(0 < v < math.inf for v in values):
+                raise ParseError(
+                    path, reader.line_num, f"{' and '.join(columns)} must be finite and > 0"
+                )
+            if dates and date <= dates[-1]:
+                raise ParseError(path, reader.line_num, f"date {date} does not follow {dates[-1]}")
+            dates.append(date)
+            rows.append(values)
+    if not dates:
+        raise ParseError(path, None, f"no {what} rows")
+    return tuple(dates), tuple(zip(*rows))
+
+
+def read_series_csv(path) -> IndexSeries:
+    """Read back a ``date,level,divisor`` series (see read_levels_csv)."""
+    dates, (values, divisors) = read_levels_csv(path, "series", ("level", "divisor"))
+    return IndexSeries(dates=dates, values=values, divisors=divisors)
 
 
 def read_actions_csv(path) -> list[CorporateAction]:

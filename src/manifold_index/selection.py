@@ -106,9 +106,22 @@ def write_constituents_csv(path, selected: FeatureSet, tickers, caps) -> None:
 
 
 def read_constituents_csv(path) -> list[str]:
-    """Tickers from a constituent export, in rank order."""
+    """Tickers from a constituent export, in rank order: at least one row,
+    and every row names a ticker no other row names."""
+    lines: dict[str, int] = {}  # ticker -> line naming it
     with open_text(path) as fh:
         reader = csv.DictReader(fh)
         if "ticker" not in (reader.fieldnames or ()):
             raise ParseError(path, 1, "missing required column 'ticker'")
-        return [row["ticker"] for row in reader]
+        for row in reader:
+            ticker = row["ticker"]  # None in a short row
+            if not ticker:
+                raise ParseError(path, reader.line_num, "no ticker")
+            if ticker in lines:
+                raise ParseError(
+                    path, reader.line_num, f"ticker {ticker!r} repeats line {lines[ticker]}"
+                )
+            lines[ticker] = reader.line_num
+    if not lines:
+        raise ParseError(path, None, "no constituents")
+    return list(lines)

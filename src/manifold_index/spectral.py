@@ -6,19 +6,18 @@ C y = lambda y with C = A^{-1/2} W A^{-1/2} and phi = A^{-1/2} y; the
 A-inner product of the phi's is the plain inner product of the y's, which
 keeps the returned basis A-orthonormal for free.
 
-Two production paths plus one verification path:
+This module alone picks the solver and grows the basis:
 
-* dense path (n <= 300 by default): LAPACK's generalized symmetric-definite
-  driver on the materialized pair.
-* iterative path: Lanczos on C with full reorthogonalization, random
-  restarts on breakdown (so later steps can pick up remaining eigenspace
-  directions, including copies of repeated eigenvalues), and adaptive
-  extension of the factorization until the requested pairs meet the
-  residual tolerance.  One LanczosFactorization per operator is extended
-  across basis sizes: a caller that grows p passes it to every solve and
-  pays for the steps of the largest p once, with every basis bit-identical
-  to a fresh solve's.  At desk scale the basis may grow to n columns, at
-  which point the factorization is exact.
+* dense path (n <= DENSE_CUTOFF and no factorization given): LAPACK's
+  generalized symmetric-definite driver on the materialized pair.
+* iterative path (above the cutoff, or whenever a LanczosFactorization is
+  given): Lanczos on C with full reorthogonalization, random restarts on
+  breakdown (so later steps can pick up remaining eigenspace directions,
+  including copies of repeated eigenvalues), and adaptive extension of the
+  factorization until the requested pairs meet the residual tolerance.
+* growing_bases yields the bases at p = batch, 2*batch, ... up to n; above
+  the cutoff they extend one factorization, so growing to p costs the
+  steps of one solve at p, each basis bit-identical to a fresh solve's.
 * dense_oracle: an independent check that scales W by A^{-1/2} explicitly
   and calls the dense ordinary eigensolver; used by tests against both
   production paths.
@@ -63,10 +62,6 @@ class EigenBasis:
     @property
     def count(self) -> int:
         return len(self.values)
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -130,16 +125,14 @@ class LanczosFactorization:
     repeated eigenvalues.
     """
 
-    def __init__(
-        self, w: WeightMatrix, a: MassMatrix, max_steps: int | None = None, seed: int = 0
-    ):
+    def __init__(self, w: WeightMatrix, a: MassMatrix, seed: int = 0):
         n = _check_pair(w, a)
-        self.w, self.a, self.max_steps, self.seed = w, a, max_steps, seed
+        self.w, self.a = w, a
         self.scale = 1.0 / np.sqrt(a.diag)
-        self.m_max = min(n if max_steps is None else max_steps, n)
-        self.krylov = np.zeros((n, self.m_max))
-        self.alphas = np.zeros(self.m_max)
-        self.betas = np.zeros(self.m_max)
+        self.m_max = n  # step limit: n steps span all of R^n
+        self.krylov = np.zeros((n, n))
+        self.alphas = np.zeros(n)
+        self.betas = np.zeros(n)
         self._rng = np.random.default_rng(seed)
         self.steps = 0
         self.exhausted = False  # numerically spanned all of R^n
@@ -210,48 +203,28 @@ class LanczosFactorization:
 
 
 def solve_generalized(
-    w: WeightMatrix,
-    a: MassMatrix,
-    p: int,
-    method: str = "auto",
-    max_steps: int | None = None,
-    seed: int = 0,
-    factorization: LanczosFactorization | None = None,
+    w: WeightMatrix, a: MassMatrix, p: int, factorization: LanczosFactorization | None = None
 ) -> EigenBasis:
     """The p algebraically smallest eigenpairs of W phi = lambda A phi,
     ascending and A-orthonormal.
 
-    ``method`` is ``auto`` (dense below n=300, Lanczos above), ``dense`` or
-    ``lanczos``.  Raises ConvergenceError when the iterative path cannot
-    push all requested pairs under the residual contract within
-    ``max_steps`` Lanczos steps (default: n).
-
-    ``factorization`` is a LanczosFactorization of the same (w, a) with the
-    same ``max_steps`` and ``seed``; the iterative path extends it rather
-    than building a fresh one, so growing the basis over several calls
-    costs the steps of the largest p only.  The result is the same either
-    way.
+    Lanczos extends ``factorization``, which must have been built for this
+    (w, a), so growing the basis over several calls costs the steps of the
+    largest p only; the result is that of a fresh factorization.  Without
+    one the pair is solved densely at n <= DENSE_CUTOFF and by a fresh
+    factorization above it.  Raises ConvergenceError when the pairs miss
+    the residual contract.
     """
     n = _check_pair(w, a)
     if not 1 <= p <= n:
         raise ParameterError(f"p must satisfy 1 <= p <= n, got p={p}, n={n}")
-    if method not in ("auto", "dense", "lanczos"):
-        raise ParameterError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "dense" if n <= DENSE_CUTOFF else "lanczos"
-    if factorization is not None and (
-        factorization.w is not w
-        or factorization.a is not a
-        or factorization.max_steps != max_steps
-        or factorization.seed != seed
-    ):
-        raise ParameterError("factorization was built for another operator, max_steps or seed")
-
-    if method == "dense":
+    if factorization is None and n <= DENSE_CUTOFF:
         basis = _solve_dense(w, a, p)
     else:
         if factorization is None:
-            factorization = LanczosFactorization(w, a, max_steps, seed)
+            factorization = LanczosFactorization(w, a)
+        elif factorization.w is not w or factorization.a is not a:
+            raise ParameterError("factorization was built for another operator")
         theta, y = factorization.smallest(p)
         phi = factorization.scale[:, None] * y
         phi /= np.sqrt(a.diag @ (phi * phi))[None, :]
@@ -263,3 +236,13 @@ def solve_generalized(
     if worst > RESIDUAL_RTOL:
         raise ConvergenceError("eigenpairs failed the residual contract", worst)
     return basis
+
+
+def growing_bases(w: WeightMatrix, a: MassMatrix, batch: int):
+    """Yield the bases of the p = batch, 2*batch, ... smallest eigenpairs,
+    the last at p = n.  Above DENSE_CUTOFF every solve extends one
+    factorization; at or below it each basis is solved densely."""
+    n = _check_pair(w, a)
+    factorization = LanczosFactorization(w, a) if n > DENSE_CUTOFF else None
+    for p in range(batch, n + batch, batch):
+        yield solve_generalized(w, a, min(p, n), factorization=factorization)

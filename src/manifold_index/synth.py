@@ -15,15 +15,13 @@ bit-identical output everywhere.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, open_text
-from .indexcalc import IndexSeries
+from .errors import ParameterError
+from .indexcalc import IndexSeries, read_levels_csv
 from .marketdata import QuotePanel
 
 RETURN_FLOOR = -0.99
@@ -147,17 +145,7 @@ def write_benchmark_csv(path, benchmark: IndexSeries) -> None:
 
 
 def read_benchmark_csv(path) -> IndexSeries:
-    """Read ``date,level`` rows; a bad or short row, or a level that is not
-    finite and > 0, raises ParseError."""
-    with open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        dates, values = [], []
-        for row in reader:
-            try:
-                dates.append(dt.date.fromisoformat(row["date"]))
-                values.append(float(row["level"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(path, reader.line_num, f"bad benchmark row: {exc}") from None
-            if not 0 < values[-1] < math.inf:
-                raise ParseError(path, reader.line_num, "level must be finite and > 0")
-    return IndexSeries(dates=tuple(dates), values=tuple(values))
+    """Read ``date,level`` rows: at least one, dates strictly increasing and
+    every level finite and > 0, or ParseError."""
+    dates, (values,) = read_levels_csv(path, "benchmark", ("level",))
+    return IndexSeries(dates=dates, values=values)

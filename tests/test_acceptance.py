@@ -51,7 +51,8 @@ def test_criterion_1_and_3_eigensolver_oracle_equivalence():
             mode = ("balanced", "paper")[trial % 2]
             _, w, a = random_connected_operator(rng, n, k, mode)
             p = min(12, n - 1)
-            got = spectral.solve_generalized(w, a, p, method="lanczos", seed=trial)
+            lanczos = spectral.LanczosFactorization(w, a, seed=trial)
+            got = spectral.solve_generalized(w, a, p, factorization=lanczos)
             want = spectral.dense_oracle(w, a)
             assert_bases_agree(a.diag, got, want, val_tol=1e-8, vec_tol=1e-6)
             gram = got.vectors.T @ (a.diag[:, None] * got.vectors)
@@ -84,7 +85,8 @@ def test_criterion_2_operator_invariants():
             n = int(rng.integers(15, 80))
             k = int(rng.integers(3, min(n - 1, 10) + 1))
             _, w, a = random_connected_operator(rng, n, k, "balanced")
-            basis = spectral.solve_generalized(w, a, min(8, n - 1), method="lanczos", seed=trial)
+            lanczos = spectral.LanczosFactorization(w, a, seed=trial)
+            basis = spectral.solve_generalized(w, a, min(8, n - 1), factorization=lanczos)
             assert basis.values.min() >= -1e-10
             assert basis.values[0] < 1e-10
             phi1 = basis.vectors[:, 0]
@@ -195,9 +197,7 @@ def _pipeline_pearson(market, n_list, k=10):
     rows = marketdata.calendar_from_quotes(market.quotes, study)
     frame = marketdata.build_market_frame(market.quotes, rows)
     graph, w, a = manifold.build_operator(frame.vectors, k=k, mode="balanced")
-    picks = cli.grow_basis_and_select(
-        w, a, graph, frame.caps, n_list, batch=32
-    )
+    picks = cli.grow_basis_and_select(w, a, graph, frame.caps, n_list)
     target_rows = marketdata.calendar_from_quotes(market.quotes, study + 1)
     bench = [
         v for d, v in zip(market.benchmark.dates, market.benchmark.values)

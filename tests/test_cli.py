@@ -259,6 +259,85 @@ class TestIndexAndMetrics:
         assert len(err) == 1
         assert err[0].startswith(f"error: {cfile}:1:")
 
+    @pytest.mark.parametrize("rows, where, names", [
+        ("1\n", ":2", "no ticker"),
+        ("1,\n", ":2", "no ticker"),
+        ("1,S0001\n2,S0002\n3,S0001\n", ":4", "'S0001' repeats line 2"),
+        ("", "", "no constituents"),
+    ], ids=["short-row", "empty-ticker", "repeated-ticker", "header-only"])
+    def test_bad_constituent_list_names_line(
+        self, small_market, tmp_path, capsys, rows, where, names
+    ):
+        cfile = tmp_path / "constituents_005.csv"
+        cfile.write_text(f"rank,ticker\n{rows}")
+        rc = run([
+            "index", "--quotes", str(small_market / "quotes.csv"),
+            "--study-year", "2020", "--outdir", str(tmp_path),
+            "--constituents", str(cfile),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {cfile}{where}: ") and names in err[0]
+
+    @pytest.mark.parametrize("which", ["series", "benchmark"])
+    @pytest.mark.parametrize("rows, where, names", [
+        ("2021-01-05,1000.0,0.5\n2021-01-05,1001.0,0.5\n", ":3", "2021-01-05 does not follow"),
+        ("2021-01-05,1000.0,0.5\n2021-01-04,1001.0,0.5\n", ":3", "2021-01-04 does not follow"),
+        ("", "", "no {which} rows"),
+    ], ids=["repeated-date", "date-out-of-order", "header-only"])
+    def test_bad_dates_name_line(
+        self, small_market, artifacts, tmp_path, capsys, which, rows, where, names
+    ):
+        files = {
+            "series": artifacts / "index_005_2021.csv",
+            "benchmark": small_market / "benchmark.csv",
+        }
+        bad = files[which] = tmp_path / f"{which}.csv"
+        header = "date,level,divisor" if which == "series" else "date,level"
+        bad.write_text(f"{header}\n{rows}")
+        rc = run([
+            "metrics", "--benchmark", str(files["benchmark"]), "--outdir", str(tmp_path / "out"),
+            "--series", str(files["series"]),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bad}{where}: ")
+        assert names.format(which=which) in err[0]
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_error_quoting_a_line_break_is_one_line(self, small_market, tmp_path, capsys):
+        cfile = tmp_path / "constituents_005.csv"
+        cfile.write_text('rank,ticker\n1,"S00\n01"\n')
+        rc = run([
+            "index", "--quotes", str(small_market / "quotes.csv"),
+            "--study-year", "2020", "--outdir", str(tmp_path),
+            "--constituents", str(cfile),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: no price for S00\\n01 on 2021-01-01"]
+
+    def test_series_sharing_a_name_rejected(self, small_market, artifacts, tmp_path, capsys):
+        """Reports name a series by its file's stem, so two files of one stem
+        would be evaluated, and rolled up, as one index."""
+        paths = []
+        for run_dir in ("run_a", "run_b"):
+            path = tmp_path / run_dir / "index_005_2021.csv"
+            path.parent.mkdir()
+            path.write_bytes((artifacts / "index_005_2021.csv").read_bytes())
+            paths.append(str(path))
+        rc = run([
+            "metrics", "--benchmark", str(small_market / "benchmark.csv"),
+            "--outdir", str(tmp_path / "out"), "--series", *paths,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and paths[0] in err[0] and paths[1] in err[0]
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
     @pytest.mark.parametrize("rows, line, names", [
         ("\n2021-03-01,S0001,bogus", 3, "bogus"),  # a blank line still counts
         ("2021-03-01,S0001", 2, "kind"),  # short row
@@ -381,9 +460,9 @@ class TestBacktest:
 
 
 class TestBatchedEigenGrowth:
-    def test_basis_expands_until_selection_succeeds(self, small_market):
-        """With batch=1 the first basis holds only the (featureless) constant
-        eigenvector, forcing repeated expansion."""
+    def test_basis_expands_until_selection_succeeds(self, small_market, monkeypatch):
+        """With a batch of 1 the first basis holds only the (featureless)
+        constant eigenvector, forcing repeated expansion."""
         from manifold_index import manifold, marketdata
 
         quotes = marketdata.load_quotes(small_market / "quotes.csv")
@@ -391,18 +470,18 @@ class TestBatchedEigenGrowth:
             quotes, marketdata.calendar_from_quotes(quotes, 2020)
         )
         graph, w, a = manifold.build_operator(frame.vectors, k=6, mode="balanced")
-        picks = cli.grow_basis_and_select(
-            w, a, graph, frame.caps, [12], batch=1
-        )
+        monkeypatch.setattr(cli, "EIGEN_BATCH", 1)
+        picks = cli.grow_basis_and_select(w, a, graph, frame.caps, [12])
         assert len(picks[12].members) == 12
         # provenance proves more than one eigenvector contributed
         sources = {vec for vec, _ in picks[12].provenance.values()}
         assert max(sources) >= 1
 
     def test_growth_costs_one_solve_at_the_final_p(self, tmp_path, monkeypatch):
-        """Above the dense cutoff every expansion extends one Lanczos
-        factorization: its steps are those of one fresh solve at the final p,
-        and the picks are those of a fresh solve at each p."""
+        """Above the dense cutoff the bases that spectral.growing_bases yields
+        extend one Lanczos factorization: its steps are those of one fresh
+        solve at the final p, and the picks are those of a fresh solve at
+        each p."""
         from manifold_index import manifold, marketdata, selection, spectral
         from manifold_index.errors import InsufficientFeaturesError
 
@@ -421,17 +500,20 @@ class TestBatchedEigenGrowth:
         solve = spectral.solve_generalized
         calls = []
 
-        def recording(w_, a_, p, **kwargs):
-            calls.append((p, kwargs["factorization"]))
-            return solve(w_, a_, p, **kwargs)
+        def recording(w_, a_, p, factorization=None):
+            calls.append((p, factorization))
+            return solve(w_, a_, p, factorization=factorization)
 
         monkeypatch.setattr(spectral, "solve_generalized", recording)
-        picks = cli.grow_basis_and_select(w, a, graph, frame.caps, [140], batch=8)
+        monkeypatch.setattr(cli, "EIGEN_BATCH", 8)
+        picks = cli.grow_basis_and_select(w, a, graph, frame.caps, [140])
         monkeypatch.undo()
 
         ps = [p for p, _ in calls]
+        assert ps == [8 * (i + 1) for i in range(len(ps))]
         assert len(ps) >= 4  # three growths
         grown = calls[0][1]
+        assert isinstance(grown, spectral.LanczosFactorization)
         assert all(f is grown for _, f in calls)
         fresh = spectral.LanczosFactorization(w, a)
         spectral.solve_generalized(w, a, ps[-1], factorization=fresh)
@@ -654,29 +736,117 @@ def fuzz_quotes(tmp_path_factory):
 
 
 BYTES = st.sampled_from([b'"', b"\r", b"\n", b",", b"\xff", b"\xe9", b"\x00", b" ", b"N"])
+BYTE_MUTATION = st.tuples(
+    st.sampled_from(["flip", "insert", "delete"]), st.integers(0, 30_000),
+    BYTES | st.binary(min_size=1, max_size=1),
+)
+ROW_MUTATION = st.tuples(
+    st.sampled_from(["repeat", "drop", "swap"]), st.integers(0, 200), st.integers(0, 200)
+)
+
+
+def mutate(data: bytes, mutations) -> bytes:
+    """Apply byte mutations (flip, insert or delete one byte) and row
+    mutations (repeat or drop a line, swap two lines) in order."""
+    for kind, at, arg in mutations:
+        if kind in ("flip", "insert", "delete"):
+            buf = bytearray(data)
+            at %= len(buf) or 1
+            if kind == "flip":
+                buf[at:at + 1] = arg
+            elif kind == "insert":
+                buf[at:at] = arg
+            else:
+                del buf[at:at + 1]
+            data = bytes(buf)
+            continue
+        lines = data.splitlines(keepends=True)
+        if not lines:
+            continue
+        at %= len(lines)
+        if kind == "repeat":
+            lines.insert(at, lines[at])
+        elif kind == "drop":
+            del lines[at]
+        else:
+            other = arg % len(lines)
+            lines[at], lines[other] = lines[other], lines[at]
+        data = b"".join(lines)
+    return data
 
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.tuples(st.sampled_from(["flip", "insert", "delete"]),
-                          st.integers(0, 30_000), BYTES | st.binary(min_size=1, max_size=1)),
-                min_size=1, max_size=4))
+@given(st.lists(BYTE_MUTATION, min_size=1, max_size=4))
 def test_mutated_quote_file_exits_cleanly(fuzz_quotes, tmp_path, capsys, mutations):
-    data = bytearray(fuzz_quotes)
-    for kind, at, byte in mutations:
-        at %= len(data)
-        if kind == "flip":
-            data[at:at + 1] = byte
-        elif kind == "insert":
-            data[at:at] = byte
-        else:
-            del data[at]
     quotes = tmp_path / "quotes.csv"
-    quotes.write_bytes(data)
+    quotes.write_bytes(mutate(fuzz_quotes, mutations))
     capsys.readouterr()
     rc = run(["select", "--quotes", str(quotes), "--study-year", "2020",
               "--outdir", str(tmp_path / "out"), "--k", "3", "--n-list", "2"])
-    err = capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
     assert rc in (0, 1)
     if rc == 1:
-        assert err.count("error: ") == 1 and err.splitlines()[-1].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A directory holding a 12-stock market and the valid benchmark,
+    constituents, series, actions and config files that ``index``,
+    ``metrics`` and ``backtest`` read over it."""
+    root = tmp_path_factory.mktemp("fuzz_inputs")
+    assert run(["synth", "--outdir", str(root), "--seed", "2", "--n-stocks", "12",
+                "--m-days", "65", "--n-sectors", "3", "--n-years", "2"]) == 0
+    (root / "config.csv").write_text(
+        "k = 3\nn_list = 4\nt = auto\nmode = balanced\nbase_level = 1000\n"
+    )
+    assert run(["backtest", "--config", str(root / "config.csv"),
+                "--quotes", str(root / "quotes.csv"), "--benchmark", str(root / "benchmark.csv"),
+                "--outdir", str(root / "out"), "--start-year", "2020", "--end-year", "2020"]) == 0
+    (root / "out" / "2020" / "constituents_004.csv").rename(root / "constituents.csv")
+    (root / "out" / "2020" / "index_004_2021.csv").rename(root / "series.csv")
+    ticker = selection.read_constituents_csv(root / "constituents.csv")[0]
+    (root / "actions.csv").write_text(
+        "effective_date,ticker,kind,new_shares,replacement_price\n"
+        f"2021-02-01,{ticker},share_change,5000,\n"
+    )
+    return root
+
+
+# The commands that read each fuzzed file.
+FUZZ_READERS = {
+    "benchmark": ("metrics", "backtest"),
+    "constituents": ("index",),
+    "series": ("metrics",),
+    "actions": ("index", "backtest"),
+    "config": ("index", "metrics", "backtest"),
+}
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(which=st.sampled_from(sorted(FUZZ_READERS)),
+       mutations=st.lists(BYTE_MUTATION | ROW_MUTATION, min_size=1, max_size=3))
+def test_mutated_inputs_exit_cleanly(fuzz_inputs, tmp_path, capsys, which, mutations):
+    """index, metrics and backtest end with exit 0, or exit 1 and one
+    ``error:`` line, whatever the mutations do to a file they read."""
+    paths = {name: fuzz_inputs / f"{name}.csv" for name in FUZZ_READERS}
+    paths[which] = tmp_path / f"{which}.csv"
+    paths[which].write_bytes(mutate((fuzz_inputs / f"{which}.csv").read_bytes(), mutations))
+    quotes, out = str(fuzz_inputs / "quotes.csv"), str(tmp_path / "out")
+    argv = {
+        "index": ["index", "--quotes", quotes, "--study-year", "2020",
+                  "--actions", str(paths["actions"]), "--constituents", str(paths["constituents"])],
+        "metrics": ["metrics", "--benchmark", str(paths["benchmark"]),
+                    "--series", str(paths["series"])],
+        "backtest": ["backtest", "--quotes", quotes, "--benchmark", str(paths["benchmark"]),
+                     "--actions", str(paths["actions"]), "--start-year", "2020",
+                     "--end-year", "2020"],
+    }
+    for command in FUZZ_READERS[which]:
+        capsys.readouterr()
+        rc = run(argv[command] + ["--config", str(paths["config"]), "--outdir", out])
+        err = capsys.readouterr().err.splitlines()
+        assert rc in (0, 1), command
+        if rc == 1:
+            assert len(err) == 1 and err[0].startswith("error: "), (command, err)

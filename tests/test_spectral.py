@@ -16,6 +16,12 @@ def make_pair(dense, mode="balanced", t=1.0):
     return w, manifold.mass_matrix(w)
 
 
+def lanczos_solve(w, a, p, seed=0):
+    """A solve on a fresh Lanczos factorization, whatever the size of n."""
+    factorization = spectral.LanczosFactorization(w, a, seed=seed)
+    return spectral.solve_generalized(w, a, p, factorization=factorization)
+
+
 def two_point_pair(kern=0.7):
     return make_pair([[kern, -kern], [-kern, kern]])
 
@@ -61,8 +67,8 @@ class TestHandCases:
         # W = [[w,-w],[-w,w]], A = diag(w,w): Wphi = lam*A*phi gives
         # lam=0 (constant) and lam=2 (alternating), for any kernel w.
         w, a = two_point_pair(0.7)
-        for method in ("dense", "lanczos"):
-            basis = spectral.solve_generalized(w, a, 2, method=method)
+        for factorization in (None, spectral.LanczosFactorization(w, a)):
+            basis = spectral.solve_generalized(w, a, 2, factorization=factorization)
             assert np.allclose(basis.values, [0.0, 2.0], atol=1e-12)
             phi1 = basis.vectors[:, 0]
             assert abs(phi1[0] - phi1[1]) <= 1e-10
@@ -93,7 +99,7 @@ class TestSolverOracleAgreement:
             mode = ("balanced", "paper")[trial % 2]
             graph, w, a = random_connected_operator(rng, n, k, mode)
             p = min(12, n - 1)
-            got = spectral.solve_generalized(w, a, p, method="lanczos", seed=trial)
+            got = lanczos_solve(w, a, p, seed=trial)
             want = spectral.dense_oracle(w, a)
             assert_bases_agree(a.diag, got, want)
 
@@ -101,7 +107,7 @@ class TestSolverOracleAgreement:
         for trial in range(6):
             n = int(rng.integers(10, 60))
             graph, w, a = random_connected_operator(rng, n, 4, "balanced")
-            got = spectral.solve_generalized(w, a, min(8, n - 1), method="dense")
+            got = spectral.solve_generalized(w, a, min(8, n - 1))
             want = spectral.dense_oracle(w, a)
             assert_bases_agree(a.diag, got, want)
 
@@ -113,7 +119,7 @@ class TestContracts:
             mode = ("balanced", "paper")[trial % 2]
             _, w, a = random_operator(rng, n, 5, mode)
             p = min(10, n - 1)
-            basis = spectral.solve_generalized(w, a, p, method="lanczos", seed=trial)
+            basis = lanczos_solve(w, a, p, seed=trial)
             assert spectral.residuals(w, a, basis).max() <= 1e-8
             gram = basis.vectors.T @ (a.diag[:, None] * basis.vectors)
             assert np.max(np.abs(gram - np.eye(p))) < 1e-8
@@ -122,7 +128,7 @@ class TestContracts:
         for trial in range(6):
             n = int(rng.integers(15, 60))
             _, w, a = random_connected_operator(rng, n, 4, "balanced")
-            basis = spectral.solve_generalized(w, a, min(6, n - 1), method="lanczos", seed=trial)
+            basis = lanczos_solve(w, a, min(6, n - 1), seed=trial)
             assert basis.values.min() >= -1e-10
             assert basis.values[0] < 1e-10
             phi1 = basis.vectors[:, 0]
@@ -132,15 +138,15 @@ class TestContracts:
     def test_paper_mode_no_nonnegativity_assumed(self, rng):
         # only solver/oracle agreement is asserted for the paper variant
         _, w, a = random_connected_operator(rng, 40, 4, "paper")
-        got = spectral.solve_generalized(w, a, 8, method="lanczos")
+        got = lanczos_solve(w, a, 8)
         want = spectral.dense_oracle(w, a)
         assert_bases_agree(a.diag, got, want)
 
     def test_sign_convention(self, rng):
         _, w, a = random_connected_operator(rng, 30, 4, "balanced")
         for basis in (
-            spectral.solve_generalized(w, a, 5, method="dense"),
-            spectral.solve_generalized(w, a, 5, method="lanczos"),
+            spectral.solve_generalized(w, a, 5),
+            lanczos_solve(w, a, 5),
             spectral.dense_oracle(w, a),
         ):
             for j in range(basis.count):
@@ -149,8 +155,8 @@ class TestContracts:
 
     def test_deterministic(self, rng):
         _, w, a = random_connected_operator(rng, 50, 5, "balanced")
-        b1 = spectral.solve_generalized(w, a, 6, method="lanczos", seed=3)
-        b2 = spectral.solve_generalized(w, a, 6, method="lanczos", seed=3)
+        b1 = lanczos_solve(w, a, 6, seed=3)
+        b2 = lanczos_solve(w, a, 6, seed=3)
         assert np.array_equal(b1.values, b2.values)
         assert np.array_equal(b1.vectors, b2.vectors)
 
@@ -162,7 +168,7 @@ class TestDegenerate:
         w = manifold.symmetrize(manifold.weight_tilde(graph, 1.0), 1.0, "balanced")
         a = manifold.mass_matrix(w)
         want = spectral.dense_oracle(w, a)
-        got = spectral.solve_generalized(w, a, 2, method="lanczos")
+        got = lanczos_solve(w, a, 2)
         assert np.allclose(want.values[:2], [0.0, 0.0], atol=1e-12)
         assert np.allclose(got.values, [0.0, 0.0], atol=1e-10)
         # compare the 2-dim null spaces, not individual vectors
@@ -190,14 +196,12 @@ class TestResumedFactorization:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="cloud"))
         _, w, a = random_operator(rng, n, 5, mode, clusters=clusters)
         seed = data.draw(st.integers(0, 3), label="seed")
-        max_steps = data.draw(st.none() | st.integers(1, n), label="max_steps")
         ps = sorted(data.draw(st.sets(st.integers(1, 80), min_size=2, max_size=4), label="ps"))
-        kwargs = dict(method="lanczos", max_steps=max_steps, seed=seed)
-        factorization = spectral.LanczosFactorization(w, a, max_steps, seed)
+        factorization = spectral.LanczosFactorization(w, a, seed=seed)
         for p in ps:
-            cold = outcome(lambda: spectral.solve_generalized(w, a, p, **kwargs))
+            cold = outcome(lambda: lanczos_solve(w, a, p, seed=seed))
             resumed = outcome(
-                lambda: spectral.solve_generalized(w, a, p, factorization=factorization, **kwargs)
+                lambda: spectral.solve_generalized(w, a, p, factorization=factorization)
             )
             if isinstance(cold[0], type):
                 assert resumed[0] is cold[0] and resumed[1] == cold[1]
@@ -209,15 +213,47 @@ class TestResumedFactorization:
         _, w, a = random_connected_operator(rng, 40, 4, "balanced")
         factorization = spectral.LanczosFactorization(w, a, seed=1)
         _, w2, a2 = random_connected_operator(rng, 40, 4, "balanced")
-        for other in (
-            dict(w=w2, a=a2, seed=1),
-            dict(w=w, a=a, seed=0),
-            dict(w=w, a=a, seed=1, max_steps=20),
-        ):
+        for other_w, other_a in ((w2, a2), (w2, a), (w, a2)):
             with pytest.raises(ParameterError):
-                spectral.solve_generalized(
-                    p=3, method="lanczos", factorization=factorization, **other
-                )
+                spectral.solve_generalized(other_w, other_a, 3, factorization=factorization)
+
+
+class TestPathRule:
+    def test_dense_at_the_cutoff(self, rng):
+        """Without a factorization n = DENSE_CUTOFF is solved densely, the
+        path of every n=300 backtest."""
+        _, w, a = random_connected_operator(rng, spectral.DENSE_CUTOFF, 6, "balanced")
+        got = spectral.solve_generalized(w, a, 7)
+        want = spectral._solve_dense(w, a, 7)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.vectors, want.vectors)
+
+    def test_given_factorization_runs_lanczos_at_small_n(self, rng):
+        _, w, a = random_connected_operator(rng, 40, 4, "paper")
+        factorization = spectral.LanczosFactorization(w, a, seed=2)
+        got = spectral.solve_generalized(w, a, 5, factorization=factorization)
+        assert factorization.steps >= 5
+        want = lanczos_solve(w, a, 5, seed=2)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.vectors, want.vectors)
+
+    def test_growing_bases_at_or_below_the_cutoff_are_dense(self, rng, monkeypatch):
+        _, w, a = random_connected_operator(rng, 50, 4, "balanced")
+        solve = spectral.solve_generalized
+        factorizations = []
+
+        def recording(w_, a_, p, factorization=None):
+            factorizations.append(factorization)
+            return solve(w_, a_, p, factorization=factorization)
+
+        monkeypatch.setattr(spectral, "solve_generalized", recording)
+        bases = list(spectral.growing_bases(w, a, 16))
+        assert [basis.count for basis in bases] == [16, 32, 48, 50]
+        assert factorizations == [None] * 4
+        for basis in bases:
+            want = spectral._solve_dense(w, a, basis.count)
+            assert np.array_equal(basis.values, want.values)
+            assert np.array_equal(basis.vectors, want.vectors)
 
 
 class TestGuards:
@@ -227,11 +263,6 @@ class TestGuards:
             with pytest.raises(ParameterError):
                 spectral.solve_generalized(w, a, p)
 
-    def test_unknown_method(self):
-        w, a = two_point_pair()
-        with pytest.raises(ParameterError):
-            spectral.solve_generalized(w, a, 1, method="magic")
-
     def test_oracle_size_guard(self):
         n = 2001
         w = manifold.WeightMatrix(sparse.identity(n, format="csr"), 1.0, "paper")
@@ -239,10 +270,14 @@ class TestGuards:
         with pytest.raises(SizeError):
             spectral.dense_oracle(w, a)
 
-    def test_convergence_error_reports_residual(self, rng):
+    def test_convergence_error_reports_residual(self, rng, monkeypatch):
         _, w, a = random_connected_operator(rng, 60, 4, "balanced")
-        with pytest.raises(ConvergenceError):
-            spectral.solve_generalized(w, a, 5, method="lanczos", max_steps=6)
+        monkeypatch.setattr(spectral, "RESIDUAL_RTOL", 0.0)
+        for factorization in (None, spectral.LanczosFactorization(w, a)):
+            with pytest.raises(ConvergenceError) as failed:
+                spectral.solve_generalized(w, a, 5, factorization=factorization)
+            assert failed.value.worst_residual > 0
+            assert f"worst residual {failed.value.worst_residual:.3e}" in str(failed.value)
 
     def test_dimension_mismatch(self):
         w, _ = two_point_pair()
