@@ -152,13 +152,13 @@ def grow_basis_and_select(
     graph: manifold.AdjacencyGraph,
     caps: np.ndarray,
     n_targets,
-) -> dict[int, selection.FeatureSet]:
+) -> dict[int, selection.Picks]:
     """Select constituents for each target count from the smallest basis of
     ``spectral.growing_bases`` (EIGEN_BATCH more eigenpairs per step) whose
     features suffice.  Fatal once all n eigenpairs are exhausted."""
     bases = spectral.growing_bases(weights, mass, EIGEN_BATCH)
     basis = next(bases)
-    out: dict[int, selection.FeatureSet] = {}
+    out: dict[int, selection.Picks] = {}
     for n_target in sorted(n_targets):
         while True:
             try:
@@ -176,9 +176,6 @@ def cmd_select(cfg: PipelineConfig, quotes: marketdata.QuotePanel) -> list[Path]
     and write one constituent CSV per requested N."""
     if cfg.study_year is None:
         raise ParameterError("select needs --study-year")
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     rows = marketdata.calendar_from_quotes(quotes, cfg.study_year)
     frame = marketdata.build_market_frame(quotes, rows)
     for n_target in cfg.n_list:
@@ -190,6 +187,8 @@ def cmd_select(cfg: PipelineConfig, quotes: marketdata.QuotePanel) -> list[Path]
 
     graph, weights, mass = manifold.build_operator(frame.vectors, k=cfg.k, t=cfg.t, mode=cfg.mode)
     picks = grow_basis_and_select(weights, mass, graph, frame.caps, cfg.n_list)
+    outdir = Path(cfg.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     paths = []
     for n_target in cfg.n_list:
         path = outdir / f"constituents_{n_target:03d}.csv"
@@ -201,45 +200,33 @@ def cmd_select(cfg: PipelineConfig, quotes: marketdata.QuotePanel) -> list[Path]
 
 def cmd_index(cfg: PipelineConfig, quotes: marketdata.QuotePanel, constituent_files) -> list[Path]:
     """Compute the index series of the year after the study year for each
-    constituent CSV."""
+    constituent CSV, then write them all."""
     if cfg.study_year is None:
         raise ParameterError("index needs --study-year")
     target_year = cfg.study_year + 1
     outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     rows = marketdata.calendar_from_quotes(quotes, target_year)
     actions = indexcalc.read_actions_csv(cfg.actions) if cfg.actions else []
 
-    paths = []
-    for cfile in constituent_files:
-        cfile = Path(cfile)
+    written: dict[Path, tuple[Path, indexcalc.IndexSeries]] = {}  # output -> (list, series)
+    for cfile in map(Path, constituent_files):
+        stem = cfile.stem.replace("constituents", "index")
+        path = outdir / f"{stem}_{target_year}.csv"
+        if path in written:
+            raise ParameterError(f"constituent lists {written[path][0]} and {cfile} "
+                                 f"share the output name {path.name!r}")
         tickers = selection.read_constituents_csv(cfile)
         closes, shares = marketdata.index_inputs(quotes, rows, tickers)
         members = [indexcalc.Constituent(t, s) for t, s in zip(tickers, shares.tolist())]
-        series = indexcalc.compute_series(
+        written[path] = cfile, indexcalc.compute_series(
             quotes.dates[rows], closes, members, cfg.base_level, actions
         )
-        stem = cfile.stem.replace("constituents", "index")
-        path = outdir / f"{stem}_{target_year}.csv"
+
+    outdir.mkdir(parents=True, exist_ok=True)
+    for path, (_, series) in written.items():
         indexcalc.write_series_csv(path, series)
-        paths.append(path)
         _log(f"index: wrote {path}")
-    return paths
-
-
-def _split_years(series: indexcalc.IndexSeries) -> dict[int, indexcalc.IndexSeries]:
-    by_year: dict[int, list[int]] = {}
-    for i, date in enumerate(series.dates):
-        by_year.setdefault(date.year, []).append(i)
-    out = {}
-    for year, idx in by_year.items():
-        out[year] = indexcalc.IndexSeries(
-            dates=tuple(series.dates[i] for i in idx),
-            values=tuple(series.values[i] for i in idx),
-            divisors=tuple(series.divisors[i] for i in idx) if series.divisors else (),
-        )
-    return out
+    return list(written)
 
 
 def cmd_metrics(cfg: PipelineConfig, series_files) -> tuple[Path, Path]:
@@ -248,10 +235,6 @@ def cmd_metrics(cfg: PipelineConfig, series_files) -> tuple[Path, Path]:
     across series."""
     if cfg.benchmark is None:
         raise ParameterError("metrics needs --benchmark")
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    bench_years = _split_years(synth.read_benchmark_csv(cfg.benchmark))
-
     named: dict[str, Path] = {}  # a report names its series by the file's stem
     for sfile in sorted(Path(p) for p in series_files):
         if sfile.stem in named:
@@ -259,19 +242,25 @@ def cmd_metrics(cfg: PipelineConfig, series_files) -> tuple[Path, Path]:
                 f"series {named[sfile.stem]} and {sfile} share the name {sfile.stem!r}"
             )
         named[sfile.stem] = sfile
-    rows: list[tuple[str, int, metrics.MetricsReport]] = []
+    benchmark = synth.read_benchmark_csv(cfg.benchmark)
+    reports: list[tuple[str, int, dict[str, float]]] = []
     for name, sfile in named.items():
         series = indexcalc.read_series_csv(sfile)
-        for year, chunk in sorted(_split_years(series).items()):
-            if year not in bench_years:
+        for year in sorted({date.year for date in series.dates}):
+            bench_rows = marketdata.year_rows(benchmark.dates, year)
+            if bench_rows.start == bench_rows.stop:
                 raise ParameterError(f"benchmark has no dates for year {year} ({sfile})")
-            rows.append((name, year, metrics.evaluate(chunk, bench_years[year])))
+            chunk = series.rows(marketdata.year_rows(series.dates, year))
+            reports.append((name, year, metrics.evaluate(chunk, benchmark.rows(bench_rows))))
+    stability = metrics.stability_rows(reports)
 
+    outdir = Path(cfg.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     report_path = outdir / "metrics.csv"
-    metrics.write_reports_csv(report_path, rows)
+    metrics.write_reports_csv(report_path, reports)
     _log(f"metrics: wrote {report_path}")
     stability_path = outdir / "stability.csv"
-    metrics.write_stability_csv(stability_path, metrics.stability_rows(rows))
+    metrics.write_stability_csv(stability_path, stability)
     _log(f"metrics: wrote {stability_path}")
     return report_path, stability_path
 
@@ -299,6 +288,10 @@ def cmd_backtest(
     against the benchmark."""
     if cfg.benchmark is None:
         raise ParameterError("backtest needs --benchmark")
+    if start_year > end_year:
+        raise ParameterError(f"start year {start_year} is after end year {end_year}")
+    for year in range(start_year, end_year + 2):  # every study year and target year
+        marketdata.calendar_from_quotes(quotes, year)
     series_files: list[Path] = []
     for study_year in range(start_year, end_year + 1):
         year_cfg = replace(

@@ -80,21 +80,28 @@ class CorporateAction:
 
 @dataclass(frozen=True)
 class IndexSeries:
-    """Daily index levels, with the divisor that produced each level."""
+    """Daily index levels as a float64 array, with the divisor that produced
+    each level (None for a benchmark read without them)."""
 
     dates: tuple[dt.date, ...]
-    values: tuple[float, ...]
-    divisors: tuple[float, ...] = ()
+    values: np.ndarray
+    divisors: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.dates) != len(self.values):
             raise ParameterError("dates and values must have equal length")
-        if self.divisors and len(self.divisors) != len(self.dates):
-            raise ParameterError("divisors must be empty or match dates")
-        if not all(0 < v < math.inf for v in self.values + self.divisors):
+        if self.divisors is not None and len(self.divisors) != len(self.dates):
+            raise ParameterError("divisors must be None or match dates")
+        every = self.values if self.divisors is None else np.append(self.values, self.divisors)
+        if not np.all((every > 0) & (every < np.inf)):
             raise ParameterError("index levels and divisors must be finite and > 0")
         if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
             raise ParameterError("series dates must be strictly increasing")
+
+    def rows(self, span: slice) -> IndexSeries:
+        """The series on a slice of its dates."""
+        divisors = None if self.divisors is None else self.divisors[span]
+        return IndexSeries(self.dates[span], self.values[span], divisors)
 
 
 def index_value(prices, constituents: Sequence[Constituent], divisor: float):
@@ -239,26 +246,25 @@ def compute_series(
         block = _member_closes(closes, dates, start, end, columns, members)
         levels[start:end] = index_value(block, members, divisor)
         divisors[start:end] = divisor
-    return IndexSeries(
-        dates=tuple(dates), values=tuple(levels.tolist()), divisors=tuple(divisors.tolist())
-    )
+    return IndexSeries(dates=tuple(dates), values=levels, divisors=divisors)
 
 
 def write_series_csv(path, series: IndexSeries) -> None:
     """Export ``date,level,divisor`` rows."""
-    if not series.divisors:
+    if series.divisors is None:
         raise ParameterError("a series CSV needs the divisor of every date")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "level", "divisor"])
-        for date, level, div in zip(series.dates, series.values, series.divisors):
-            writer.writerow([date.isoformat(), repr(float(level)), repr(float(div))])
+        for date, level, div in zip(series.dates, series.values.tolist(),
+                                    series.divisors.tolist()):
+            writer.writerow([date.isoformat(), repr(level), repr(div)])
 
 
 def read_levels_csv(path, what: str, columns: tuple[str, ...]):
     """The dates and the ``columns`` of a ``date,<columns>`` file of ``what``
     rows: at least one row, dates strictly increasing, every value finite
-    and > 0.  Returns the dates and one tuple of values per column."""
+    and > 0.  Returns the dates and one float64 array of values per column."""
     dates, rows = [], []
     with open_text(path) as fh:
         reader = csv.DictReader(fh)
@@ -278,7 +284,7 @@ def read_levels_csv(path, what: str, columns: tuple[str, ...]):
             rows.append(values)
     if not dates:
         raise ParseError(path, None, f"no {what} rows")
-    return tuple(dates), tuple(zip(*rows))
+    return tuple(dates), np.array(rows).T
 
 
 def read_series_csv(path) -> IndexSeries:

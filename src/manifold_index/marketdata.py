@@ -520,12 +520,17 @@ def index_inputs(
     return complete_series(closes), shares
 
 
-def calendar_from_quotes(quotes: QuotePanel, year: int) -> slice:
-    """The rows of a quote panel quoted in one calendar year, a range of its
-    sorted dates."""
+def year_rows(dates, year: int) -> slice:
+    """The rows of ascending ``dates`` that fall in one calendar year, an
+    empty slice for a year outside them."""
     year_of = attrgetter("year")
-    rows = slice(bisect_left(quotes.dates, year, key=year_of),
-                 bisect_left(quotes.dates, year + 1, key=year_of))
+    return slice(bisect_left(dates, year, key=year_of), bisect_left(dates, year + 1, key=year_of))
+
+
+def calendar_from_quotes(quotes: QuotePanel, year: int) -> slice:
+    """The rows of a quote panel quoted in one calendar year (year_rows),
+    at least two."""
+    rows = year_rows(quotes.dates, year)
     if rows.stop - rows.start < 2:
         raise EmptyUniverseError(f"no trading dates found for year {year}")
     return rows

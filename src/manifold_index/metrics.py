@@ -9,7 +9,6 @@ variance are used throughout.  The default monthly risk-free rate is 0.2%.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,29 +26,18 @@ DEFAULT_RISK_FREE = 0.002
 BASELINES = {"pearson": 1.0, "alpha": 0.0, "beta": 1.0, "jensen_alpha": 0.0}
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    pearson: float
-    alpha: float
-    beta: float
-    jensen_alpha: float
-
-    def __post_init__(self):
-        if abs(self.pearson) > 1.0 + 1e-12:
-            raise UndefinedMetricError(f"pearson {self.pearson} outside [-1, 1]")
-
-
 def monthly_returns(series: IndexSeries) -> np.ndarray:
     """Month-over-month returns from last-trading-day-of-month levels; the
     first month is the baseline, not a return.  Every return must be finite
     and > -1."""
-    month_last: dict[tuple[int, int], float] = {}
-    for date, level in zip(series.dates, series.values):
-        month_last[(date.year, date.month)] = level  # dates ascending, last write wins
-    if len(month_last) < 2:
+    months = np.array([date.year * 12 + date.month for date in series.dates], dtype=np.int64)
+    # dates ascend, so a month's last row is the one before the month changes
+    month_ends = np.append(np.flatnonzero(months[1:] != months[:-1]), len(months) - 1)
+    if len(month_ends) < 2:
         raise InsufficientDataError("need at least 2 calendar months of levels")
-    closes = [month_last[k] for k in sorted(month_last)]
-    rets = np.array([(curr - prev) / prev for prev, curr in zip(closes, closes[1:])])
+    closes = series.values[month_ends]
+    with np.errstate(over="ignore"):  # an overflow is the inf rejected below
+        rets = (closes[1:] - closes[:-1]) / closes[:-1]
     if not np.all(np.isfinite(rets)) or np.any(rets <= -1.0):
         raise UndefinedMetricError("returns must be finite and > -1")
     return rets
@@ -69,7 +57,10 @@ def pearson(x, y) -> float:
     sy = float(np.sqrt(dy @ dy))
     if sx == 0.0 or sy == 0.0:
         raise UndefinedMetricError("pearson undefined for a constant series")
-    return float((dx @ dy) / (sx * sy))
+    rho = float((dx @ dy) / (sx * sy))
+    if abs(rho) > 1.0 + 1e-12:
+        raise UndefinedMetricError(f"pearson {rho} outside [-1, 1]")
+    return rho
 
 
 def alpha(index_returns, market_returns) -> float:
@@ -124,31 +115,32 @@ def mean_baseline_distance(values: Sequence[float], baseline: float) -> float:
     return float(np.abs(arr - baseline).mean())
 
 
-def evaluate(series: IndexSeries, benchmark: IndexSeries) -> MetricsReport:
-    """Full report for one index against a benchmark over identical dates."""
+def evaluate(series: IndexSeries, benchmark: IndexSeries) -> dict[str, float]:
+    """Report of one index against a benchmark over identical dates: each
+    metric of BASELINES by name, in that order."""
     if series.dates != benchmark.dates:
         raise AlignmentError("series and benchmark are not on the same trading dates")
     ri = monthly_returns(series)
     rm = monthly_returns(benchmark)
-    return MetricsReport(
-        pearson=pearson(series.values, benchmark.values),
-        alpha=alpha(ri, rm),
-        beta=beta(ri, rm),
-        jensen_alpha=jensen_alpha(ri, rm),
-    )
+    return {
+        "pearson": pearson(series.values, benchmark.values),
+        "alpha": alpha(ri, rm),
+        "beta": beta(ri, rm),
+        "jensen_alpha": jensen_alpha(ri, rm),
+    }
 
 
-def write_reports_csv(path, rows: Sequence[tuple[str, int, MetricsReport]]) -> None:
+def write_reports_csv(path, rows: Sequence[tuple[str, int, dict[str, float]]]) -> None:
     """Export ``index_name,year`` and each metric of BASELINES, one row per
     report."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index_name", "year", *BASELINES])
         for name, year, report in rows:
-            writer.writerow([name, year] + [repr(getattr(report, m)) for m in BASELINES])
+            writer.writerow([name, year] + [repr(report[m]) for m in BASELINES])
 
 
-def stability_rows(rows: Sequence[tuple[str, int, MetricsReport]]) -> list[tuple]:
+def stability_rows(rows: Sequence[tuple[str, int, dict[str, float]]]) -> list[tuple]:
     """Stability of each metric of BASELINES over ``(name, year, report)``
     rows, as ``(scope, name, metric, std, mean_baseline_distance)`` tuples.
 
@@ -160,21 +152,21 @@ def stability_rows(rows: Sequence[tuple[str, int, MetricsReport]]) -> list[tuple
     each year with at least 2 series: the std across those series, distance
     None.
     """
-    by_name: dict[str, list[MetricsReport]] = {}
-    by_year: dict[int, list[MetricsReport]] = {}
+    by_name: dict[str, list[dict[str, float]]] = {}
+    by_year: dict[int, list[dict[str, float]]] = {}
     for name, year, report in rows:
         by_name.setdefault(name.removesuffix(f"_{year}"), []).append(report)
         by_year.setdefault(year, []).append(report)
     out = []
     for name in sorted(by_name):
         for metric, baseline in BASELINES.items():
-            values = [getattr(r, metric) for r in by_name[name]]
+            values = [r[metric] for r in by_name[name]]
             std = stability_std(values) if len(values) >= 2 else None
             out.append(("index", name, metric, std, mean_baseline_distance(values, baseline)))
     for year in sorted(by_year):
         if len(by_year[year]) >= 2:
             for metric in BASELINES:
-                values = [getattr(r, metric) for r in by_year[year]]
+                values = [r[metric] for r in by_year[year]]
                 out.append(("year", str(year), metric, stability_std(values), None))
     return out
 

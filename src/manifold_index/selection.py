@@ -14,7 +14,6 @@ contributes little or nothing and needs no special-casing.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,21 +22,9 @@ from .manifold import AdjacencyGraph
 from .spectral import EigenBasis
 
 
-@dataclass
-class FeatureSet:
-    """Insertion-ordered feature points with first-seen provenance:
-    member index -> (eigenvector index, "max" | "min")."""
-
-    members: list[int] = field(default_factory=list)
-    provenance: dict[int, tuple[int, str]] = field(default_factory=dict)
-
-    def add(self, index: int, eigvec: int, kind: str) -> None:
-        if index not in self.provenance:
-            self.members.append(index)
-            self.provenance[index] = (eigvec, kind)
-
-    def __len__(self) -> int:
-        return len(self.members)
+# Selected points in pick order, each with where it was first seen:
+# member index -> (eigenvector index, "max" | "min").
+Picks = dict[int, tuple[int, str]]
 
 
 def detect_extrema(phi: np.ndarray, graph: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -58,7 +45,7 @@ def select_constituents(
     graph: AdjacencyGraph,
     n_target: int,
     caps: np.ndarray,
-) -> FeatureSet:
+) -> Picks:
     """Accumulate extrema over eigenvectors in ascending eigenvalue order,
     stop once the set holds at least ``n_target`` points, then trim the
     smallest-cap members (ties by ascending point index) down to exactly
@@ -73,35 +60,33 @@ def select_constituents(
     if len(caps) != graph.n:
         raise ParameterError(f"caps has length {len(caps)}, graph has {graph.n} points")
 
-    selected = FeatureSet()
+    picks: Picks = {}
     for vec_idx in range(basis.count):
         maxima, minima = detect_extrema(basis.vectors[:, vec_idx], graph)
         # pooled union in ascending index order, so the accumulated list is
         # invariant under sign flips of any eigenvector
         pooled = sorted([(int(i), "max") for i in maxima] + [(int(i), "min") for i in minima])
         for i, kind in pooled:
-            selected.add(i, vec_idx, kind)
-        if len(selected) >= n_target:
+            picks.setdefault(i, (vec_idx, kind))
+        if len(picks) >= n_target:
             break
     else:
-        raise InsufficientFeaturesError(len(selected), n_target)
+        raise InsufficientFeaturesError(len(picks), n_target)
 
-    if len(selected) > n_target:
-        doomed = sorted(selected.members, key=lambda i: (caps[i], i))
-        drop = set(doomed[: len(selected) - n_target])
-        selected.members = [i for i in selected.members if i not in drop]
-        selected.provenance = {i: selected.provenance[i] for i in selected.members}
-    return selected
+    if len(picks) > n_target:
+        doomed = sorted(picks, key=lambda i: (caps[i], i))
+        drop = set(doomed[: len(picks) - n_target])
+        picks = {i: source for i, source in picks.items() if i not in drop}
+    return picks
 
 
-def write_constituents_csv(path, selected: FeatureSet, tickers, caps) -> None:
+def write_constituents_csv(path, picks: Picks, tickers, caps) -> None:
     """Export ``rank,ticker,source_eigenvector,extremum_kind,market_cap``."""
     caps = np.asarray(caps, dtype=float)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "ticker", "source_eigenvector", "extremum_kind", "market_cap"])
-        for rank, idx in enumerate(selected.members, start=1):
-            eigvec, kind = selected.provenance[idx]
+        for rank, (idx, (eigvec, kind)) in enumerate(picks.items(), start=1):
             writer.writerow([rank, tickers[idx], eigvec, kind, repr(float(caps[idx]))])
 
 

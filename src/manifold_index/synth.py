@@ -113,11 +113,7 @@ def generate_market(config: SynthConfig) -> SyntheticMarket:
     base_level = 1000.0
     market_cap = prices @ shares
     divisor = market_cap[0] / base_level
-    benchmark = IndexSeries(
-        dates=dates,
-        values=tuple(float(v) for v in market_cap / divisor),
-        divisors=(float(divisor),) * n_days,
-    )
+    benchmark = IndexSeries(dates, market_cap / divisor, np.full(n_days, divisor))
     return SyntheticMarket(config=config, quotes=quotes, sectors=sectors, benchmark=benchmark)
 
 
@@ -140,7 +136,7 @@ def write_benchmark_csv(path, benchmark: IndexSeries) -> None:
     """Emit ``date,level`` rows."""
     with open(path, "w", newline="") as fh:
         fh.write("date,level\n")
-        for date, level in zip(benchmark.dates, benchmark.values):
+        for date, level in zip(benchmark.dates, benchmark.values.tolist()):
             fh.write(f"{date.isoformat()},{level!r}\n")
 
 

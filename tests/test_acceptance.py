@@ -133,7 +133,7 @@ def test_criterion_5_selection_replay_oracle():
                     selection.select_constituents(basis, graph, n_target, caps)
             else:
                 got = selection.select_constituents(basis, graph, n_target, caps)
-                assert got.members == expected
+                assert list(got) == expected
 
 
 def test_criterion_6_divisor_continuity():
@@ -205,7 +205,7 @@ def _pipeline_pearson(market, n_list, k=10):
     ]
     out = {}
     for n_target in n_list:
-        names = [frame.tickers[i] for i in picks[n_target].members]
+        names = [frame.tickers[i] for i in picks[n_target]]
         closes, shares = marketdata.index_inputs(market.quotes, target_rows, names)
         members = [indexcalc.Constituent(t, s) for t, s in zip(names, shares.tolist())]
         series = indexcalc.compute_series(

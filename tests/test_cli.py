@@ -1,7 +1,10 @@
 """CLI orchestration: artifacts, re-runnability, determinism, diagnostics."""
 
 import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -108,13 +111,14 @@ class TestSelectCommand:
     def test_n_larger_than_universe_fails(self, small_market, tmp_path, capsys):
         rc = run([
             "select", "--quotes", str(small_market / "quotes.csv"),
-            "--study-year", "2020", "--outdir", str(tmp_path),
+            "--study-year", "2020", "--outdir", str(tmp_path / "out"),
             "--n-list", "500",
         ])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1  # no progress line before the error
         assert err[0].startswith("error: requested N=500")
+        assert not (tmp_path / "out").exists()  # a failing select writes nothing
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +172,7 @@ class TestIndexAndMetrics:
 
         bench = synth.read_benchmark_csv(small_market / "benchmark.csv")
         bench_with_div = indexcalc.IndexSeries(
-            dates=bench.dates, values=bench.values, divisors=(1.0,) * len(bench.dates)
+            dates=bench.dates, values=bench.values, divisors=np.ones(len(bench.dates))
         )
         series_path = tmp_path / "self.csv"
         indexcalc.write_series_csv(series_path, bench_with_div)
@@ -191,7 +195,7 @@ class TestIndexAndMetrics:
         from manifold_index import indexcalc, synth
 
         other = indexcalc.IndexSeries(
-            dates=(dt.date(1999, 1, 4), dt.date(1999, 2, 5)), values=(1.0, 2.0)
+            dates=(dt.date(1999, 1, 4), dt.date(1999, 2, 5)), values=np.array([1.0, 2.0])
         )
         bench_path = tmp_path / "bench.csv"
         synth.write_benchmark_csv(bench_path, other)
@@ -338,6 +342,52 @@ class TestIndexAndMetrics:
         assert err[0].startswith("error: ") and paths[0] in err[0] and paths[1] in err[0]
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
+    def test_failing_index_writes_nothing(self, small_market, artifacts, tmp_path, capsys):
+        """The first list's series is computed, but not written, when the
+        second list names a ticker without quotes."""
+        bad = tmp_path / "constituents_zz.csv"
+        bad.write_text("rank,ticker\n1,NOPE\n")
+        rc = run([
+            "index", "--quotes", str(small_market / "quotes.csv"),
+            "--study-year", "2020", "--outdir", str(tmp_path / "out"),
+            "--constituents", str(artifacts / "constituents_005.csv"), str(bad),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: no price for NOPE on 2021-01-01"]
+        assert not (tmp_path / "out").exists()
+
+    def test_lists_sharing_an_output_name_rejected(
+        self, small_market, artifacts, tmp_path, capsys
+    ):
+        """Both lists would write index_005_2021.csv, the second over the first."""
+        paths = []
+        for run_dir in ("run_a", "run_b"):
+            path = tmp_path / run_dir / "constituents_005.csv"
+            path.parent.mkdir()
+            path.write_bytes((artifacts / "constituents_005.csv").read_bytes())
+            paths.append(str(path))
+        rc = run([
+            "index", "--quotes", str(small_market / "quotes.csv"), "--study-year", "2020",
+            "--outdir", str(tmp_path / "out"), "--constituents", *paths,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and paths[0] in err[0] and paths[1] in err[0]
+        assert "index_005_2021.csv" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_benchmark_writes_nothing(self, artifacts, tmp_path, capsys):
+        missing = tmp_path / "benchmark.csv"
+        rc = run([
+            "metrics", "--benchmark", str(missing), "--outdir", str(tmp_path / "out"),
+            "--series", str(artifacts / "index_005_2021.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(missing) in err[0]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("rows, line, names", [
         ("\n2021-03-01,S0001,bogus", 3, "bogus"),  # a blank line still counts
         ("2021-03-01,S0001", 2, "kind"),  # short row
@@ -375,6 +425,23 @@ class TestBacktest:
         assert (tmp_path / "metrics.csv").exists()
         assert (tmp_path / "stability.csv").exists()
 
+    @pytest.mark.parametrize("start, end, names", [
+        ("2021", "2020", "start year 2021 is after end year 2020"),
+        ("2020", "2021", "no trading dates found for year 2022"),  # 2021's target year
+    ], ids=["start-after-end", "target-year-without-quotes"])
+    def test_years_checked_before_any_stage(
+        self, small_market, tmp_path, capsys, start, end, names
+    ):
+        rc = run([
+            "backtest", "--quotes", str(small_market / "quotes.csv"),
+            "--benchmark", str(small_market / "benchmark.csv"),
+            "--outdir", str(tmp_path / "out"), "--k", "6", "--n-list", "5",
+            "--start-year", start, "--end-year", end,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {names}"]
+        assert not (tmp_path / "out").exists()
+
     def test_index_stability_spans_study_years(self, tmp_path):
         """scope=index rows join one list's series across target years."""
         import csv
@@ -409,8 +476,6 @@ class TestBacktest:
         """Recompute every report row from the emitted CSV artifacts alone."""
         import csv
         import datetime as dt
-
-        import numpy as np
 
         run([
             "backtest", "--quotes", str(small_market / "quotes.csv"),
@@ -472,9 +537,9 @@ class TestBatchedEigenGrowth:
         graph, w, a = manifold.build_operator(frame.vectors, k=6, mode="balanced")
         monkeypatch.setattr(cli, "EIGEN_BATCH", 1)
         picks = cli.grow_basis_and_select(w, a, graph, frame.caps, [12])
-        assert len(picks[12].members) == 12
+        assert len(picks[12]) == 12
         # provenance proves more than one eigenvector contributed
-        sources = {vec for vec, _ in picks[12].provenance.values()}
+        sources = {vec for vec, _ in picks[12].values()}
         assert max(sources) >= 1
 
     def test_growth_costs_one_solve_at_the_final_p(self, tmp_path, monkeypatch):
@@ -530,7 +595,7 @@ class TestBatchedEigenGrowth:
             except InsufficientFeaturesError:
                 continue
         assert p == ps[-1]
-        assert picks[140] == want
+        assert list(picks[140].items()) == list(want.items())
 
     def test_five_default_lists(self, tmp_path):
         """The default N list produces five constituent files."""
@@ -823,17 +888,29 @@ FUZZ_READERS = {
     "config": ("index", "metrics", "backtest"),
 }
 
+def listing(directory):
+    """Each path under ``directory`` with its bytes (None for a directory),
+    or None when ``directory`` does not exist."""
+    if not directory.exists():
+        return None
+    return {str(p.relative_to(directory)): None if p.is_dir() else p.read_bytes()
+            for p in directory.rglob("*")}
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(which=st.sampled_from(sorted(FUZZ_READERS)),
        mutations=st.lists(BYTE_MUTATION | ROW_MUTATION, min_size=1, max_size=3))
 def test_mutated_inputs_exit_cleanly(fuzz_inputs, tmp_path, capsys, which, mutations):
     """index, metrics and backtest end with exit 0, or exit 1 and one
-    ``error:`` line, whatever the mutations do to a file they read."""
+    ``error:`` line, whatever the mutations do to a file they read; index
+    and metrics leave ``--outdir`` as they found it when they exit 1."""
     paths = {name: fuzz_inputs / f"{name}.csv" for name in FUZZ_READERS}
     paths[which] = tmp_path / f"{which}.csv"
     paths[which].write_bytes(mutate((fuzz_inputs / f"{which}.csv").read_bytes(), mutations))
-    quotes, out = str(fuzz_inputs / "quotes.csv"), str(tmp_path / "out")
+    # examples share tmp_path, so each starts from its own, not yet created, --outdir
+    outdir = Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
+    quotes, out = str(fuzz_inputs / "quotes.csv"), str(outdir)
     argv = {
         "index": ["index", "--quotes", quotes, "--study-year", "2020",
                   "--actions", str(paths["actions"]), "--constituents", str(paths["constituents"])],
@@ -844,9 +921,12 @@ def test_mutated_inputs_exit_cleanly(fuzz_inputs, tmp_path, capsys, which, mutat
                      "--end-year", "2020"],
     }
     for command in FUZZ_READERS[which]:
+        before = listing(outdir)
         capsys.readouterr()
         rc = run(argv[command] + ["--config", str(paths["config"]), "--outdir", out])
         err = capsys.readouterr().err.splitlines()
         assert rc in (0, 1), command
         if rc == 1:
             assert len(err) == 1 and err[0].startswith("error: "), (command, err)
+            if command != "backtest":  # a failing index or metrics writes nothing
+                assert listing(outdir) == before, command

@@ -179,7 +179,7 @@ class TestComputeSeries:
         series = ic.compute_series(DAYS, closes, cons, 1000.0, actions)
         no_event = ic.compute_series(DAYS[:5], closes[:5], cons, 1000.0)
         # identical up to the event; continuous across it (prices static day 5)
-        assert series.values[:5] == no_event.values
+        assert np.array_equal(series.values[:5], no_event.values)
         assert series.values[5] == pytest.approx(series.values[4], rel=1e-10)
 
     def test_delisted_column_may_be_nan_after_delisting_only(self):
@@ -188,7 +188,10 @@ class TestComputeSeries:
         actions = [ic.CorporateAction("delisting", "B", DAYS[5])]
         filled = ic.compute_series(DAYS, closes, cons, 1000.0, actions)
         closes[6:, 1] = np.nan
-        assert ic.compute_series(DAYS, closes, cons, 1000.0, actions) == filled
+        again = ic.compute_series(DAYS, closes, cons, 1000.0, actions)
+        assert again.dates == filled.dates
+        assert np.array_equal(again.values, filled.values)
+        assert np.array_equal(again.divisors, filled.divisors)
         closes[5, 1] = np.nan
         with pytest.raises(MissingPriceError, match=r"B.*2021-01-09"):
             ic.compute_series(DAYS, closes, cons, 1000.0, actions)
@@ -285,8 +288,9 @@ class TestActionValidation:
     ((1000.0, 1001.0), (1.0, -1.0)),
 ])
 def test_series_levels_and_divisors_finite_and_positive(values, divisors):
+    divisors = np.array(divisors) if divisors else None  # () is a series without divisors
     with pytest.raises(ParameterError):
-        ic.IndexSeries(dates=tuple(DAYS[:2]), values=values, divisors=divisors)
+        ic.IndexSeries(dates=tuple(DAYS[:2]), values=np.array(values), divisors=divisors)
 
 
 def test_series_csv_roundtrip(tmp_path):
@@ -297,8 +301,8 @@ def test_series_csv_roundtrip(tmp_path):
     ic.write_series_csv(path, series)
     back = ic.read_series_csv(path)
     assert back.dates == series.dates
-    assert back.values == series.values
-    assert back.divisors == series.divisors
+    assert np.array_equal(back.values, series.values)
+    assert np.array_equal(back.divisors, series.divisors)
 
 
 def test_actions_csv(tmp_path):
@@ -385,5 +389,5 @@ def test_segment_valuation_equals_per_day_python_sum(inputs):
     dates, closes, cons, actions = inputs
     series = ic.compute_series(dates, closes, cons, 1000.0, actions)
     levels, divisors = replay_series(dates, closes, cons, 1000.0, actions)
-    assert series.values == levels
-    assert series.divisors == divisors
+    assert np.array_equal(series.values, levels)
+    assert np.array_equal(series.divisors, divisors)

@@ -379,6 +379,17 @@ class TestCalendarFromQuotes:
             assert quotes.dates[md.calendar_from_quotes(quotes, year)] == want
 
 
+@given(st.lists(st.dates(dt.date(2017, 1, 1), dt.date(2023, 12, 31)), max_size=40, unique=True),
+       st.integers(2015, 2025))
+def test_year_rows_are_a_per_date_filter(dates, year):
+    """year_rows equals filtering the dates one by one, for years before,
+    inside and after them and for no dates at all."""
+    dates = tuple(sorted(dates))
+    rows = md.year_rows(dates, year)
+    assert list(range(len(dates)))[rows] == [i for i, d in enumerate(dates) if d.year == year]
+    assert 0 <= rows.start <= rows.stop <= len(dates)
+
+
 # ---------------------------------------------------------------------------
 # load_quotes against a plain per-row reference on random files
 

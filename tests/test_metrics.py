@@ -18,7 +18,7 @@ from manifold_index.errors import (
 
 
 def series_on(dates, values):
-    return IndexSeries(dates=tuple(dates), values=tuple(values))
+    return IndexSeries(dates=tuple(dates), values=np.array(values, dtype=float))
 
 
 def month_days(year, month, n=3):
@@ -57,6 +57,47 @@ class TestMonthlyReturns:
         dates = [dt.date(2021, 1, 4), dt.date(2021, 1, 29), dt.date(2021, 2, 26)]
         rets = metrics.monthly_returns(series_on(dates, [500.0, 1000.0, 1200.0]))
         assert rets.tolist() == pytest.approx([0.2])
+
+
+def monthly_returns_per_date(series):
+    """The per-date reference for monthly_returns: the last level of each
+    calendar month, kept in a dict as the dates are walked, and one Python
+    float return per month pair."""
+    month_last = {}
+    for date, level in zip(series.dates, series.values.tolist()):
+        month_last[(date.year, date.month)] = level  # dates ascending, last write wins
+    if len(month_last) < 2:
+        raise InsufficientDataError("need at least 2 calendar months of levels")
+    closes = [month_last[k] for k in sorted(month_last)]
+    rets = np.array([(curr - prev) / prev for prev, curr in zip(closes, closes[1:])])
+    if not np.all(np.isfinite(rets)) or np.any(rets <= -1.0):
+        raise UndefinedMetricError("returns must be finite and > -1")
+    return rets
+
+
+@st.composite
+def level_series(draw):
+    """Levels on dates drawn as (month, day) pairs over 2019-2021: skipped
+    months leave gaps, a month drawn once has one trading day, and the
+    months cross two year boundaries.  Levels span the whole positive float
+    range, so some returns overflow or round to -1."""
+    days = draw(st.lists(st.tuples(st.integers(0, 35), st.integers(1, 28)),
+                         max_size=30, unique=True))
+    dates = sorted(dt.date(2019 + m // 12, m % 12 + 1, d) for m, d in days)
+    level = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    return series_on(dates, draw(st.lists(level, min_size=len(dates), max_size=len(dates))))
+
+
+@given(level_series())
+def test_monthly_returns_equal_the_per_date_reference(series):
+    try:
+        want = monthly_returns_per_date(series)
+    except (InsufficientDataError, UndefinedMetricError) as exc:
+        with pytest.raises(type(exc)):
+            metrics.monthly_returns(series)
+    else:
+        got = metrics.monthly_returns(series)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestPearson:
@@ -207,10 +248,10 @@ class TestEvaluate:
         values = [1000 * (1 + 0.01 * i) for i in range(len(dates))]
         bench = series_on(dates, values)
         report = metrics.evaluate(bench, bench)
-        assert report.pearson == pytest.approx(1.0, abs=1e-12)
-        assert report.alpha == 0.0
-        assert report.beta == pytest.approx(1.0, abs=1e-12)
-        assert report.jensen_alpha == pytest.approx(0.0, abs=1e-12)
+        assert report["pearson"] == pytest.approx(1.0, abs=1e-12)
+        assert report["alpha"] == 0.0
+        assert report["beta"] == pytest.approx(1.0, abs=1e-12)
+        assert report["jensen_alpha"] == pytest.approx(0.0, abs=1e-12)
 
     def test_disjoint_dates_rejected(self):
         d1 = month_days(2021, 1) + month_days(2021, 2)
@@ -222,7 +263,7 @@ class TestEvaluate:
 
 
 def test_report_csv_writers(tmp_path):
-    report = metrics.MetricsReport(0.99, 0.001, 1.02, -0.0005)
+    report = {"pearson": 0.99, "alpha": 0.001, "beta": 1.02, "jensen_alpha": -0.0005}
     path = tmp_path / "metrics.csv"
     metrics.write_reports_csv(path, [("idx_a", 2021, report)])
     lines = path.read_text().splitlines()
@@ -258,7 +299,7 @@ def report_tables(draw):
             if draw(st.booleans()):
                 name = base if base in ("custom", "spread_2019") else f"{base}_{year}"
                 values = draw(st.tuples(*[METRIC_VALUE] * len(metrics.BASELINES)))
-                rows.append((name, year, metrics.MetricsReport(*values)))
+                rows.append((name, year, dict(zip(metrics.BASELINES, values))))
     return draw(st.permutations(rows))
 
 
@@ -272,12 +313,12 @@ def stability_reference(rows):
     want = []
     for index in sorted(by_index):
         for metric, baseline in metrics.BASELINES.items():
-            v = np.array([getattr(r, metric) for r in by_index[index]])
+            v = np.array([r[metric] for r in by_index[index]])
             std = float(np.std(v, ddof=1)) if len(v) > 1 else None
             want.append(("index", index, metric, std, float(np.mean(np.abs(v - baseline)))))
     for year in sorted(by_year):
         for metric in metrics.BASELINES:
-            v = np.array([getattr(r, metric) for r in by_year[year]])
+            v = np.array([r[metric] for r in by_year[year]])
             if len(v) > 1:
                 want.append(("year", str(year), metric, float(np.std(v, ddof=1)), None))
     return want

@@ -122,7 +122,7 @@ class TestSelectConstituents:
         picked = selection.select_constituents(
             fake_basis(phi[:, None]), graph, n_target, caps=np.ones(5)
         )
-        assert sorted(picked.members) == sorted(ma.tolist() + mi.tolist())
+        assert sorted(picked) == sorted(ma.tolist() + mi.tolist())
 
     def test_trimming_removes_smallest_caps(self):
         graph = chain_graph(6)
@@ -133,7 +133,7 @@ class TestSelectConstituents:
         n_target = len(pool) - 2
         picked = selection.select_constituents(fake_basis(phi[:, None]), graph, n_target, caps)
         doomed = sorted(pool, key=lambda i: (caps[i], i))[:2]
-        assert sorted(picked.members) == sorted(set(pool) - set(doomed))
+        assert sorted(picked) == sorted(set(pool) - set(doomed))
 
     def test_insufficient_features_names_counts(self):
         # a constant eigenvector contributes nothing under strict comparison
@@ -153,21 +153,21 @@ class TestSelectConstituents:
             flip = np.where(rng.uniform(size=5) < 0.5, -1.0, 1.0)
             a = selection.select_constituents(fake_basis(vectors), graph, 8, caps)
             b = selection.select_constituents(fake_basis(vectors * flip), graph, 8, caps)
-            assert a.members == b.members
+            assert list(a) == list(b)
 
     def test_member_counted_once_with_first_seen_provenance(self):
         graph = chain_graph(5)
         phi = np.array([0.0, 1.0, 0.0, 2.0, 0.5])
         vectors = np.column_stack([phi, phi])  # same features twice
         picked = selection.select_constituents(fake_basis(vectors), graph, 4, np.ones(5))
-        assert len(picked.members) == len(set(picked.members)) == 4
-        assert all(vec == 0 for vec, _ in picked.provenance.values())
+        assert len(picked) == 4  # a dict holds each member once
+        assert all(vec == 0 for vec, _ in picked.values())
 
     def test_provenance_eigvec_indices_nondecreasing(self, rng):
         graph = manifold.knn_graph(rng.standard_normal((40, 3)), 4)
         vectors = rng.standard_normal((40, 8))
         picked = selection.select_constituents(fake_basis(vectors), graph, 25, rng.uniform(1, 9, 40))
-        sources = [picked.provenance[i][0] for i in picked.members]
+        sources = [picked[i][0] for i in picked]
         assert sources == sorted(sources)
 
     def test_deterministic(self, rng):
@@ -176,7 +176,7 @@ class TestSelectConstituents:
         caps = rng.uniform(1, 100, 30)
         a = selection.select_constituents(fake_basis(vectors), graph, 10, caps)
         b = selection.select_constituents(fake_basis(vectors), graph, 10, caps)
-        assert a.members == b.members and a.provenance == b.provenance
+        assert list(a.items()) == list(b.items())
 
     def test_matches_replay_oracle(self, rng):
         for _ in range(25):
@@ -193,7 +193,7 @@ class TestSelectConstituents:
                     selection.select_constituents(fake_basis(vectors), graph, n_target, caps)
             else:
                 picked = selection.select_constituents(fake_basis(vectors), graph, n_target, caps)
-                assert picked.members == expected
+                assert list(picked) == expected
 
     def test_bad_target(self):
         graph = chain_graph(3)
@@ -233,6 +233,6 @@ def test_constituents_csv_roundtrip(tmp_path, rng):
     tickers = [f"T{i:02d}" for i in range(20)]
     path = tmp_path / "constituents.csv"
     selection.write_constituents_csv(path, picked, tickers, caps)
-    assert selection.read_constituents_csv(path) == [tickers[i] for i in picked.members]
+    assert selection.read_constituents_csv(path) == [tickers[i] for i in picked]
     header = path.read_text().splitlines()[0]
     assert header == "rank,ticker,source_eigenvector,extremum_kind,market_cap"

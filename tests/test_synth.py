@@ -20,7 +20,7 @@ class TestDeterminism:
         a = synth.generate_market(small_config())
         b = synth.generate_market(small_config())
         assert a.dates == b.dates
-        assert a.benchmark.values == b.benchmark.values
+        assert a.benchmark.values.tobytes() == b.benchmark.values.tobytes()
         assert a.quotes.tickers == b.quotes.tickers
         assert a.quotes.close.tobytes() == b.quotes.close.tobytes()
         assert a.quotes.shares.tobytes() == b.quotes.shares.tobytes()
@@ -28,7 +28,7 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         a = synth.generate_market(small_config(seed=1))
         b = synth.generate_market(small_config(seed=2))
-        assert a.benchmark.values != b.benchmark.values
+        assert not np.array_equal(a.benchmark.values, b.benchmark.values)
 
     def test_csv_emission_is_stable(self, tmp_path):
         market = synth.generate_market(small_config())
@@ -136,4 +136,4 @@ def test_benchmark_csv_roundtrip(tmp_path):
     synth.write_benchmark_csv(path, market.benchmark)
     back = synth.read_benchmark_csv(path)
     assert back.dates == market.benchmark.dates
-    assert back.values == market.benchmark.values
+    assert np.array_equal(back.values, market.benchmark.values)
