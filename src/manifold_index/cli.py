@@ -13,9 +13,11 @@ Subcommands:
 
 Configuration is a flat ``key=value`` file ('#' starts a comment) whose keys
 are the PipelineConfig fields; a command's flags are the fields it reads, and
-any flag given on the command line overrides the file.  Stages communicate
-through CSV artifacts only, so each can be re-run from the previous stage's
-output.  Exit code is 0 on success; failures, usage errors included, print
+any flag given on the command line overrides the file.  The stage commands
+communicate through CSV artifacts, so each can be re-run from the previous
+stage's output; backtest hands them on in memory.  A command writes its
+files only once it has computed all of them, so a failing command writes
+nothing.  Exit code is 0 on success; failures, usage errors included, print
 one diagnostic line to stderr and exit 1.
 """
 
@@ -26,7 +28,9 @@ import contextlib
 import io
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +46,11 @@ from .errors import (
 DEFAULT_N_LIST = (50, 100, 150, 180, 380)
 EIGEN_BATCH = 32  # eigenpairs added to the basis per growth step
 
+# The files a command will write: output path -> (stage, function writing it there).
+Writes = dict[Path, tuple[str, Callable[[Path], None]]]
+
 _SELECTING = ("select", "backtest")
+_REQUIRED = ("quotes", "benchmark", "study_year")  # every command reading these needs a value
 
 
 def _parse_t(text: str) -> float | None:
@@ -171,11 +179,12 @@ def grow_basis_and_select(
     return out
 
 
-def cmd_select(cfg: PipelineConfig, quotes: marketdata.QuotePanel) -> list[Path]:
-    """Run marketdata -> manifold -> spectral -> selection for the study year
-    and write one constituent CSV per requested N."""
-    if cfg.study_year is None:
-        raise ParameterError("select needs --study-year")
+def cmd_select(
+    cfg: PipelineConfig, quotes: marketdata.QuotePanel, writes: Writes
+) -> dict[Path, list[str]]:
+    """Run marketdata -> manifold -> spectral -> selection for the study year.
+    Adds one constituent CSV per requested N to ``writes`` and returns each
+    CSV's tickers in rank order."""
     rows = marketdata.calendar_from_quotes(quotes, cfg.study_year)
     frame = marketdata.build_market_frame(quotes, rows)
     for n_target in cfg.n_list:
@@ -187,56 +196,55 @@ def cmd_select(cfg: PipelineConfig, quotes: marketdata.QuotePanel) -> list[Path]
 
     graph, weights, mass = manifold.build_operator(frame.vectors, k=cfg.k, t=cfg.t, mode=cfg.mode)
     picks = grow_basis_and_select(weights, mass, graph, frame.caps, cfg.n_list)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
+    lists = {}
     for n_target in cfg.n_list:
-        path = outdir / f"constituents_{n_target:03d}.csv"
-        selection.write_constituents_csv(path, picks[n_target], frame.tickers, frame.caps)
-        paths.append(path)
-        _log(f"select: wrote {path}")
-    return paths
+        path = Path(cfg.outdir) / f"constituents_{n_target:03d}.csv"
+        writes[path] = "select", partial(
+            selection.write_constituents_csv,
+            picks=picks[n_target], tickers=frame.tickers, caps=frame.caps,
+        )
+        lists[path] = [frame.tickers[i] for i in picks[n_target]]
+    return lists
 
 
-def cmd_index(cfg: PipelineConfig, quotes: marketdata.QuotePanel, constituent_files) -> list[Path]:
+def cmd_index(
+    cfg: PipelineConfig, quotes: marketdata.QuotePanel, lists: dict[Path, list[str]],
+    writes: Writes,
+) -> dict[Path, indexcalc.IndexSeries]:
     """Compute the index series of the year after the study year for each
-    constituent CSV, then write them all."""
-    if cfg.study_year is None:
-        raise ParameterError("index needs --study-year")
+    constituent list (its CSV's path -> tickers).  Adds one series CSV per
+    list to ``writes`` and returns the series by output path."""
     target_year = cfg.study_year + 1
-    outdir = Path(cfg.outdir)
     rows = marketdata.calendar_from_quotes(quotes, target_year)
     actions = indexcalc.read_actions_csv(cfg.actions) if cfg.actions else []
 
-    written: dict[Path, tuple[Path, indexcalc.IndexSeries]] = {}  # output -> (list, series)
-    for cfile in map(Path, constituent_files):
+    sources: dict[Path, Path] = {}  # output -> the list it values
+    out: dict[Path, indexcalc.IndexSeries] = {}
+    for cfile, tickers in lists.items():
         stem = cfile.stem.replace("constituents", "index")
-        path = outdir / f"{stem}_{target_year}.csv"
-        if path in written:
-            raise ParameterError(f"constituent lists {written[path][0]} and {cfile} "
+        path = Path(cfg.outdir) / f"{stem}_{target_year}.csv"
+        if path in sources:
+            raise ParameterError(f"constituent lists {sources[path]} and {cfile} "
                                  f"share the output name {path.name!r}")
-        tickers = selection.read_constituents_csv(cfile)
+        sources[path] = cfile
         closes, shares = marketdata.index_inputs(quotes, rows, tickers)
         members = [indexcalc.Constituent(t, s) for t, s in zip(tickers, shares.tolist())]
-        written[path] = cfile, indexcalc.compute_series(
+        out[path] = indexcalc.compute_series(
             quotes.dates[rows], closes, members, cfg.base_level, actions
         )
-
-    outdir.mkdir(parents=True, exist_ok=True)
-    for path, (_, series) in written.items():
-        indexcalc.write_series_csv(path, series)
-        _log(f"index: wrote {path}")
-    return list(written)
+        writes[path] = "index", partial(indexcalc.write_series_csv, series=out[path])
+    return out
 
 
-def cmd_metrics(cfg: PipelineConfig, series_files) -> tuple[Path, Path]:
-    """Evaluate each series CSV against the benchmark, one report row per
-    index per calendar year, then summarize stability across years and
-    across series."""
-    if cfg.benchmark is None:
-        raise ParameterError("metrics needs --benchmark")
+def cmd_metrics(
+    cfg: PipelineConfig, series: dict[Path, indexcalc.IndexSeries], writes: Writes
+) -> tuple[Path, Path]:
+    """Evaluate each series (its CSV's path -> series) against the benchmark,
+    one report row per index per calendar year, then summarize stability
+    across years and across series.  Adds metrics.csv and stability.csv to
+    ``writes``."""
     named: dict[str, Path] = {}  # a report names its series by the file's stem
-    for sfile in sorted(Path(p) for p in series_files):
+    for sfile in sorted(series):
         if sfile.stem in named:
             raise ParameterError(
                 f"series {named[sfile.stem]} and {sfile} share the name {sfile.stem!r}"
@@ -245,23 +253,20 @@ def cmd_metrics(cfg: PipelineConfig, series_files) -> tuple[Path, Path]:
     benchmark = synth.read_benchmark_csv(cfg.benchmark)
     reports: list[tuple[str, int, dict[str, float]]] = []
     for name, sfile in named.items():
-        series = indexcalc.read_series_csv(sfile)
-        for year in sorted({date.year for date in series.dates}):
+        one = series[sfile]
+        for year in sorted({date.year for date in one.dates}):
             bench_rows = marketdata.year_rows(benchmark.dates, year)
             if bench_rows.start == bench_rows.stop:
                 raise ParameterError(f"benchmark has no dates for year {year} ({sfile})")
-            chunk = series.rows(marketdata.year_rows(series.dates, year))
+            chunk = one.rows(marketdata.year_rows(one.dates, year))
             reports.append((name, year, metrics.evaluate(chunk, benchmark.rows(bench_rows))))
-    stability = metrics.stability_rows(reports)
 
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    report_path = outdir / "metrics.csv"
-    metrics.write_reports_csv(report_path, reports)
-    _log(f"metrics: wrote {report_path}")
-    stability_path = outdir / "stability.csv"
-    metrics.write_stability_csv(stability_path, stability)
-    _log(f"metrics: wrote {stability_path}")
+    report_path = Path(cfg.outdir) / "metrics.csv"
+    stability_path = Path(cfg.outdir) / "stability.csv"
+    writes[report_path] = "metrics", partial(metrics.write_reports_csv, rows=reports)
+    writes[stability_path] = "metrics", partial(
+        metrics.write_stability_csv, rows=metrics.stability_rows(reports)
+    )
     return report_path, stability_path
 
 
@@ -281,25 +286,32 @@ def cmd_synth(args) -> tuple[Path, Path]:
 
 
 def cmd_backtest(
-    cfg: PipelineConfig, quotes: marketdata.QuotePanel, start_year: int, end_year: int
+    cfg: PipelineConfig, quotes: marketdata.QuotePanel, start_year: int, end_year: int,
+    writes: Writes,
 ) -> tuple[Path, Path]:
     """Annual refresh loop: for each study year in [start, end], select
     constituents and compute the next year's index, then evaluate all series
-    against the benchmark."""
-    if cfg.benchmark is None:
-        raise ParameterError("backtest needs --benchmark")
+    against the benchmark.  Every stage's files go to ``writes``, so nothing
+    is written unless the whole loop succeeds."""
     if start_year > end_year:
         raise ParameterError(f"start year {start_year} is after end year {end_year}")
     for year in range(start_year, end_year + 2):  # every study year and target year
         marketdata.calendar_from_quotes(quotes, year)
-    series_files: list[Path] = []
+    series: dict[Path, indexcalc.IndexSeries] = {}
     for study_year in range(start_year, end_year + 1):
         year_cfg = replace(
             cfg, study_year=study_year, outdir=str(Path(cfg.outdir) / str(study_year))
         )
-        constituent_files = cmd_select(year_cfg, quotes)
-        series_files.extend(cmd_index(year_cfg, quotes, constituent_files))
-    return cmd_metrics(cfg, series_files)
+        series.update(cmd_index(year_cfg, quotes, cmd_select(year_cfg, quotes, writes), writes))
+    return cmd_metrics(cfg, series, writes)
+
+
+def write_all(writes: Writes) -> None:
+    """Write each file of ``writes`` in order, creating its directory."""
+    for path, (stage, write) in writes.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+        _log(f"{stage}: wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,24 +362,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_each(files, read) -> dict:
+    """``read`` of each named file, by path; a file named twice is an error."""
+    out = {}
+    for path in map(Path, files):
+        if path in out:
+            raise ParameterError(f"{path} is named twice")
+        out[path] = read(path)
+    return out
+
+
 def _dispatch(args: argparse.Namespace) -> None:
     if args.command == "synth":
         cmd_synth(args)
         return
     cfg = _config_from_args(args)
+    for f in fields(PipelineConfig):
+        needed = f.name in _REQUIRED and args.command in f.metadata["commands"]
+        if needed and getattr(cfg, f.name) is None:
+            raise ParameterError(f"{args.command} needs {_flag(f.name)}")
+    writes: Writes = {}
     if args.command == "metrics":
-        cmd_metrics(cfg, args.series)
-        return
-    if cfg.quotes is None:
-        raise ParameterError(f"{args.command} needs --quotes")
-    # parsed once, however many years the command covers
-    quotes = marketdata.load_quotes(cfg.quotes)
-    if args.command == "select":
-        cmd_select(cfg, quotes)
-    elif args.command == "index":
-        cmd_index(cfg, quotes, args.constituents)
+        cmd_metrics(cfg, _read_each(args.series, indexcalc.read_series_csv), writes)
     else:
-        cmd_backtest(cfg, quotes, args.start_year, args.end_year)
+        # parsed once, however many years the command covers
+        quotes = marketdata.load_quotes(cfg.quotes)
+        if args.command == "select":
+            cmd_select(cfg, quotes, writes)
+        elif args.command == "index":
+            lists = _read_each(args.constituents, selection.read_constituents_csv)
+            cmd_index(cfg, quotes, lists, writes)
+        else:
+            cmd_backtest(cfg, quotes, args.start_year, args.end_year, writes)
+    # every input is read and every artifact computed before the first write
+    write_all(writes)
 
 
 def main(argv=None) -> int:

@@ -119,7 +119,7 @@ def generate_market(config: SynthConfig) -> SyntheticMarket:
 
 def write_quotes_csv(path, market: SyntheticMarket) -> None:
     """Emit the quote schema the loader consumes: date,ticker,close,shares_issued,
-    one row per ticker-day, ticker by ticker."""
+    one row per ticker-day, ticker by ticker, each ticker's rows written at once."""
     quotes = market.quotes
     dates = [d.isoformat() for d in quotes.dates]
     with open(path, "w", newline="") as fh:
@@ -127,9 +127,18 @@ def write_quotes_csv(path, market: SyntheticMarket) -> None:
         for j, ticker in enumerate(quotes.tickers):
             # tolist() yields Python floats: their repr is the shortest exact
             # form, with no NumPy scalar type name around it
-            columns = zip(dates, quotes.close[:, j].tolist(), quotes.shares[:, j].tolist())
-            for date, close, shares in columns:
-                fh.write(f"{date},{ticker},{close!r},{shares!r}\n")
+            closes = map(repr, quotes.close[:, j].tolist())
+            # a ticker's shares mostly repeat: format each distinct bit
+            # pattern once (bits, not ==, so -0.0 and 0.0 keep their texts)
+            shares = quotes.shares[:, j]
+            _, first, inverse = np.unique(
+                shares.view(np.int64), return_index=True, return_inverse=True
+            )
+            texts = [repr(v) for v in shares[first].tolist()]
+            fh.write("".join(
+                f"{date},{ticker},{close},{texts[s]}\n"
+                for date, close, s in zip(dates, closes, inverse.tolist())
+            ))
 
 
 def write_benchmark_csv(path, benchmark: IndexSeries) -> None:

@@ -257,9 +257,11 @@ def test_criterion_9_desk_scale_runtime(tmp_path):
             n_list=(380,),
         )
         quotes = marketdata.load_quotes(quotes_path)
-        constituent_files = cli.cmd_select(cfg, quotes)
-        series_files = cli.cmd_index(cfg, quotes, constituent_files)
-        report_path, stability_path = cli.cmd_metrics(cfg, series_files)
+        writes: cli.Writes = {}
+        lists = cli.cmd_select(cfg, quotes, writes)
+        series = cli.cmd_index(cfg, quotes, lists, writes)
+        report_path, stability_path = cli.cmd_metrics(cfg, series, writes)
+        cli.write_all(writes)
         assert report_path.exists() and stability_path.exists()
         assert len(report_path.read_text().splitlines()) == 2
         elapsed = time.perf_counter() - start

@@ -1,6 +1,9 @@
 """CLI orchestration: artifacts, re-runnability, determinism, diagnostics."""
 
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -441,6 +444,34 @@ class TestBacktest:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {names}"]
         assert not (tmp_path / "out").exists()
+
+    def test_failing_last_year_writes_nothing(self, tmp_path, capsys):
+        """Both study years are selected and indexed before the benchmark is
+        found to lack the last target year; no file of theirs is written,
+        and files already in --outdir keep their bytes."""
+        assert run([
+            "synth", "--outdir", str(tmp_path), "--seed", "9",
+            "--n-stocks", "60", "--m-days", "65", "--n-sectors", "4", "--n-years", "3",
+        ]) == 0
+        lines = (tmp_path / "benchmark.csv").read_text().splitlines(keepends=True)
+        cut = tmp_path / "benchmark_cut.csv"
+        cut.write_text("".join(line for line in lines if not line.startswith("2022-")))
+        out = tmp_path / "out"
+        (out / "2020").mkdir(parents=True)
+        (out / "2020" / "constituents_005.csv").write_text("rank,ticker\n1,OLD\n")
+        (out / "metrics.csv").write_text("old\n")
+        before = listing(out)
+        capsys.readouterr()
+        rc = run([
+            "backtest", "--quotes", str(tmp_path / "quotes.csv"), "--benchmark", str(cut),
+            "--outdir", str(out), "--k", "6", "--n-list", "5",
+            "--start-year", "2020", "--end-year", "2021",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: benchmark has no dates for year 2022 ({out / '2021' / 'index_005_2022.csv'})"
+        ]
+        assert listing(out) == before
 
     def test_index_stability_spans_study_years(self, tmp_path):
         """scope=index rows join one list's series across target years."""
@@ -903,8 +934,8 @@ def listing(directory):
        mutations=st.lists(BYTE_MUTATION | ROW_MUTATION, min_size=1, max_size=3))
 def test_mutated_inputs_exit_cleanly(fuzz_inputs, tmp_path, capsys, which, mutations):
     """index, metrics and backtest end with exit 0, or exit 1 and one
-    ``error:`` line, whatever the mutations do to a file they read; index
-    and metrics leave ``--outdir`` as they found it when they exit 1."""
+    ``error:`` line, whatever the mutations do to a file they read, and
+    leave ``--outdir`` as they found it when they exit 1."""
     paths = {name: fuzz_inputs / f"{name}.csv" for name in FUZZ_READERS}
     paths[which] = tmp_path / f"{which}.csv"
     paths[which].write_bytes(mutate((fuzz_inputs / f"{which}.csv").read_bytes(), mutations))
@@ -928,5 +959,30 @@ def test_mutated_inputs_exit_cleanly(fuzz_inputs, tmp_path, capsys, which, mutat
         assert rc in (0, 1), command
         if rc == 1:
             assert len(err) == 1 and err[0].startswith("error: "), (command, err)
-            if command != "backtest":  # a failing index or metrics writes nothing
-                assert listing(outdir) == before, command
+            assert listing(outdir) == before, command  # a failing command writes nothing
+
+
+def test_commands_without_an_operator_do_not_import_scipy(small_market, artifacts, tmp_path):
+    """SciPy is imported by the operator build and the eigensolver alone, so
+    synth, index and metrics runs never load it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    script = (
+        "import sys\n"
+        "from manifold_index import cli\n"
+        "rc = cli.main(sys.argv[1:])\n"
+        "print(rc, 'scipy' in sys.modules)\n"
+    )
+    quotes = str(small_market / "quotes.csv")
+    commands = [
+        ["synth", "--outdir", str(tmp_path / "synth"), "--n-stocks", "20", "--m-days", "30",
+         "--n-sectors", "2"],
+        ["index", "--quotes", quotes, "--study-year", "2020", "--outdir", str(tmp_path),
+         "--constituents", str(artifacts / "constituents_005.csv")],
+        ["metrics", "--benchmark", str(small_market / "benchmark.csv"),
+         "--outdir", str(tmp_path), "--series", str(tmp_path / "index_005_2021.csv")],
+    ]
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["0", "False"], (argv, done.stderr)

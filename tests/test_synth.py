@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from manifold_index import indexcalc, marketdata, metrics, synth
 from manifold_index.errors import ParameterError
@@ -55,6 +57,69 @@ class TestDeterminism:
         assert back.tickers == market.quotes.tickers
         assert back.close.tobytes() == market.quotes.close.tobytes()
         assert back.shares.tobytes() == market.quotes.shares.tobytes()
+
+
+def per_row_quotes_text(market) -> str:
+    """The quote file as a plain per-row loop writes it: the reference the
+    column-at-a-time writer must match byte for byte."""
+    quotes = market.quotes
+    dates = [d.isoformat() for d in quotes.dates]
+    out = ["date,ticker,close,shares_issued\n"]
+    for j, ticker in enumerate(quotes.tickers):
+        columns = zip(dates, quotes.close[:, j].tolist(), quotes.shares[:, j].tolist())
+        for date, close, shares in columns:
+            out.append(f"{date},{ticker},{close!r},{shares!r}\n")
+    return "".join(out)
+
+
+SUBNORMAL = 5e-324
+CLOSES = st.sampled_from([SUBNORMAL, 2.5e-310, 1e300, 100.0, 0.1]) | st.floats(
+    min_value=SUBNORMAL, max_value=1e300, allow_subnormal=True
+)
+SHARES = st.sampled_from([0.0, -0.0, SUBNORMAL, 1e300, 1e6]) | st.floats(
+    min_value=0.0, max_value=1e300, allow_subnormal=True
+)
+
+
+@st.composite
+def quote_markets(draw):
+    """Small markets whose values come from a few shared pools, so texts
+    repeat within a column and across tickers; shares are tiled per ticker,
+    as ``generate_market`` makes them, or vary within each column."""
+    n_days, n_tickers = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+
+    def panel(values, shape):
+        pool = draw(st.lists(values, min_size=1, max_size=4))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                              min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+        return np.array([pool[i] for i in picks], dtype=float).reshape(shape)
+
+    close = panel(CLOSES, (n_days, n_tickers))
+    if draw(st.booleans()):
+        shares = np.tile(panel(SHARES, (1, n_tickers)), (n_days, 1))
+    else:
+        shares = panel(SHARES, (n_days, n_tickers))
+    dates = synth.trading_dates(2020, 1, n_days)
+    quotes = marketdata.QuotePanel(dates, tuple(f"T{j:02d}" for j in range(n_tickers)),
+                                   close, shares)
+    return synth.SyntheticMarket(
+        config=synth.SynthConfig(), quotes=quotes, sectors=np.zeros(n_tickers, dtype=int),
+        benchmark=indexcalc.IndexSeries(dates, np.ones(n_days)),
+    )
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(quote_markets())
+def test_quote_writer_matches_per_row_loop_and_reads_back(tmp_path, market):
+    path = tmp_path / "quotes.csv"
+    synth.write_quotes_csv(path, market)
+    assert path.read_bytes() == per_row_quotes_text(market).encode()
+    back = marketdata.load_quotes(path)
+    assert back.dates == market.quotes.dates
+    assert back.tickers == market.quotes.tickers
+    assert back.close.tobytes() == market.quotes.close.tobytes()
+    assert back.shares.tobytes() == market.quotes.shares.tobytes()  # -0.0 stays -0.0
 
 
 class TestFactorStructure:
