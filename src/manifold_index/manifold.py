@@ -26,18 +26,15 @@ Two operator modes are exposed:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ParameterError, SingularMassError
 
 DEFAULT_K = 10
 
 MODES = ("paper", "balanced")
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -148,8 +145,6 @@ def auto_bandwidth(graph: AdjacencyGraph) -> float:
 def weight_tilde(graph: AdjacencyGraph, t: float) -> sparse.csr_matrix:
     """Directed kernel matrix W~: -exp(-d2/t) on KNN edges, row-sum-cancelling
     diagonal, zero elsewhere.  Every row sums to zero by construction."""
-    from scipy import sparse  # imported here so commands without an operator skip SciPy
-
     if not 0 < t < np.inf:
         raise ParameterError(f"bandwidth t must be finite and > 0, got {t}")
     n, k = graph.neighbors.shape
@@ -202,8 +197,6 @@ def symmetrize(w_tilde: sparse.spmatrix, t: float, mode: str = "balanced") -> We
     """W = (W~ + W~^T) / 2.  Averaging leaves the diagonal untouched; in
     ``balanced`` mode the diagonal is then recomputed from the symmetrized
     off-diagonals so each row sums to zero."""
-    from scipy import sparse
-
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     if w_tilde.shape[0] != w_tilde.shape[1]:

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg as sla
 
 from .errors import ConvergenceError, ParameterError, SizeError
 from .manifold import MassMatrix, WeightMatrix
@@ -102,9 +103,7 @@ def dense_oracle(w: WeightMatrix, a: MassMatrix) -> EigenBasis:
 
 def _solve_dense(w: WeightMatrix, a: MassMatrix, p: int) -> EigenBasis:
     # LAPACK generalized driver; eigenvectors come back A-orthonormal.
-    from scipy import linalg
-
-    values, phi = linalg.eigh(
+    values, phi = sla.eigh(
         w.entries.toarray(), np.diag(a.diag), subset_by_index=(0, p - 1)
     )
     return EigenBasis(values=values, vectors=_fix_signs(phi))
@@ -182,8 +181,6 @@ class LanczosFactorization:
         bounds pass ``RITZ_TOL``, at breakdown exhaustion (the factorization is
         then exact) or at the step limit.
         """
-        from scipy import linalg
-
         m_max = self.m_max
         checkpoint = m_max if m_max <= 160 else min(m_max, max(2 * p + 32, 48))
         while True:
@@ -191,7 +188,7 @@ class LanczosFactorization:
             m = min(checkpoint, self.steps)
             exhausted = self.exhausted and m == self.steps
             if m >= p:
-                theta, s = linalg.eigh_tridiagonal(self.alphas[:m], self.betas[: m - 1])
+                theta, s = sla.eigh_tridiagonal(self.alphas[:m], self.betas[: m - 1])
                 bound = np.abs(self.betas[m - 1] * s[m - 1, :p]) if not exhausted else np.zeros(p)
                 scale = max(1.0, float(np.max(np.abs(theta))))
                 if exhausted or m == m_max or np.all(bound <= RITZ_TOL * scale):

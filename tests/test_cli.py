@@ -1,9 +1,6 @@
 """CLI orchestration: artifacts, re-runnability, determinism, diagnostics."""
 
-import os
 import re
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -327,8 +324,9 @@ class TestIndexAndMetrics:
         assert err == ["error: no price for S00\\n01 on 2021-01-01"]
 
     def test_series_sharing_a_name_rejected(self, small_market, artifacts, tmp_path, capsys):
-        """Reports name a series by its file's stem, so two files of one stem
-        would be evaluated, and rolled up, as one index."""
+        """Reports name a series by its file's stem, so two files of one stem,
+        or one file named twice, would be evaluated, and rolled up, as one
+        index."""
         paths = []
         for run_dir in ("run_a", "run_b"):
             path = tmp_path / run_dir / "index_005_2021.csv"
@@ -343,7 +341,15 @@ class TestIndexAndMetrics:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and paths[0] in err[0] and paths[1] in err[0]
-        assert not (tmp_path / "out" / "metrics.csv").exists()
+        assert not (tmp_path / "out").exists()
+        # one file named twice is rejected before it could clash with itself
+        rc = run([
+            "metrics", "--benchmark", str(small_market / "benchmark.csv"),
+            "--outdir", str(tmp_path / "out"), "--series", paths[0], paths[0],
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {paths[0]} is named twice"]
+        assert not (tmp_path / "out").exists()
 
     def test_failing_index_writes_nothing(self, small_market, artifacts, tmp_path, capsys):
         """The first list's series is computed, but not written, when the
@@ -362,7 +368,8 @@ class TestIndexAndMetrics:
     def test_lists_sharing_an_output_name_rejected(
         self, small_market, artifacts, tmp_path, capsys
     ):
-        """Both lists would write index_005_2021.csv, the second over the first."""
+        """Both lists would write index_005_2021.csv, the second over the first;
+        so would one list named twice."""
         paths = []
         for run_dir in ("run_a", "run_b"):
             path = tmp_path / run_dir / "constituents_005.csv"
@@ -378,6 +385,13 @@ class TestIndexAndMetrics:
         assert len(err) == 1
         assert err[0].startswith("error: ") and paths[0] in err[0] and paths[1] in err[0]
         assert "index_005_2021.csv" in err[0]
+        assert not (tmp_path / "out").exists()
+        rc = run([
+            "index", "--quotes", str(small_market / "quotes.csv"), "--study-year", "2020",
+            "--outdir", str(tmp_path / "out"), "--constituents", paths[0], paths[0],
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {paths[0]} is named twice"]
         assert not (tmp_path / "out").exists()
 
     def test_missing_benchmark_writes_nothing(self, artifacts, tmp_path, capsys):
@@ -961,28 +975,3 @@ def test_mutated_inputs_exit_cleanly(fuzz_inputs, tmp_path, capsys, which, mutat
             assert len(err) == 1 and err[0].startswith("error: "), (command, err)
             assert listing(outdir) == before, command  # a failing command writes nothing
 
-
-def test_commands_without_an_operator_do_not_import_scipy(small_market, artifacts, tmp_path):
-    """SciPy is imported by the operator build and the eigensolver alone, so
-    synth, index and metrics runs never load it."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    script = (
-        "import sys\n"
-        "from manifold_index import cli\n"
-        "rc = cli.main(sys.argv[1:])\n"
-        "print(rc, 'scipy' in sys.modules)\n"
-    )
-    quotes = str(small_market / "quotes.csv")
-    commands = [
-        ["synth", "--outdir", str(tmp_path / "synth"), "--n-stocks", "20", "--m-days", "30",
-         "--n-sectors", "2"],
-        ["index", "--quotes", quotes, "--study-year", "2020", "--outdir", str(tmp_path),
-         "--constituents", str(artifacts / "constituents_005.csv")],
-        ["metrics", "--benchmark", str(small_market / "benchmark.csv"),
-         "--outdir", str(tmp_path), "--series", str(tmp_path / "index_005_2021.csv")],
-    ]
-    for argv in commands:
-        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.split() == ["0", "False"], (argv, done.stderr)
