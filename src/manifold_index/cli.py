@@ -36,10 +36,13 @@ import numpy as np
 
 from . import indexcalc, manifold, marketdata, metrics, selection, spectral, synth
 from .errors import (
+    AlignmentError,
+    InsufficientDataError,
     InsufficientFeaturesError,
     ParameterError,
     ParseError,
     PipelineError,
+    UndefinedMetricError,
     open_text,
 )
 
@@ -228,9 +231,8 @@ def cmd_index(
                                  f"share the output name {path.name!r}")
         sources[path] = cfile
         closes, shares = marketdata.index_inputs(quotes, rows, tickers)
-        members = [indexcalc.Constituent(t, s) for t, s in zip(tickers, shares.tolist())]
         out[path] = indexcalc.compute_series(
-            quotes.dates[rows], closes, members, cfg.base_level, actions
+            quotes.dates[rows], closes, tickers, shares, cfg.base_level, actions
         )
         writes[path] = "index", partial(indexcalc.write_series_csv, series=out[path])
     return out
@@ -259,7 +261,10 @@ def cmd_metrics(
             if bench_rows.start == bench_rows.stop:
                 raise ParameterError(f"benchmark has no dates for year {year} ({sfile})")
             chunk = one.rows(marketdata.year_rows(one.dates, year))
-            reports.append((name, year, metrics.evaluate(chunk, benchmark.rows(bench_rows))))
+            try:
+                reports.append((name, year, metrics.evaluate(chunk, benchmark.rows(bench_rows))))
+            except (AlignmentError, InsufficientDataError, UndefinedMetricError) as exc:
+                raise type(exc)(f"{exc} ({sfile}, year {year})") from None
 
     report_path = Path(cfg.outdir) / "metrics.csv"
     stability_path = Path(cfg.outdir) / "stability.csv"

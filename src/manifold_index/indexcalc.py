@@ -8,15 +8,18 @@ whenever a non-trading event (share change, delisting, rights or bonus
 issue) moves the constituent cap; the ratio form makes the level exactly
 continuous at the event instant.
 
-Prices arrive as a dates x constituents close block (the forward-filled
-panel columns of the index members), and the divisor is a plain float.
-The block is valued one segment at a time, a segment running from the
-first date or an action date up to the next action date.  Within a
-segment each level is the caps added column by column in constituent
-order, then divided by D: the same operations, in the same order, as
-Python's ``sum`` over the constituents, so levels do not depend on how the
-dates are blocked.  A matrix product or ``ndarray.sum`` would add in
-another order and change the last bits of most levels.
+The members are a list of tickers with a float64 array of their shares
+issued, prices arrive as a dates x members close block (the forward-filled
+panel columns of the members), and the divisor is a plain float.  A
+delisting sets its member's shares to 0; the member keeps its column,
+valued at 0.0, so it adds exactly +0.0 to every later cap.  The block is
+valued one segment at a time, a segment running from the first date or an
+action date up to the next action date.  Within a segment each level is
+the caps added column by column in member order, then divided by D: the
+same operations, in the same order, as Python's ``sum`` over the live
+members, so levels do not depend on how the dates are blocked.  A matrix
+product or ``ndarray.sum`` would add in another order and change the last
+bits of most levels.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import bisect
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,16 +44,6 @@ from .errors import (
 ACTION_KINDS = ("share_change", "delisting", "rights_or_bonus_issue")
 
 DEFAULT_BASE_LEVEL = 1000.0
-
-
-@dataclass(frozen=True)
-class Constituent:
-    ticker: str
-    shares_issued: float
-
-    def __post_init__(self):
-        if not self.shares_issued > 0:
-            raise ParameterError(f"{self.ticker}: shares_issued must be > 0")
 
 
 @dataclass(frozen=True)
@@ -104,118 +97,132 @@ class IndexSeries:
         return IndexSeries(self.dates[span], self.values[span], divisors)
 
 
-def index_value(prices, constituents: Sequence[Constituent], divisor: float):
-    """Total constituent cap / divisor.
+def index_value(prices, shares, divisor: float):
+    """Total member cap / divisor.
 
-    ``prices[..., j]`` is the close of ``constituents[j]``: a vector gives
-    the level at one instant, a dates x constituents block one level per
-    date.  The caps are added left to right in constituent order, so every
+    ``prices[..., j]`` is the close of the member holding ``shares[j]``: a
+    vector gives the level at one instant, a dates x members block one level
+    per date.  The caps are added left to right in member order, so every
     level equals Python's ``sum`` of the same products bit for bit.  With
     divisor 1.0 the result is the total cap itself.
     """
     prices = np.asarray(prices, dtype=float)
-    if prices.shape[-1:] != (len(constituents),):
+    shares = np.asarray(shares, dtype=float)
+    if prices.shape[-1:] != shares.shape:
         raise ParameterError(
             f"prices of shape {prices.shape} do not hold one close per "
-            f"constituent ({len(constituents)})"
+            f"member ({shares.shape})"
         )
     total = np.zeros(prices.shape[:-1])
-    for j, c in enumerate(constituents):
-        total = total + prices[..., j] * c.shares_issued
+    for j, s in enumerate(shares.tolist()):
+        total = total + prices[..., j] * s
     return total / divisor
 
 
-def init_divisor(
-    constituents: Sequence[Constituent],
-    prices_at_base,
-    base_level: float = DEFAULT_BASE_LEVEL,
-) -> float:
-    """Fix D so the base-date level equals the base level exactly."""
-    if not base_level > 0:
-        raise ParameterError(f"base level must be > 0, got {base_level}")
-    cap = float(index_value(prices_at_base, constituents, 1.0))
-    if cap <= 0:
+def init_divisor(shares, prices_at_base, base_level: float = DEFAULT_BASE_LEVEL) -> float:
+    """Fix D so the base-date level equals the base level exactly.  The base
+    level must be finite and > 0, and so must the divisor it gives."""
+    if not 0 < base_level < math.inf:
+        raise ParameterError(f"base level must be finite and > 0, got {base_level}")
+    cap = float(index_value(prices_at_base, shares, 1.0))
+    if not 0 < cap < math.inf:
         raise DegenerateUniverseError(f"total cap at base is {cap}")
-    return cap / base_level
+    divisor = cap / base_level
+    if not 0 < divisor < math.inf:
+        raise ParameterError(
+            f"base level {base_level} gives divisor {divisor}, not finite and > 0"
+        )
+    return divisor
 
 
 def adjust_divisor(
     divisor: float,
     action: CorporateAction,
     prices_at_event,
-    constituents: Sequence[Constituent],
-) -> tuple[float, list[Constituent]]:
+    tickers: Sequence[str],
+    shares: np.ndarray,
+) -> tuple[float, np.ndarray]:
     """Apply one corporate action: D_new = D_old x M_new / M_old.
 
-    ``prices_at_event[j]`` is the close of ``constituents[j]``.  Returns the
-    adjusted divisor together with the post-event constituent list.  The
+    ``prices_at_event[j]`` is the close of ``tickers[j]``, which holds
+    ``shares[j]`` (0 once delisted).  The acted-on member's cap p x s
+    becomes p' x s': s' is the action's new shares, 0 for a delisting, and
+    p' the replacement price of a rights or bonus issue that gives one, p
+    otherwise.  Returns the adjusted divisor and the post-event shares; the
     level computed with (post-event caps, D_new) equals the one with
     (pre-event caps, D_old) at the event instant.
     """
-    tickers = [c.ticker for c in constituents]
-    if action.ticker not in tickers:
+    pos = tickers.index(action.ticker) if action.ticker in tickers else None
+    if pos is None or not shares[pos] > 0:
         raise ParameterError(f"{action.ticker} is not a constituent on {action.effective_date}")
-    m_old = float(index_value(prices_at_event, constituents, 1.0))
+    m_old = float(index_value(prices_at_event, shares, 1.0))
     if m_old <= 0:
         raise DegenerateUniverseError(f"pre-event cap is {m_old} on {action.effective_date}")
 
-    pos = tickers.index(action.ticker)
     price = float(prices_at_event[pos])
-    old_cap = price * constituents[pos].shares_issued
-
-    if action.kind == "delisting":
-        new_list = [c for c in constituents if c.ticker != action.ticker]
-        new_cap = 0.0
-    elif action.kind == "share_change":
-        new_list = list(constituents)
-        new_list[pos] = replace(constituents[pos], shares_issued=action.new_shares)
-        new_cap = price * action.new_shares
-    else:  # rights_or_bonus_issue
-        new_list = list(constituents)
-        new_list[pos] = replace(constituents[pos], shares_issued=action.new_shares)
-        ex_price = action.replacement_price if action.replacement_price is not None else price
-        new_cap = ex_price * action.new_shares
-
-    m_new = m_old - old_cap + new_cap
+    new_shares = 0.0 if action.kind == "delisting" else action.new_shares
+    new_price = price
+    if action.kind == "rights_or_bonus_issue" and action.replacement_price is not None:
+        new_price = action.replacement_price
+    m_new = m_old - price * float(shares[pos]) + new_price * new_shares
     if m_new <= 0:
         raise DegenerateUniverseError(f"post-event cap is {m_new} on {action.effective_date}")
-    return divisor * (m_new / m_old), new_list
+    after = np.array(shares, dtype=float)
+    after[pos] = new_shares
+    return divisor * (m_new / m_old), after
 
 
-def _member_closes(closes, dates, start, end, columns, members) -> np.ndarray:
-    """Rows ``start:end`` of the members' columns; a NaN is a MissingPriceError
-    naming the earliest date, then the first member in index order."""
-    block = closes[start:end, columns]
-    missing = np.argwhere(np.isnan(block))
+def _member_closes(closes, dates, start, end, tickers, shares) -> np.ndarray:
+    """Rows ``start:end`` of the close block, 0.0 in the columns of delisted
+    members (shares 0).  A NaN in another column is a MissingPriceError
+    naming the earliest date, then the first member in list order."""
+    block = closes[start:end]
+    live = shares > 0
+    missing = np.argwhere(np.isnan(block) & live)
     if len(missing):
         i, j = missing[0]
-        raise MissingPriceError(members[j].ticker, dates[start + i])
-    return block
+        raise MissingPriceError(tickers[j], dates[start + i])
+    return np.where(live, block, 0.0)
 
 
 def compute_series(
     dates: Sequence[dt.date],
     closes,
-    constituents: Sequence[Constituent],
+    tickers: Sequence[str],
+    shares,
     base_level: float = DEFAULT_BASE_LEVEL,
     actions: Sequence[CorporateAction] = (),
 ) -> IndexSeries:
     """Daily index series over ``dates`` with the base on the first date.
 
-    ``closes[i, j]`` is the close of ``constituents[j]`` on ``dates[i]``; it
-    must be present while the constituent is in the index and may be NaN
-    after its delisting.  Actions apply in (date, ticker) order on the first
-    date on or after their effective date, each before that day's closing
-    valuation, so the divisor is constant between action dates and each
-    such segment is valued as one block.
+    ``closes[i, j]`` is the close of ``tickers[j]`` on ``dates[i]`` and
+    ``shares[j]`` its shares issued on the first date.  The first member,
+    in list order, whose first close is absent or whose shares are absent
+    or not finite and > 0 is an error.  A close must be present while its
+    member is in the index and may be NaN after its delisting, which sets
+    the member's shares to 0.  Actions apply in (date, ticker) order on the
+    first date on or after their effective date, each before that day's
+    closing valuation, so the divisor is constant between action dates and
+    each such segment is valued as one block.
     """
     if not dates:
         raise ParameterError("dates must be nonempty")
     closes = np.asarray(closes, dtype=float)
-    if closes.shape != (len(dates), len(constituents)):
+    shares = np.asarray(shares, dtype=float)
+    if closes.shape != (len(dates), len(tickers)) or shares.shape != (len(tickers),):
         raise ParameterError(
-            f"closes of shape {closes.shape} do not match {len(dates)} dates x "
-            f"{len(constituents)} constituents"
+            f"closes of shape {closes.shape} and shares of shape {shares.shape} do not "
+            f"match {len(dates)} dates x {len(tickers)} members"
+        )
+    bad = np.flatnonzero(np.isnan(closes[0]) | ~((shares > 0) & (shares < np.inf)))
+    if len(bad):
+        j = bad[0]
+        if np.isnan(closes[0, j]):
+            raise MissingPriceError(tickers[j], dates[0])
+        if np.isnan(shares[j]):
+            raise ParameterError(f"{tickers[j]}: shares_issued absent on {dates[0]}")
+        raise ParameterError(
+            f"{tickers[j]}: shares_issued {shares[j]} on {dates[0]} is not finite and > 0"
         )
     for action in actions:
         if not dates[0] <= action.effective_date <= dates[-1]:
@@ -227,24 +234,17 @@ def compute_series(
     action_rows = [bisect.bisect_left(dates, a.effective_date) for a in pending]
     bounds = sorted({0, *action_rows}) + [len(dates)]
 
-    members = list(constituents)
-    columns = list(range(len(members)))
-    at_base = _member_closes(closes, dates, 0, 1, columns, members)[0]
-    divisor = init_divisor(members, at_base, base_level)
+    divisor = init_divisor(shares, closes[0], base_level)
     levels = np.empty(len(dates))
     divisors = np.empty(len(dates))
     cursor = 0
     for start, end in zip(bounds, bounds[1:]):
         while cursor < len(pending) and action_rows[cursor] == start:
-            action = pending[cursor]
-            at_event = _member_closes(closes, dates, start, start + 1, columns, members)[0]
-            divisor, after = adjust_divisor(divisor, action, at_event, members)
-            if action.kind == "delisting":
-                columns = [j for j, c in zip(columns, members) if c.ticker != action.ticker]
-            members = after
+            at_event = _member_closes(closes, dates, start, start + 1, tickers, shares)[0]
+            divisor, shares = adjust_divisor(divisor, pending[cursor], at_event, tickers, shares)
             cursor += 1
-        block = _member_closes(closes, dates, start, end, columns, members)
-        levels[start:end] = index_value(block, members, divisor)
+        block = _member_closes(closes, dates, start, end, tickers, shares)
+        levels[start:end] = index_value(block, shares, divisor)
         divisors[start:end] = divisor
     return IndexSeries(dates=tuple(dates), values=levels, divisors=divisors)
 

@@ -160,16 +160,11 @@ def weight_tilde(graph: AdjacencyGraph, t: float) -> sparse.csr_matrix:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Symmetrized weight matrix with the kernel bandwidth and mode that
-    produced it."""
+    """Symmetrized weight matrix."""
 
     entries: sparse.csr_matrix
-    t_param: float
-    mode: str
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.entries.shape[0] != self.entries.shape[1]:
             raise ParameterError("weight matrix must be square")
 
@@ -193,7 +188,7 @@ class MassMatrix:
         return len(self.diag)
 
 
-def symmetrize(w_tilde: sparse.spmatrix, t: float, mode: str = "balanced") -> WeightMatrix:
+def symmetrize(w_tilde: sparse.spmatrix, mode: str = "balanced") -> WeightMatrix:
     """W = (W~ + W~^T) / 2.  Averaging leaves the diagonal untouched; in
     ``balanced`` mode the diagonal is then recomputed from the symmetrized
     off-diagonals so each row sums to zero."""
@@ -206,7 +201,7 @@ def symmetrize(w_tilde: sparse.spmatrix, t: float, mode: str = "balanced") -> We
         off = w - sparse.diags(w.diagonal())
         new_diag = -np.asarray(off.sum(axis=1)).ravel()
         w = off + sparse.diags(new_diag)
-    return WeightMatrix(entries=sparse.csr_matrix(w), t_param=float(t), mode=mode)
+    return WeightMatrix(entries=sparse.csr_matrix(w))
 
 
 def mass_matrix(weights: WeightMatrix) -> MassMatrix:
@@ -231,5 +226,5 @@ def build_operator(
     graph = knn_graph(points, k)
     if t is None:
         t = auto_bandwidth(graph)
-    weights = symmetrize(weight_tilde(graph, t), t, mode)
+    weights = symmetrize(weight_tilde(graph, t), mode)
     return graph, weights, mass_matrix(weights)

@@ -136,21 +136,14 @@ def _number(token: str) -> float:
         return np.nan
 
 
-def _numbers(tokens: list, positive: bool, mask_first: bool) -> tuple[np.ndarray, np.ndarray]:
+def _numbers(tokens: list, positive: bool) -> tuple[np.ndarray, np.ndarray]:
     """A close or shares column as floats (NaN where absent), and a mask of
-    its malformed or out-of-range tokens; the rule is ``_value``'s.
-
-    A parse of the whole column stops at its first absent token and is lost,
-    so ``mask_first`` finds the absent tokens before any parse; without it
-    the column is parsed first and masked only if that fails."""
+    its malformed or out-of-range tokens; the rule is ``_value``'s.  The
+    column is parsed whole, and masked only if that fails."""
     absent = np.zeros(len(tokens), dtype=bool)
-    values = None
-    if not mask_first:
-        try:
-            values = np.array(tokens, dtype=np.float64)  # parses as float() does
-        except ValueError:
-            pass
-    if values is None:
+    try:
+        values = np.array(tokens, dtype=np.float64)  # parses as float() does
+    except ValueError:
         absent = np.fromiter(map(MISSING_TOKENS.__contains__, map(str.strip, tokens)),
                              dtype=bool, count=len(tokens))
         present = list(compress(tokens, (~absent).tolist()))
@@ -197,9 +190,6 @@ class _QuoteColumns:
         self.ticker_ids: dict[str, int] = {}
         self.row_line, self.row_date, self.row_ticker = array("q"), array("i"), array("i")
         self.closes, self.shares = array("d"), array("d")
-        # Once a close or shares column held an absent token, later batches
-        # of it are masked before they are parsed (see ``_numbers``).
-        self.absent_seen = {"close": False, "shares": False}
 
     def _date_id(self, token: str) -> int:
         try:
@@ -251,10 +241,8 @@ class _QuoteColumns:
         columns = [regular[c::width] for c in self.columns]
         dates = _ids(columns[0], self.date_of_token, self._date_id)
         tickers = _ids(columns[1], self.ticker_of_token, self._ticker_id)
-        closes, bad_close = _numbers(columns[2], True, self.absent_seen["close"])
-        shares, bad_shares = _numbers(columns[3], False, self.absent_seen["shares"])
-        self.absent_seen["close"] |= np.isnan(closes).any()
-        self.absent_seen["shares"] |= np.isnan(shares).any()
+        closes, bad_close = _numbers(columns[2], True)
+        shares, bad_shares = _numbers(columns[3], False)
         faulty = (dates < 0) | (tickers < 0) | bad_close | bad_shares
         keep = slice(None)
         if faulty.any():
@@ -501,23 +489,17 @@ def index_inputs(
     tickers: Sequence[str],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closes forward-filled over the panel rows ``rows`` (dates x tickers)
-    and shares issued on the first of them, for a list of index constituents.
+    and shares issued on the first of them, NaN where absent, for a list of
+    index constituents; ``indexcalc.compute_series`` checks the first date.
 
-    Raises MissingPriceError for a ticker the panel lacks, or whose close or
-    shares are absent on the first date.
+    Raises MissingPriceError for a ticker the panel lacks.
     """
-    base = quotes.dates[rows.start]
     column = {t: j for j, t in enumerate(quotes.tickers)}
     for t in tickers:
         if t not in column:
-            raise MissingPriceError(t, base)
+            raise MissingPriceError(t, quotes.dates[rows.start])
     cols = [column[t] for t in tickers]
-    closes = quotes.close[rows, cols]
-    shares = quotes.shares[rows.start, cols]
-    absent = np.flatnonzero(np.isnan(closes[0]) | np.isnan(shares))
-    if len(absent):
-        raise MissingPriceError(tickers[absent[0]], base)
-    return complete_series(closes), shares
+    return _forward_fill(quotes.close[rows, cols]), quotes.shares[rows.start, cols]
 
 
 def year_rows(dates, year: int) -> slice:

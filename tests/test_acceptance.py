@@ -77,7 +77,7 @@ def test_criterion_2_operator_invariants():
             t = manifold.auto_bandwidth(graph)
             wt = manifold.weight_tilde(graph, t)
             assert np.max(np.abs(np.asarray(wt.sum(axis=1)).ravel())) < 1e-12
-            w = manifold.symmetrize(wt, t, "balanced")
+            w = manifold.symmetrize(wt, "balanced")
             dense = w.entries.toarray()
             assert np.max(np.abs(dense - dense.T)) < 1e-15
 
@@ -145,11 +145,9 @@ def test_criterion_6_divisor_continuity():
         for trial in range(100):
             n = int(rng.integers(2, 12))
             tickers = [f"T{i}" for i in range(n)]
-            cons = [
-                indexcalc.Constituent(t, float(rng.uniform(1, 1000))) for t in tickers
-            ]
+            shares = np.array([float(rng.uniform(1, 1000)) for _ in tickers])
             prices = [float(rng.uniform(0.5, 500)) for _ in tickers]
-            divisor = indexcalc.init_divisor(cons, prices, 1000.0)
+            divisor = indexcalc.init_divisor(shares, prices, 1000.0)
             target = tickers[int(rng.integers(0, n))]
             kind = ("share_change", "delisting", "rights_or_bonus_issue")[trial % 3]
             if kind == "delisting" and n == 1:
@@ -163,16 +161,15 @@ def test_criterion_6_divisor_continuity():
                     float(rng.uniform(0.5, 500)) if kind == "rights_or_bonus_issue" else None
                 ),
             )
-            before = indexcalc.index_value(prices, cons, divisor)
-            new_divisor, new_cons = indexcalc.adjust_divisor(divisor, action, prices, cons)
-            # post-event closes, aligned with the post-event constituents
+            before = indexcalc.index_value(prices, shares, divisor)
+            new_divisor, new_shares = indexcalc.adjust_divisor(
+                divisor, action, prices, tickers, shares
+            )
+            # post-event closes; a delisted member keeps its column at 0 shares
             post_prices = list(prices)
-            pos = tickers.index(target)
-            if kind == "delisting":
-                del post_prices[pos]
-            elif kind == "rights_or_bonus_issue":
-                post_prices[pos] = action.replacement_price
-            after = indexcalc.index_value(post_prices, new_cons, new_divisor)
+            if kind == "rights_or_bonus_issue":
+                post_prices[tickers.index(target)] = action.replacement_price
+            after = indexcalc.index_value(post_prices, new_shares, new_divisor)
             assert abs(after - before) / before < 1e-10
 
 
@@ -207,9 +204,8 @@ def _pipeline_pearson(market, n_list, k=10):
     for n_target in n_list:
         names = [frame.tickers[i] for i in picks[n_target]]
         closes, shares = marketdata.index_inputs(market.quotes, target_rows, names)
-        members = [indexcalc.Constituent(t, s) for t, s in zip(names, shares.tolist())]
         series = indexcalc.compute_series(
-            market.quotes.dates[target_rows], closes, members, 1000.0
+            market.quotes.dates[target_rows], closes, names, shares, 1000.0
         )
         out[n_target] = metrics.pearson(series.values, bench)
     return out

@@ -365,6 +365,57 @@ class TestIndexAndMetrics:
         assert capsys.readouterr().err.splitlines() == ["error: no price for NOPE on 2021-01-01"]
         assert not (tmp_path / "out").exists()
 
+    def test_bad_base_level_is_one_line(self, small_market, artifacts, tmp_path, capsys):
+        rc = run([
+            "index", "--quotes", str(small_market / "quotes.csv"),
+            "--study-year", "2020", "--outdir", str(tmp_path / "out"), "--base-level", "inf",
+            "--constituents", str(artifacts / "constituents_005.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: base level must be finite and > 0, got inf"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_absent_shares_named(self, small_market, artifacts, tmp_path, capsys):
+        """A member quoted on the first target date without shares is an
+        error naming its shares, not its price."""
+        ticker = selection.read_constituents_csv(artifacts / "constituents_005.csv")[1]
+        row = f"2021-01-01,{ticker},"
+        quotes = "".join(
+            line.rsplit(",", 1)[0] + ",\n" if line.startswith(row) else line
+            for line in (small_market / "quotes.csv").read_text().splitlines(keepends=True)
+        )
+        (tmp_path / "quotes.csv").write_text(quotes)
+        rc = run([
+            "index", "--quotes", str(tmp_path / "quotes.csv"),
+            "--study-year", "2020", "--outdir", str(tmp_path / "out"),
+            "--constituents", str(artifacts / "constituents_005.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ticker}: shares_issued absent on 2021-01-01"
+        ]
+
+    def test_benchmark_missing_a_date_names_the_series(
+        self, small_market, artifacts, tmp_path, capsys
+    ):
+        lines = (small_market / "benchmark.csv").read_text().splitlines(keepends=True)
+        bench_path = tmp_path / "bench.csv"
+        bench_path.write_text("".join(line for line in lines if not line.startswith("2021-01-04,")))
+        assert len(bench_path.read_text().splitlines()) == len(lines) - 1
+        rc = run([
+            "metrics", "--benchmark", str(bench_path), "--outdir", str(tmp_path / "out"),
+            "--series", str(artifacts / "index_010_2021.csv"),
+            str(artifacts / "index_005_2021.csv"),
+        ])
+        assert rc == 1
+        series = artifacts / "index_005_2021.csv"
+        assert capsys.readouterr().err.splitlines() == [
+            "error: series and benchmark are not on the same trading dates "
+            f"({series}, year 2021)"
+        ]
+
     def test_lists_sharing_an_output_name_rejected(
         self, small_market, artifacts, tmp_path, capsys
     ):
@@ -926,6 +977,7 @@ def fuzz_inputs(tmp_path_factory):
 
 # The commands that read each fuzzed file.
 FUZZ_READERS = {
+    "quotes": ("index", "backtest"),
     "benchmark": ("metrics", "backtest"),
     "constituents": ("index",),
     "series": ("metrics",),
@@ -955,7 +1007,7 @@ def test_mutated_inputs_exit_cleanly(fuzz_inputs, tmp_path, capsys, which, mutat
     paths[which].write_bytes(mutate((fuzz_inputs / f"{which}.csv").read_bytes(), mutations))
     # examples share tmp_path, so each starts from its own, not yet created, --outdir
     outdir = Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
-    quotes, out = str(fuzz_inputs / "quotes.csv"), str(outdir)
+    quotes, out = str(paths["quotes"]), str(outdir)
     argv = {
         "index": ["index", "--quotes", quotes, "--study-year", "2020",
                   "--actions", str(paths["actions"]), "--constituents", str(paths["constituents"])],

@@ -18,140 +18,146 @@ BASE = dt.date(2021, 1, 4)
 DAYS = [BASE + dt.timedelta(days=i) for i in range(10)]
 
 
-def constituents(*pairs):
-    return [ic.Constituent(t, s) for t, s in pairs]
+def members(*pairs):
+    """(tickers, float64 shares) of ``(ticker, shares)`` pairs."""
+    return [t for t, _ in pairs], np.array([s for _, s in pairs], dtype=float)
 
 
 class TestInitDivisor:
     def test_forced_by_definition(self):
-        cons = constituents(("A", 6.0), ("B", 4.0))
-        divisor = ic.init_divisor(cons, [10.0, 10.0], 1000.0)
+        _, shares = members(("A", 6.0), ("B", 4.0))
+        divisor = ic.init_divisor(shares, [10.0, 10.0], 1000.0)
         assert divisor == 0.1
-        assert ic.index_value([10.0, 10.0], cons, divisor) == 1000.0
+        assert ic.index_value([10.0, 10.0], shares, divisor) == 1000.0
 
     def test_single_stock_cap_equals_base(self):
-        cons = constituents(("X", 10.0))
-        assert ic.init_divisor(cons, [100.0], 1000.0) == 1.0
+        assert ic.init_divisor(np.array([10.0]), [100.0], 1000.0) == 1.0
 
     def test_five_stock_hand_sum(self):
-        cons = constituents(("A", 10), ("B", 20), ("C", 5), ("D", 8), ("E", 100))
+        _, shares = members(("A", 10), ("B", 20), ("C", 5), ("D", 8), ("E", 100))
         prices = [3.0, 1.5, 12.0, 2.5, 0.8]
         # caps: 30 + 30 + 60 + 20 + 80 = 220
-        divisor = ic.init_divisor(cons, prices, 1000.0)
+        divisor = ic.init_divisor(shares, prices, 1000.0)
         assert divisor == pytest.approx(0.22, abs=1e-15)
 
     def test_zero_cap_degenerate(self):
         with pytest.raises(DegenerateUniverseError):
-            ic.init_divisor([], [], 1000.0)
+            ic.init_divisor(np.array([]), [], 1000.0)
+
+    @pytest.mark.parametrize("base_level", [0.0, -1.0, float("nan"), float("inf"), 1e-320])
+    def test_base_level_finite_and_positive_with_finite_divisor(self, base_level):
+        # 1e-320 is > 0, but its divisor (cap / base level) overflows to inf
+        with pytest.raises(ParameterError, match="base level"):
+            ic.init_divisor(np.array([10.0]), [100.0], base_level)
 
 
 class TestIndexValue:
     def setup_method(self):
-        self.cons = constituents(("A", 100.0), ("B", 50.0), ("C", 10.0))
+        self.tickers, self.shares = members(("A", 100.0), ("B", 50.0), ("C", 10.0))
         self.base_prices = np.array([2.0, 4.0, 30.0])
-        self.divisor = ic.init_divisor(self.cons, self.base_prices, 1000.0)
+        self.divisor = ic.init_divisor(self.shares, self.base_prices, 1000.0)
 
     def test_base_identity(self):
-        assert ic.index_value(self.base_prices, self.cons, self.divisor) == pytest.approx(1000.0)
+        assert ic.index_value(self.base_prices, self.shares, self.divisor) == pytest.approx(1000.0)
 
     def test_homogeneous_in_prices(self):
         doubled = 2 * self.base_prices
-        assert ic.index_value(doubled, self.cons, self.divisor) == pytest.approx(2000.0)
+        assert ic.index_value(doubled, self.shares, self.divisor) == pytest.approx(2000.0)
 
     def test_hand_computed_mixed_moves(self):
         # caps: A 100*2.2=220, B 50*3.8=190, C 10*33=330 -> total 740
         # base cap = 200+200+300 = 700, D = 0.7 -> level 740/0.7
         prices = [2.2, 3.8, 33.0]
-        assert ic.index_value(prices, self.cons, self.divisor) == pytest.approx(740 / 0.7)
+        assert ic.index_value(prices, self.shares, self.divisor) == pytest.approx(740 / 0.7)
 
     def test_block_gives_one_level_per_date(self):
         block = np.array([self.base_prices, 2 * self.base_prices])
-        levels = ic.index_value(block, self.cons, self.divisor)
+        levels = ic.index_value(block, self.shares, self.divisor)
         assert levels.tolist() == [
-            ic.index_value(row, self.cons, self.divisor) for row in block
+            ic.index_value(row, self.shares, self.divisor) for row in block
         ]
 
     def test_missing_price_names_ticker_and_date(self):
         closes = np.array([self.base_prices, [2.0, np.nan, 30.0]])
         with pytest.raises(MissingPriceError, match=r"B.*2021-01-05"):
-            ic.compute_series(DAYS[:2], closes, self.cons, 1000.0)
+            ic.compute_series(DAYS[:2], closes, self.tickers, self.shares, 1000.0)
 
     def test_one_close_per_constituent(self):
         with pytest.raises(ParameterError):
-            ic.index_value([2.0, 4.0], self.cons, self.divisor)
+            ic.index_value([2.0, 4.0], self.shares, self.divisor)
 
 
 class TestAdjustDivisor:
     def test_direct_ratio(self):
         # M_old 100, M_new 110 via a share change: 10 -> 21 shares at price 10/11...
         # simplest: one stock at price 1 with 100 shares -> 110 shares
-        cons = constituents(("A", 100.0))
+        tickers, shares = members(("A", 100.0))
         action = ic.CorporateAction("share_change", "A", DAYS[1], new_shares=110.0)
-        new_divisor, new_cons = ic.adjust_divisor(2.0, action, [1.0], cons)
+        new_divisor, new_shares = ic.adjust_divisor(2.0, action, [1.0], tickers, shares)
         assert new_divisor == pytest.approx(2.2, abs=1e-15)
-        assert new_cons[0].shares_issued == 110.0
+        assert new_shares.tolist() == [110.0]
 
     def test_delisting_ten_percent(self):
-        cons = constituents(("A", 90.0), ("B", 10.0))
+        tickers, shares = members(("A", 90.0), ("B", 10.0))
         prices = [1.0, 1.0]
-        divisor = ic.init_divisor(cons, prices, 1000.0)
-        before = ic.index_value(prices, cons, divisor)
+        divisor = ic.init_divisor(shares, prices, 1000.0)
+        before = ic.index_value(prices, shares, divisor)
         action = ic.CorporateAction("delisting", "B", DAYS[1])
-        new_divisor, new_cons = ic.adjust_divisor(divisor, action, prices, cons)
+        new_divisor, new_shares = ic.adjust_divisor(divisor, action, prices, tickers, shares)
         assert new_divisor == pytest.approx(0.9 * divisor, rel=1e-15)
-        after = ic.index_value(prices[:1], new_cons, new_divisor)
+        after = ic.index_value(prices, new_shares, new_divisor)
         assert abs(after - before) / before < 1e-10
-        assert [c.ticker for c in new_cons] == ["A"]
+        assert new_shares.tolist() == [90.0, 0.0]  # B keeps its column
 
     def test_share_change_continuity(self):
-        cons = constituents(("A", 100.0), ("B", 60.0))
+        tickers, shares = members(("A", 100.0), ("B", 60.0))
         prices = [5.0, 2.0]
-        divisor = ic.init_divisor(cons, prices, 1000.0)
-        before = ic.index_value(prices, cons, divisor)
+        divisor = ic.init_divisor(shares, prices, 1000.0)
+        before = ic.index_value(prices, shares, divisor)
         action = ic.CorporateAction("share_change", "A", DAYS[2], new_shares=150.0)
-        new_divisor, new_cons = ic.adjust_divisor(divisor, action, prices, cons)
-        after = ic.index_value(prices, new_cons, new_divisor)
+        new_divisor, new_shares = ic.adjust_divisor(divisor, action, prices, tickers, shares)
+        after = ic.index_value(prices, new_shares, new_divisor)
         assert abs(after - before) / before < 1e-10
 
     def test_rights_issue_uses_replacement_price(self):
-        cons = constituents(("A", 100.0), ("B", 100.0))
+        tickers, shares = members(("A", 100.0), ("B", 100.0))
         prices = [10.0, 10.0]
-        divisor = ic.init_divisor(cons, prices, 1000.0)
-        before = ic.index_value(prices, cons, divisor)
+        divisor = ic.init_divisor(shares, prices, 1000.0)
+        before = ic.index_value(prices, shares, divisor)
         action = ic.CorporateAction(
             "rights_or_bonus_issue", "A", DAYS[3], new_shares=200.0, replacement_price=6.0
         )
-        new_divisor, new_cons = ic.adjust_divisor(divisor, action, prices, cons)
+        new_divisor, new_shares = ic.adjust_divisor(divisor, action, prices, tickers, shares)
         # post-event caps: A 200*6 = 1200, B 1000 -> continuity at ex price
-        after = ic.index_value([6.0, 10.0], new_cons, new_divisor)
+        after = ic.index_value([6.0, 10.0], new_shares, new_divisor)
         assert abs(after - before) / before < 1e-10
 
     def test_composition_equals_combined_ratio(self, rng):
         # two adjustments compose multiplicatively
         for _ in range(20):
-            cons = constituents(
+            tickers, shares = members(
                 ("A", float(rng.uniform(10, 100))), ("B", float(rng.uniform(10, 100)))
             )
             prices = [float(rng.uniform(1, 50)), float(rng.uniform(1, 50))]
-            divisor = ic.init_divisor(cons, prices, 1000.0)
+            divisor = ic.init_divisor(shares, prices, 1000.0)
             a1 = ic.CorporateAction(
                 "share_change", "A", DAYS[1], new_shares=float(rng.uniform(10, 200))
             )
             a2 = ic.CorporateAction(
                 "share_change", "B", DAYS[2], new_shares=float(rng.uniform(10, 200))
             )
-            d1, c1 = ic.adjust_divisor(divisor, a1, prices, cons)
-            d2, c2 = ic.adjust_divisor(d1, a2, prices, c1)
+            d1, s1 = ic.adjust_divisor(divisor, a1, prices, tickers, shares)
+            d2, s2 = ic.adjust_divisor(d1, a2, prices, tickers, s1)
             # divisor 1 turns a level into the total cap
-            m_first = ic.index_value(prices, cons, 1.0)
-            m_last = ic.index_value(prices, c2, 1.0)
+            m_first = ic.index_value(prices, shares, 1.0)
+            m_last = ic.index_value(prices, s2, 1.0)
             assert d2 == pytest.approx(divisor * m_last / m_first, rel=1e-12)
 
     def test_unknown_ticker_rejected(self):
-        cons = constituents(("A", 1.0))
+        tickers, shares = members(("A", 1.0))
         action = ic.CorporateAction("delisting", "Z", DAYS[1])
         with pytest.raises(ParameterError):
-            ic.adjust_divisor(1.0, action, [1.0], cons)
+            ic.adjust_divisor(1.0, action, [1.0], tickers, shares)
 
 
 def make_panel(tickers, start_prices, moves):
@@ -167,48 +173,80 @@ def make_panel(tickers, start_prices, moves):
 
 class TestComputeSeries:
     def test_constant_prices_give_constant_base(self):
-        cons = constituents(("A", 10.0), ("B", 5.0))
+        tickers, shares = members(("A", 10.0), ("B", 5.0))
         closes = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {})
-        series = ic.compute_series(DAYS, closes, cons, 1000.0)
+        series = ic.compute_series(DAYS, closes, tickers, shares, 1000.0)
         assert all(v == pytest.approx(1000.0, rel=1e-14) for v in series.values)
 
     def test_delisting_is_continuous(self):
-        cons = constituents(("A", 10.0), ("B", 5.0))
+        tickers, shares = members(("A", 10.0), ("B", 5.0))
         closes = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {("A", 3): 0.1, ("B", 4): -0.2})
         actions = [ic.CorporateAction("delisting", "B", DAYS[5])]
-        series = ic.compute_series(DAYS, closes, cons, 1000.0, actions)
-        no_event = ic.compute_series(DAYS[:5], closes[:5], cons, 1000.0)
+        series = ic.compute_series(DAYS, closes, tickers, shares, 1000.0, actions)
+        no_event = ic.compute_series(DAYS[:5], closes[:5], tickers, shares, 1000.0)
         # identical up to the event; continuous across it (prices static day 5)
         assert np.array_equal(series.values[:5], no_event.values)
         assert series.values[5] == pytest.approx(series.values[4], rel=1e-10)
 
     def test_delisted_column_may_be_nan_after_delisting_only(self):
-        cons = constituents(("A", 10.0), ("B", 5.0))
+        tickers, shares = members(("A", 10.0), ("B", 5.0))
         closes = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {("A", 3): 0.1})
         actions = [ic.CorporateAction("delisting", "B", DAYS[5])]
-        filled = ic.compute_series(DAYS, closes, cons, 1000.0, actions)
+        filled = ic.compute_series(DAYS, closes, tickers, shares, 1000.0, actions)
         closes[6:, 1] = np.nan
-        again = ic.compute_series(DAYS, closes, cons, 1000.0, actions)
+        again = ic.compute_series(DAYS, closes, tickers, shares, 1000.0, actions)
         assert again.dates == filled.dates
         assert np.array_equal(again.values, filled.values)
         assert np.array_equal(again.divisors, filled.divisors)
         closes[5, 1] = np.nan
         with pytest.raises(MissingPriceError, match=r"B.*2021-01-09"):
-            ic.compute_series(DAYS, closes, cons, 1000.0, actions)
+            ic.compute_series(DAYS, closes, tickers, shares, 1000.0, actions)
 
     def test_block_shape_must_match(self):
-        cons = constituents(("A", 10.0), ("B", 5.0))
+        tickers, shares = members(("A", 10.0), ("B", 5.0))
         closes = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {})
         with pytest.raises(ParameterError):
-            ic.compute_series(DAYS, closes[:, :1], cons, 1000.0)
+            ic.compute_series(DAYS, closes[:, :1], tickers, shares, 1000.0)
         with pytest.raises(ParameterError):
-            ic.compute_series(DAYS, closes[:-1], cons, 1000.0)
+            ic.compute_series(DAYS, closes[:-1], tickers, shares, 1000.0)
+        with pytest.raises(ParameterError):
+            ic.compute_series(DAYS, closes, tickers, shares[:1], 1000.0)
+
+    @pytest.mark.parametrize("b_shares, message", [
+        (0.0, "B: shares_issued 0.0 on 2021-01-04 is not finite and > 0"),
+        (-5.0, "B: shares_issued -5.0 on 2021-01-04 is not finite and > 0"),
+        (np.inf, "B: shares_issued inf on 2021-01-04 is not finite and > 0"),
+        (np.nan, "B: shares_issued absent on 2021-01-04"),
+    ])
+    def test_shares_at_input_must_be_finite_and_positive(self, b_shares, message):
+        closes = make_panel(["A", "B", "C"], {"A": 4.0, "B": 8.0, "C": 1.0}, {})
+        tickers, shares = members(("A", 10.0), ("B", b_shares), ("C", 1.0))
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            ic.compute_series(DAYS, closes, tickers, shares, 1000.0)
+        # the first faulty member in list order is the one reported
+        closes[0, 2] = np.nan
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            ic.compute_series(DAYS, closes, tickers, shares, 1000.0)
+        closes[0, 0] = np.nan
+        with pytest.raises(MissingPriceError, match="no price for A on 2021-01-04"):
+            ic.compute_series(DAYS, closes, tickers, shares, 1000.0)
+
+    @pytest.mark.parametrize("kind, new_shares", [
+        ("delisting", None), ("share_change", 7.0), ("rights_or_bonus_issue", 7.0),
+    ])
+    def test_action_on_delisted_member_rejected(self, kind, new_shares):
+        tickers, shares = members(("A", 10.0), ("B", 5.0))
+        closes = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {})
+        actions = [ic.CorporateAction("delisting", "B", DAYS[3]),
+                   ic.CorporateAction(kind, "B", DAYS[6], new_shares=new_shares)]
+        with pytest.raises(ParameterError, match="B is not a constituent on 2021-01-10"):
+            ic.compute_series(DAYS, closes, tickers, shares, 1000.0, actions)
 
     def test_matches_day_by_day_replay(self, rng):
         # independent replay: walk days, apply ratio adjustments by hand
         tickers = ["A", "B", "C"]
         col = {t: j for j, t in enumerate(tickers)}
-        cons = constituents(("A", 10.0), ("B", 20.0), ("C", 30.0))
+        tickers, shares = members(("A", 10.0), ("B", 20.0), ("C", 30.0))
         moves = {
             (t, i): float(rng.normal(0, 0.02)) for t in tickers for i in range(1, len(DAYS))
         }
@@ -217,7 +255,7 @@ class TestComputeSeries:
             ic.CorporateAction("share_change", "B", DAYS[3], new_shares=25.0),
             ic.CorporateAction("delisting", "C", DAYS[7]),
         ]
-        series = ic.compute_series(DAYS, closes, cons, 1000.0, actions)
+        series = ic.compute_series(DAYS, closes, tickers, shares, 1000.0, actions)
 
         shares = {"A": 10.0, "B": 20.0, "C": 30.0}
         divisor = sum(closes[0, col[t]] * shares[t] for t in tickers) / 1000.0
@@ -237,37 +275,37 @@ class TestComputeSeries:
         assert np.allclose(series.values, expected, rtol=1e-13)
 
     def test_homogeneity_in_prices(self, rng):
-        cons = constituents(("A", 3.0), ("B", 7.0))
+        tickers, shares = members(("A", 3.0), ("B", 7.0))
         moves = {(t, i): float(rng.normal(0, 0.03)) for t in "AB" for i in range(1, len(DAYS))}
         closes = make_panel(["A", "B"], {"A": 10.0, "B": 20.0}, moves)
-        series = ic.compute_series(DAYS, closes, cons, 1000.0)
+        series = ic.compute_series(DAYS, closes, tickers, shares, 1000.0)
         c = 3.7
-        series_c = ic.compute_series(DAYS, c * closes, cons, 1000.0)
+        series_c = ic.compute_series(DAYS, c * closes, tickers, shares, 1000.0)
         # base re-anchors, so levels match (homogeneity applies to index_value
         # at fixed divisor; check that too)
-        divisor = ic.init_divisor(cons, closes[0], 1000.0)
-        v1 = ic.index_value(closes[3], cons, divisor)
-        vc = ic.index_value(c * closes[3], cons, divisor)
+        divisor = ic.init_divisor(shares, closes[0], 1000.0)
+        v1 = ic.index_value(closes[3], shares, divisor)
+        vc = ic.index_value(c * closes[3], shares, divisor)
         assert vc == pytest.approx(c * v1, rel=1e-12)
         assert np.allclose(series_c.values, series.values, rtol=1e-12)
 
     def test_equal_shares_reduces_to_mean_price(self, rng):
-        cons = constituents(("A", 5.0), ("B", 5.0), ("C", 5.0))
+        tickers, shares = members(("A", 5.0), ("B", 5.0), ("C", 5.0))
         moves = {(t, i): float(rng.normal(0, 0.02)) for t in "ABC" for i in range(1, len(DAYS))}
         closes = make_panel(["A", "B", "C"], {"A": 1.0, "B": 2.0, "C": 4.0}, moves)
-        divisor = ic.init_divisor(cons, closes[0], 1000.0)
+        divisor = ic.init_divisor(shares, closes[0], 1000.0)
         for snap in closes:
-            level = ic.index_value(snap, cons, divisor)
+            level = ic.index_value(snap, shares, divisor)
             mean_price = np.mean(snap)
             # shares s=5 on n=3 stocks: level = s*n*mean(P)/D
             assert level == pytest.approx(mean_price * 15.0 / divisor, rel=1e-12)
 
     def test_action_outside_window_rejected(self):
-        cons = constituents(("A", 1.0))
+        tickers, shares = members(("A", 1.0))
         closes = make_panel(["A"], {"A": 1.0}, {})
         late = ic.CorporateAction("delisting", "A", DAYS[-1] + dt.timedelta(days=1))
         with pytest.raises(ParameterError):
-            ic.compute_series(DAYS, closes, cons, 1000.0, [late])
+            ic.compute_series(DAYS, closes, tickers, shares, 1000.0, [late])
 
 
 class TestActionValidation:
@@ -294,9 +332,9 @@ def test_series_levels_and_divisors_finite_and_positive(values, divisors):
 
 
 def test_series_csv_roundtrip(tmp_path):
-    cons = constituents(("A", 10.0), ("B", 5.0))
+    tickers, shares = members(("A", 10.0), ("B", 5.0))
     closes = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {("A", 2): 0.05})
-    series = ic.compute_series(DAYS, closes, cons, 1000.0)
+    series = ic.compute_series(DAYS, closes, tickers, shares, 1000.0)
     path = tmp_path / "series.csv"
     ic.write_series_csv(path, series)
     back = ic.read_series_csv(path)
@@ -318,10 +356,10 @@ def test_actions_csv(tmp_path):
     assert actions[2].replacement_price == 6.5
 
 
-def replay_series(dates, closes, cons, base_level, actions):
+def replay_series(dates, closes, tickers, shares, base_level, actions):
     """Per-day reference for compute_series: Python floats, Python ``sum``
     over the live constituents in index order, one date at a time."""
-    members = [(c.ticker, c.shares_issued, j) for j, c in enumerate(cons)]
+    members = [(t, s, j) for j, (t, s) in enumerate(zip(tickers, shares.tolist()))]
 
     def cap(i):
         return sum(float(closes[i, j]) * s for _, s, j in members)
@@ -359,7 +397,8 @@ def index_inputs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dates = [BASE + dt.timedelta(days=2 * i) for i in range(m)]
     closes = rng.uniform(0.5, 500, size=(m, n))
-    cons = [ic.Constituent(f"T{j}", float(rng.uniform(1, 1000))) for j in range(n)]
+    tickers = [f"T{j}" for j in range(n)]
+    shares = rng.uniform(1, 1000, size=n)
     candidates = []
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(ic.ACTION_KINDS))
@@ -368,9 +407,9 @@ def index_inputs(draw):
         # small ranges make several actions share a date
         effective = BASE + dt.timedelta(days=draw(st.integers(0, 2 * (m - 1))))
         repl = draw(st.none() | st.floats(0.5, 500)) if kind == "rights_or_bonus_issue" else None
-        shares = None if kind == "delisting" else draw(st.floats(1, 2000))
-        candidates.append(ic.CorporateAction(kind, ticker, effective, shares, repl))
-    live = {c.ticker for c in cons}
+        new_shares = None if kind == "delisting" else draw(st.floats(1, 2000))
+        candidates.append(ic.CorporateAction(kind, ticker, effective, new_shares, repl))
+    live = set(tickers)
     actions = []
     for action in sorted(candidates, key=lambda a: (a.effective_date, a.ticker, a.kind)):
         if action.ticker not in live or (action.kind == "delisting" and len(live) == 1):
@@ -380,14 +419,14 @@ def index_inputs(draw):
             live.remove(action.ticker)
             row = next(i for i, d in enumerate(dates) if d >= action.effective_date)
             closes[row + 1:, int(action.ticker[1:])] = np.nan
-    return dates, closes, cons, actions
+    return dates, closes, tickers, shares, actions
 
 
 @settings(max_examples=300, deadline=None)
 @given(index_inputs())
 def test_segment_valuation_equals_per_day_python_sum(inputs):
-    dates, closes, cons, actions = inputs
-    series = ic.compute_series(dates, closes, cons, 1000.0, actions)
-    levels, divisors = replay_series(dates, closes, cons, 1000.0, actions)
+    dates, closes, tickers, shares, actions = inputs
+    series = ic.compute_series(dates, closes, tickers, shares, 1000.0, actions)
+    levels, divisors = replay_series(dates, closes, tickers, shares, 1000.0, actions)
     assert np.array_equal(series.values, levels)
     assert np.array_equal(series.divisors, divisors)

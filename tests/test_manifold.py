@@ -214,12 +214,12 @@ class TestWeightTilde:
 class TestSymmetrize:
     def test_symmetric_input_is_fixed_point(self):
         wt = sparse.csr_matrix(np.array([[0.5, -0.5], [-0.5, 0.5]]))
-        w = manifold.symmetrize(wt, t=1.0, mode="paper")
+        w = manifold.symmetrize(wt, mode="paper")
         assert np.allclose(w.entries.toarray(), wt.toarray(), atol=0)
 
     def test_one_directional_edge_halves(self):
         wt = np.array([[0.4, -0.4, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        w = manifold.symmetrize(sparse.csr_matrix(wt), t=1.0, mode="paper")
+        w = manifold.symmetrize(sparse.csr_matrix(wt), mode="paper")
         assert w.entries[0, 1] == -0.2
         assert w.entries[1, 0] == -0.2
 
@@ -232,7 +232,7 @@ class TestSymmetrize:
                 [0.0, -0.2, 0.2],
             ]
         )
-        w = manifold.symmetrize(sparse.csr_matrix(wt), t=1.0, mode="balanced").entries.toarray()
+        w = manifold.symmetrize(sparse.csr_matrix(wt), mode="balanced").entries.toarray()
         expected = np.array(
             [
                 [0.5, -0.5, 0.0],
@@ -251,7 +251,7 @@ class TestSymmetrize:
                 [0.0, -0.2, 0.2],
             ]
         )
-        w = manifold.symmetrize(sparse.csr_matrix(wt), t=1.0, mode="paper").entries.toarray()
+        w = manifold.symmetrize(sparse.csr_matrix(wt), mode="paper").entries.toarray()
         assert np.allclose(np.diag(w), [0.5, 0.5, 0.2], atol=0)
 
     def test_symmetry_and_entry_ranges(self, rng):
@@ -277,9 +277,7 @@ class TestSymmetrize:
 
 class TestMassMatrix:
     def test_copies_diagonal(self):
-        w = manifold.WeightMatrix(
-            sparse.csr_matrix(np.diag([0.75, 0.5, 1.25])), t_param=1.0, mode="paper"
-        )
+        w = manifold.WeightMatrix(sparse.csr_matrix(np.diag([0.75, 0.5, 1.25])))
         assert manifold.mass_matrix(w).diag.tolist() == [0.75, 0.5, 1.25]
 
     def test_two_mutual_neighbors(self):
@@ -290,21 +288,17 @@ class TestMassMatrix:
         graph = manifold.AdjacencyGraph(
             k=1, neighbors=np.array([[1], [0]]), distances=np.array([[d2], [d2]])
         )
-        w = manifold.symmetrize(manifold.weight_tilde(graph, t), t, "paper")
+        w = manifold.symmetrize(manifold.weight_tilde(graph, t), "paper")
         a = manifold.mass_matrix(w)
         assert np.allclose(a.diag, [kern, kern], atol=1e-15)
 
     def test_zero_diagonal_rejected(self):
-        w = manifold.WeightMatrix(
-            sparse.csr_matrix(np.diag([1.0, 0.0])), t_param=1.0, mode="paper"
-        )
+        w = manifold.WeightMatrix(sparse.csr_matrix(np.diag([1.0, 0.0])))
         with pytest.raises(SingularMassError):
             manifold.mass_matrix(w)
 
     def test_nan_diagonal_rejected(self):
-        w = manifold.WeightMatrix(
-            sparse.csr_matrix(np.diag([1.0, np.nan, 2.0])), t_param=1.0, mode="paper"
-        )
+        w = manifold.WeightMatrix(sparse.csr_matrix(np.diag([1.0, np.nan, 2.0])))
         with pytest.raises(SingularMassError, match="mass entry 1 is nan"):
             manifold.mass_matrix(w)
         with pytest.raises(SingularMassError):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from manifold_index import indexcalc
 from manifold_index import marketdata as md
 from manifold_index.errors import (
     DuplicateQuoteError,
@@ -16,6 +17,7 @@ from manifold_index.errors import (
     MissingPriceError,
     NormalizationError,
     NotCompletableError,
+    ParameterError,
     ParseError,
 )
 
@@ -349,10 +351,18 @@ class TestIndexInputs:
         assert shares.tolist() == [200.0, 100.0]
 
     def test_unquoted_or_unpriced_constituent_rejected(self):
-        # on D[2] ZZZ is not in the panel, AAA has no close, BBB no shares
-        for ticker in ("ZZZ", "AAA", "BBB"):
-            with pytest.raises(MissingPriceError, match=f"{ticker} on {D[2]}"):
-                md.index_inputs(frame_fixture(), slice(2, 4), [ticker])
+        # on D[2] ZZZ is not in the panel, AAA has no close, BBB no shares;
+        # compute_series checks the first date of what index_inputs returns
+        quotes = frame_fixture()
+        with pytest.raises(MissingPriceError, match=f"^no price for ZZZ on {D[2]}$"):
+            md.index_inputs(quotes, slice(2, 4), ["ZZZ"])
+        for ticker, error, message in (
+            ("AAA", MissingPriceError, f"no price for AAA on {D[2]}"),
+            ("BBB", ParameterError, f"BBB: shares_issued absent on {D[2]}"),
+        ):
+            closes, shares = md.index_inputs(quotes, slice(2, 4), [ticker])
+            with pytest.raises(error, match=f"^{message}$"):
+                indexcalc.compute_series(quotes.dates[2:4], closes, [ticker], shares)
 
 
 class TestCalendarFromQuotes:

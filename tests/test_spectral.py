@@ -11,8 +11,8 @@ from manifold_index import manifold, spectral
 from manifold_index.errors import ConvergenceError, ParameterError, SizeError
 
 
-def make_pair(dense, mode="balanced", t=1.0):
-    w = manifold.WeightMatrix(sparse.csr_matrix(np.asarray(dense, dtype=float)), t, mode)
+def make_pair(dense):
+    w = manifold.WeightMatrix(sparse.csr_matrix(np.asarray(dense, dtype=float)))
     return w, manifold.mass_matrix(w)
 
 
@@ -79,13 +79,13 @@ class TestHandCases:
         assert np.allclose(basis.values, [0.0, 2.0], atol=1e-12)
 
     def test_oracle_identity_problem(self):
-        w, a = make_pair(np.diag([1.0, 1.0, 1.0]), mode="paper")
+        w, a = make_pair(np.diag([1.0, 1.0, 1.0]))
         basis = spectral.dense_oracle(w, a)
         assert np.allclose(basis.values, 1.0, atol=1e-14)
 
     def test_oracle_path_graph_spectrum(self):
         graph = manifold.knn_graph(np.arange(10.0)[:, None], k=2)
-        w = manifold.symmetrize(manifold.weight_tilde(graph, 1.0), 1.0, "balanced")
+        w = manifold.symmetrize(manifold.weight_tilde(graph, 1.0), "balanced")
         basis = spectral.dense_oracle(w, manifold.mass_matrix(w))
         assert np.all(np.diff(basis.values) >= -1e-12)
         assert basis.values.min() >= -1e-10
@@ -165,7 +165,7 @@ class TestDegenerate:
     def test_disconnected_pairs_share_zero_eigenvalue(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.1], [10.0, 0.0], [10.0, 0.12]])
         graph = manifold.knn_graph(pts, k=1)
-        w = manifold.symmetrize(manifold.weight_tilde(graph, 1.0), 1.0, "balanced")
+        w = manifold.symmetrize(manifold.weight_tilde(graph, 1.0), "balanced")
         a = manifold.mass_matrix(w)
         want = spectral.dense_oracle(w, a)
         got = lanczos_solve(w, a, 2)
@@ -265,7 +265,7 @@ class TestGuards:
 
     def test_oracle_size_guard(self):
         n = 2001
-        w = manifold.WeightMatrix(sparse.identity(n, format="csr"), 1.0, "paper")
+        w = manifold.WeightMatrix(sparse.identity(n, format="csr"))
         a = manifold.MassMatrix(np.ones(n))
         with pytest.raises(SizeError):
             spectral.dense_oracle(w, a)

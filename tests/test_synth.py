@@ -149,11 +149,9 @@ class TestBenchmark:
         market = synth.generate_market(synth.SynthConfig(
             n_stocks=30, m_days=30, n_sectors=5, seed=3, n_years=1))
         quotes = market.quotes
-        members = [
-            indexcalc.Constituent(t, float(quotes.shares[0, j]))
-            for j, t in enumerate(quotes.tickers)
-        ]
-        replay = indexcalc.compute_series(list(market.dates), quotes.close, members, 1000.0)
+        replay = indexcalc.compute_series(
+            list(market.dates), quotes.close, quotes.tickers, quotes.shares[0], 1000.0
+        )
         assert replay.dates == market.benchmark.dates
         assert np.allclose(replay.values, market.benchmark.values, rtol=1e-12)
 
