@@ -1,6 +1,8 @@
-"""Exception types shared across the pipeline, and the opener of the text
-files the readers parse, which turns bytes that are not UTF-8 into one."""
+"""Exception types shared across the pipeline; the opener of the readers'
+text files, which turns bytes that are not UTF-8 into a ParseError; the
+header rule of every CSV input and the row rule of the small ones."""
 
+import csv
 from contextlib import contextmanager
 
 
@@ -109,3 +111,40 @@ def open_text(path):
             yield fh
         except UnicodeDecodeError as exc:
             raise not_utf8(path, None, exc) from None
+
+
+def blank(fields: list) -> bool:
+    """Whether a CSV record holds nothing but blanks; such a row is skipped."""
+    return not any(f.strip() for f in fields)
+
+
+def header_columns(path, header: list, columns) -> dict[str, int]:
+    """Each name of a CSV header, stripped, with its first position; a header
+    that lacks one of ``columns`` is a ParseError at line 1."""
+    position = {name.strip(): i for i, name in reversed(list(enumerate(header)))}
+    for name in columns:
+        if name not in position:
+            raise ParseError(path, 1, f"missing required column {name!r}")
+    return position
+
+
+def read_rows(path, columns):
+    """(physical line, {column: stripped field}) for each row of a small CSV
+    input whose header names ``columns``; blank rows are skipped.  A row
+    without one field per header column, or text csv cannot tokenize, is a
+    ParseError naming its line (the last of a record spanning several)."""
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            position = header_columns(path, header, columns)
+            for fields in reader:
+                if blank(fields):
+                    continue
+                if len(fields) != len(header):
+                    raise ParseError(
+                        path, reader.line_num, f"expected {len(header)} fields, got {len(fields)}"
+                    )
+                yield reader.line_num, {name: fields[i].strip() for name, i in position.items()}
+        except csv.Error as exc:
+            raise ParseError(path, reader.line_num, f"bad CSV: {exc}") from None

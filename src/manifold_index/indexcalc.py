@@ -38,7 +38,7 @@ from .errors import (
     MissingPriceError,
     ParameterError,
     ParseError,
-    open_text,
+    read_rows,
 )
 
 ACTION_KINDS = ("share_change", "delisting", "rights_or_bonus_issue")
@@ -52,7 +52,8 @@ class CorporateAction:
 
     ``share_change`` and ``rights_or_bonus_issue`` need ``new_shares``; the
     latter also accepts ``replacement_price`` (theoretical ex price) for the
-    post-event cap, defaulting to the event-day price when omitted.
+    post-event cap, defaulting to the event-day price when omitted.  A field
+    the kind does not use is an error.
     """
 
     kind: str
@@ -64,11 +65,17 @@ class CorporateAction:
     def __post_init__(self):
         if self.kind not in ACTION_KINDS:
             raise ParameterError(f"action kind must be one of {ACTION_KINDS}, got {self.kind!r}")
-        if self.kind in ("share_change", "rights_or_bonus_issue"):
-            if self.new_shares is None or not self.new_shares > 0:
-                raise ParameterError(f"{self.kind} on {self.ticker} needs new_shares > 0")
-        if self.replacement_price is not None and not self.replacement_price > 0:
-            raise ParameterError(f"replacement_price must be > 0 for {self.ticker}")
+        if self.kind == "delisting":
+            if self.new_shares is not None:
+                raise ParameterError(f"{self.kind} of {self.ticker} takes no new_shares")
+        elif self.new_shares is None or not 0 < self.new_shares < math.inf:
+            raise ParameterError(f"{self.kind} on {self.ticker} needs finite new_shares > 0")
+        if self.replacement_price is None:
+            return
+        if self.kind != "rights_or_bonus_issue":
+            raise ParameterError(f"{self.kind} of {self.ticker} takes no replacement_price")
+        if not 0 < self.replacement_price < math.inf:
+            raise ParameterError(f"replacement_price must be finite and > 0 for {self.ticker}")
 
 
 @dataclass(frozen=True)
@@ -161,9 +168,7 @@ def adjust_divisor(
 
     price = float(prices_at_event[pos])
     new_shares = 0.0 if action.kind == "delisting" else action.new_shares
-    new_price = price
-    if action.kind == "rights_or_bonus_issue" and action.replacement_price is not None:
-        new_price = action.replacement_price
+    new_price = price if action.replacement_price is None else action.replacement_price
     m_new = m_old - price * float(shares[pos]) + new_price * new_shares
     if m_new <= 0:
         raise DegenerateUniverseError(f"post-event cap is {m_new} on {action.effective_date}")
@@ -266,22 +271,18 @@ def read_levels_csv(path, what: str, columns: tuple[str, ...]):
     rows: at least one row, dates strictly increasing, every value finite
     and > 0.  Returns the dates and one float64 array of values per column."""
     dates, rows = [], []
-    with open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                date = dt.date.fromisoformat(row["date"])
-                values = tuple(float(row[name]) for name in columns)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(path, reader.line_num, f"bad {what} row: {exc}") from None
-            if not all(0 < v < math.inf for v in values):
-                raise ParseError(
-                    path, reader.line_num, f"{' and '.join(columns)} must be finite and > 0"
-                )
-            if dates and date <= dates[-1]:
-                raise ParseError(path, reader.line_num, f"date {date} does not follow {dates[-1]}")
-            dates.append(date)
-            rows.append(values)
+    for line_no, row in read_rows(path, ("date", *columns)):
+        try:
+            date = dt.date.fromisoformat(row["date"])
+            values = tuple(float(row[name]) for name in columns)
+        except ValueError as exc:
+            raise ParseError(path, line_no, f"bad {what} row: {exc}") from None
+        if not all(0 < v < math.inf for v in values):
+            raise ParseError(path, line_no, f"{' and '.join(columns)} must be finite and > 0")
+        if dates and date <= dates[-1]:
+            raise ParseError(path, line_no, f"date {date} does not follow {dates[-1]}")
+        dates.append(date)
+        rows.append(values)
     if not dates:
         raise ParseError(path, None, f"no {what} rows")
     return tuple(dates), np.array(rows).T
@@ -294,33 +295,21 @@ def read_series_csv(path) -> IndexSeries:
 
 
 def read_actions_csv(path) -> list[CorporateAction]:
-    """Corporate actions from ``effective_date,ticker,kind,new_shares,replacement_price``."""
+    """Corporate actions from ``effective_date,ticker,kind,new_shares,
+    replacement_price`` rows; the last two columns may be left out."""
     actions = []
-    with open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            line_no = reader.line_num
-            if None in row:  # DictReader files fields past the header under None
-                width = len(reader.fieldnames)
-                got = width + len(row[None])
-                raise ParseError(path, line_no, f"bad action row: expected {width} fields, got {got}")
-            missing = [name for name, value in row.items() if value is None]
-            if missing:
-                raise ParseError(
-                    path, line_no, f"bad action row: no value for {', '.join(missing)}"
+    for line_no, row in read_rows(path, ("effective_date", "ticker", "kind")):
+        new_shares, repl = row.get("new_shares"), row.get("replacement_price")
+        try:
+            actions.append(
+                CorporateAction(
+                    kind=row["kind"],
+                    ticker=row["ticker"],
+                    effective_date=dt.date.fromisoformat(row["effective_date"]),
+                    new_shares=float(new_shares) if new_shares else None,
+                    replacement_price=float(repl) if repl else None,
                 )
-            try:
-                new_shares = row.get("new_shares", "").strip()
-                repl = row.get("replacement_price", "").strip()
-                actions.append(
-                    CorporateAction(
-                        kind=row["kind"].strip(),
-                        ticker=row["ticker"].strip(),
-                        effective_date=dt.date.fromisoformat(row["effective_date"].strip()),
-                        new_shares=float(new_shares) if new_shares else None,
-                        replacement_price=float(repl) if repl else None,
-                    )
-                )
-            except (KeyError, ValueError, ParameterError) as exc:
-                raise ParseError(path, line_no, f"bad action row: {exc}") from None
+            )
+        except (ValueError, ParameterError) as exc:
+            raise ParseError(path, line_no, f"bad action row: {exc}") from None
     return actions

@@ -37,6 +37,7 @@ import datetime as dt
 import io
 from array import array
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import attrgetter
@@ -52,6 +53,8 @@ from .errors import (
     NotCompletableError,
     ParameterError,
     ParseError,
+    blank,
+    header_columns,
     not_utf8,
 )
 
@@ -114,33 +117,12 @@ class MarketFrame:
         return len(self.tickers)
 
 
-def _value(token: str, column: str, positive: bool, path, line_no: int) -> float:
-    """One close or shares field: NaN when absent, else a finite number that
-    is > 0 (``positive``) or >= 0."""
-    try:
-        value = float(token)
-    except ValueError:
-        if token.strip() in MISSING_TOKENS:
-            return np.nan
-        raise ParseError(path, line_no, f"bad {column} value {token.strip()!r}") from None
-    if not (0.0 < value if positive else 0.0 <= value) or value == np.inf:
-        bound = "> 0" if positive else ">= 0"
-        raise ParseError(path, line_no, f"{column} must be finite and {bound}, got {value}")
-    return value
-
-
-def _number(token: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        return np.nan
-
-
-def _numbers(tokens: list, positive: bool) -> tuple[np.ndarray, np.ndarray]:
-    """A close or shares column as floats (NaN where absent), and a mask of
-    its malformed or out-of-range tokens; the rule is ``_value``'s.  The
-    column is parsed whole, and masked only if that fails."""
-    absent = np.zeros(len(tokens), dtype=bool)
+def _numbers(tokens: list, column: str, positive: bool):
+    """A close or shares column as floats (NaN where absent or malformed), a
+    mask of its faulty tokens (malformed, or not finite and > 0 (``positive``)
+    or >= 0) and the message of faulty token i.  The column is parsed whole,
+    and masked only if that fails."""
+    absent = malformed = np.zeros(len(tokens), dtype=bool)
     try:
         values = np.array(tokens, dtype=np.float64)  # parses as float() does
     except ValueError:
@@ -151,9 +133,18 @@ def _numbers(tokens: list, positive: bool) -> tuple[np.ndarray, np.ndarray]:
         try:
             values[~absent] = np.array(present, dtype=np.float64)
         except ValueError:  # a malformed token: the block holds a fault
-            values[~absent] = list(map(_number, present))
+            malformed = ~absent
+            for i in np.flatnonzero(malformed):
+                with suppress(ValueError):
+                    values[i], malformed[i] = float(tokens[i]), False
     in_range = values > 0 if positive else values >= 0
-    return values, ~(in_range & (values != np.inf) | absent)
+
+    def fault(i: int) -> str:
+        if malformed[i]:
+            return f"bad {column} value {tokens[i].strip()!r}"
+        return f"{column} must be finite and {'> 0' if positive else '>= 0'}, got {values[i]}"
+
+    return values, ~(in_range & (values != np.inf) | absent), fault
 
 
 def _ids(tokens: list, known: dict, parse) -> np.ndarray:
@@ -166,22 +157,16 @@ def _ids(tokens: list, known: dict, parse) -> np.ndarray:
     return np.fromiter(map(known.get, tokens, repeat(-1)), dtype=np.intc, count=len(tokens))
 
 
-def _blank(row: list) -> bool:
-    return not any(f.strip() for f in row)
-
-
 class _QuoteColumns:
     """The checked rows of a quote file so far, one column of ids or values
     each, in line order.  Rows arrive in batches of records."""
 
     def __init__(self, source, header: list):
         self.source = source
-        names = [h.strip() for h in header]
-        try:
-            self.columns = [names.index(k) for k in ("date", "ticker", "close", "shares_issued")]
-        except ValueError as exc:
-            raise ParseError(source, 1, f"missing required column: {exc}") from None
-        self.width = len(names)
+        names = ("date", "ticker", "close", "shares_issued")
+        position = header_columns(source, header, names)
+        self.columns = [position[name] for name in names]
+        self.width = len(header)
         # Each distinct date or ticker token is parsed once and then maps to
         # an id; two tokens may name the same date or ticker.
         self.date_of_token: dict[str, int] = {}
@@ -202,20 +187,6 @@ class _QuoteColumns:
         name = token.strip()
         return self.ticker_ids.setdefault(name, len(self.ticker_ids)) if name else -1
 
-    def _raise_row_error(self, row: list, line_no: int):
-        """Raise the ParseError of a faulty row, checking in the order rows
-        have always been checked: width, date, ticker, close, shares."""
-        source = self.source
-        if len(row) < self.width:
-            raise ParseError(source, line_no, f"expected {self.width} fields, got {len(row)}")
-        di, ti, ci, si = self.columns
-        if self._date_id(row[di]) < 0:
-            raise ParseError(source, line_no, f"bad date {row[di]!r}")
-        if not row[ti].strip():
-            raise ParseError(source, line_no, "empty ticker")
-        _value(row[ci], "close", True, source, line_no)
-        _value(row[si], "shares_issued", False, source, line_no)
-
     def add(self, fields: list, count: np.ndarray, line: np.ndarray) -> None:
         """Check and keep a batch of records: record r has ``count[r]``
         fields, the next ones of ``fields``, and ends on line ``line[r]``.
@@ -226,35 +197,42 @@ class _QuoteColumns:
         def record(r):
             return fields[start[r]:start[r] + count[r]]
 
-        # Odd records one at a time: a short one is blank or a fault, a long
-        # one keeps the header's fields.  The runs between them stay whole.
-        faults, runs, at = [], [], 0
+        # Odd records one at a time: a blank one is dropped, a long one keeps
+        # the header's fields and a short one is padded with empty ones.
+        runs, at, kept = [], 0, np.ones(len(count), dtype=bool)
         for r in np.flatnonzero(count != width):
             runs.append(fields[at:start[r]])
-            if count[r] > width:
-                runs.append(record(r)[:width])
-            elif not _blank(record(r)):
-                faults.append(r)
+            if blank(record(r)):
+                kept[r] = False
+            else:
+                runs.append((record(r) + [""] * width)[:width])
             at = start[r] + count[r]
         regular = list(chain.from_iterable(runs + [fields[at:]])) if runs else fields
-        rows = np.flatnonzero(count >= width)
+        rows = np.flatnonzero(kept)
         columns = [regular[c::width] for c in self.columns]
         dates = _ids(columns[0], self.date_of_token, self._date_id)
         tickers = _ids(columns[1], self.ticker_of_token, self._ticker_id)
-        closes, bad_close = _numbers(columns[2], True)
-        shares, bad_shares = _numbers(columns[3], False)
-        faulty = (dates < 0) | (tickers < 0) | bad_close | bad_shares
+        closes, bad_close, close_fault = _numbers(columns[2], "close", True)
+        shares, bad_shares, shares_fault = _numbers(columns[3], "shares_issued", False)
+        faulty = (count[rows] < width) | (dates < 0) | (tickers < 0) | bad_close | bad_shares
         keep = slice(None)
         if faulty.any():
             # a blank record has no date either; it is skipped, not a fault
-            blank = [k for k in np.flatnonzero(dates < 0) if _blank(record(rows[k]))]
-            faulty[blank] = False
+            skipped = [k for k in np.flatnonzero(dates < 0) if blank(record(rows[k]))]
+            faulty[skipped] = False
             keep = np.ones(len(rows), dtype=bool)
-            keep[blank] = False
-            faults += rows[faulty][:1].tolist()
-        if faults:
-            r = min(faults)
-            self._raise_row_error(record(r), int(line[r]))
+            keep[skipped] = False
+        if faulty.any():
+            k = np.argmax(faulty)  # checked for width, date, ticker, close, shares in turn
+            if count[rows[k]] < width:
+                message = f"expected {width} fields, got {count[rows[k]]}"
+            elif dates[k] < 0:
+                message = f"bad date {columns[0][k]!r}"
+            elif tickers[k] < 0:
+                message = "empty ticker"
+            else:
+                message = close_fault(k) if bad_close[k] else shares_fault(k)
+            raise ParseError(self.source, int(line[rows[k]]), message)
         for store, column in ((self.row_line, line[rows]), (self.row_date, dates),
                               (self.row_ticker, tickers), (self.closes, closes),
                               (self.shares, shares)):
@@ -404,10 +382,8 @@ def load_quotes(source) -> QuotePanel:
     """
     with open(source, "rb") as fh:
         batches = _record_batches(fh, source)
-        first = next(batches, None)
-        if first is None:
-            raise EmptyUniverseError(f"{source}: file is empty")
-        fields, count, line = first
+        # an empty file has an empty header, which lacks every column
+        fields, count, line = next(batches, ([], [0], [1]))
         quotes = _QuoteColumns(source, fields[:count[0]])
         quotes.add(fields[count[0]:], count[1:], line[1:])
         for batch in batches:

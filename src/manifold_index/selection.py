@@ -17,7 +17,7 @@ import csv
 
 import numpy as np
 
-from .errors import InsufficientFeaturesError, ParameterError, ParseError, open_text
+from .errors import InsufficientFeaturesError, ParameterError, ParseError, read_rows
 from .manifold import AdjacencyGraph
 from .spectral import EigenBasis
 
@@ -94,19 +94,13 @@ def read_constituents_csv(path) -> list[str]:
     """Tickers from a constituent export, in rank order: at least one row,
     and every row names a ticker no other row names."""
     lines: dict[str, int] = {}  # ticker -> line naming it
-    with open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        if "ticker" not in (reader.fieldnames or ()):
-            raise ParseError(path, 1, "missing required column 'ticker'")
-        for row in reader:
-            ticker = row["ticker"]  # None in a short row
-            if not ticker:
-                raise ParseError(path, reader.line_num, "no ticker")
-            if ticker in lines:
-                raise ParseError(
-                    path, reader.line_num, f"ticker {ticker!r} repeats line {lines[ticker]}"
-                )
-            lines[ticker] = reader.line_num
+    for line_no, row in read_rows(path, ("ticker",)):
+        ticker = row["ticker"]
+        if not ticker:
+            raise ParseError(path, line_no, "no ticker")
+        if ticker in lines:
+            raise ParseError(path, line_no, f"ticker {ticker!r} repeats line {lines[ticker]}")
+        lines[ticker] = line_no
     if not lines:
         raise ParseError(path, None, "no constituents")
     return list(lines)

@@ -264,7 +264,7 @@ class TestIndexAndMetrics:
         assert err[0].startswith(f"error: {cfile}:1:")
 
     @pytest.mark.parametrize("rows, where, names", [
-        ("1\n", ":2", "no ticker"),
+        ("1\n", ":2", "expected 2 fields, got 1"),
         ("1,\n", ":2", "no ticker"),
         ("1,S0001\n2,S0002\n3,S0001\n", ":4", "'S0001' repeats line 2"),
         ("", "", "no constituents"),
@@ -286,8 +286,10 @@ class TestIndexAndMetrics:
 
     @pytest.mark.parametrize("which", ["series", "benchmark"])
     @pytest.mark.parametrize("rows, where, names", [
-        ("2021-01-05,1000.0,0.5\n2021-01-05,1001.0,0.5\n", ":3", "2021-01-05 does not follow"),
-        ("2021-01-05,1000.0,0.5\n2021-01-04,1001.0,0.5\n", ":3", "2021-01-04 does not follow"),
+        ("2021-01-05,1000.0{divisor}\n2021-01-05,1001.0{divisor}\n", ":3",
+         "2021-01-05 does not follow"),
+        ("2021-01-05,1000.0{divisor}\n2021-01-04,1001.0{divisor}\n", ":3",
+         "2021-01-04 does not follow"),
         ("", "", "no {which} rows"),
     ], ids=["repeated-date", "date-out-of-order", "header-only"])
     def test_bad_dates_name_line(
@@ -299,7 +301,7 @@ class TestIndexAndMetrics:
         }
         bad = files[which] = tmp_path / f"{which}.csv"
         header = "date,level,divisor" if which == "series" else "date,level"
-        bad.write_text(f"{header}\n{rows}")
+        bad.write_text(f"{header}\n" + rows.format(divisor=",0.5" if which == "series" else ""))
         rc = run([
             "metrics", "--benchmark", str(files["benchmark"]), "--outdir", str(tmp_path / "out"),
             "--series", str(files["series"]),
@@ -458,7 +460,7 @@ class TestIndexAndMetrics:
 
     @pytest.mark.parametrize("rows, line, names", [
         ("\n2021-03-01,S0001,bogus", 3, "bogus"),  # a blank line still counts
-        ("2021-03-01,S0001", 2, "kind"),  # short row
+        ("2021-03-01,S0001", 2, "expected 3 fields, got 2"),  # short row
         ("2021-01-05,S0002,delisting,,,oops", 2, "expected 3 fields, got 6"),
     ], ids=["blank-line", "short-row", "long-row"])
     def test_bad_action_row_names_line(
@@ -477,6 +479,30 @@ class TestIndexAndMetrics:
         assert len(err) == 1
         assert err[0].startswith(f"error: {actions_path}:{line}:")
         assert names in err[0]
+
+    def test_action_field_its_kind_does_not_use_names_line(
+        self, small_market, artifacts, tmp_path, capsys
+    ):
+        """A field the action's kind ignores is an error, not silently dropped."""
+        first, second = selection.read_constituents_csv(artifacts / "constituents_005.csv")[:2]
+        actions_path = tmp_path / "act.csv"
+        actions_path.write_text(
+            "effective_date,ticker,kind,new_shares,replacement_price\n"
+            f"2021-02-01,{first},share_change,5000,7.5\n"
+            f"2021-03-01,{second},delisting,99,3.0\n"
+        )
+        rc = run([
+            "index", "--quotes", str(small_market / "quotes.csv"),
+            "--study-year", "2020", "--outdir", str(tmp_path / "out"),
+            "--actions", str(actions_path),
+            "--constituents", str(artifacts / "constituents_005.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {actions_path}:2: bad action row: "
+            f"share_change of {first} takes no replacement_price"
+        ]
+        assert not (tmp_path / "out").exists()
 
 
 class TestBacktest:
@@ -886,6 +912,47 @@ def test_readers_reject_non_utf8_naming_the_file(tmp_path, read):
         read(path)
 
 
+# Each small CSV reader with a valid header, a valid row and a column it needs.
+SMALL_FILES = {
+    "benchmark": (synth.read_benchmark_csv, "date,level", "2021-01-04,1000.0", "level"),
+    "series": (indexcalc.read_series_csv, "date,level,divisor", "2021-01-04,1000.0,0.5",
+               "divisor"),
+    "constituents": (selection.read_constituents_csv,
+                     "rank,ticker,source_eigenvector,extremum_kind,market_cap",
+                     "1,S0001,0,max,1000.0", "ticker"),
+    "actions": (indexcalc.read_actions_csv,
+                "effective_date,ticker,kind,new_shares,replacement_price",
+                "2021-02-01,S0001,share_change,5000,", "kind"),
+}
+
+
+@pytest.mark.parametrize("which", SMALL_FILES)
+@pytest.mark.parametrize("case, line", [
+    ("long-row", 3), ("short-row", 3), ("missing-column", 1), ("blank-line-first", 4),
+    ("field-past-csv-limit", 3),
+])
+def test_small_readers_share_one_row_rule(tmp_path, which, case, line):
+    """Every row of a small CSV input has one field per header column, and
+    the header names the columns its reader needs; a fault names its line."""
+    read, header, row, needed = SMALL_FILES[which]
+    width = header.count(",") + 1
+    lines, message = {
+        "long-row": ([header, row, row + ",junk"], f"expected {width} fields, got {width + 1}"),
+        "short-row": ([header, row, row.rsplit(",", 1)[0]],
+                      f"expected {width} fields, got {width - 1}"),
+        "missing-column": ([header.replace(needed, "other"), row],
+                           f"missing required column {needed!r}"),
+        "blank-line-first": ([header, row, " \t ", row + ",junk"],
+                             f"expected {width} fields, got {width + 1}"),
+        "field-past-csv-limit": ([header, row, '"' + "x" * 200_000], "bad CSV: field larger"),
+    }[case]
+    path = tmp_path / f"{which}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:{line}: {message}')}") as caught:
+        read(path)
+    assert caught.value.line_no == line
+
+
 @pytest.fixture(scope="module")
 def fuzz_quotes(tmp_path_factory):
     """A small valid quote file that ``select`` runs through."""
@@ -996,15 +1063,19 @@ def listing(directory):
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(which=st.sampled_from(sorted(FUZZ_READERS)),
-       mutations=st.lists(BYTE_MUTATION | ROW_MUTATION, min_size=1, max_size=3))
-def test_mutated_inputs_exit_cleanly(fuzz_inputs, tmp_path, capsys, which, mutations):
+@given(mutated=st.dictionaries(
+    st.sampled_from(sorted(FUZZ_READERS)),
+    st.lists(BYTE_MUTATION | ROW_MUTATION, min_size=1, max_size=3),
+    min_size=1, max_size=2,
+))
+def test_mutated_inputs_exit_cleanly(fuzz_inputs, tmp_path, capsys, mutated):
     """index, metrics and backtest end with exit 0, or exit 1 and one
-    ``error:`` line, whatever the mutations do to a file they read, and
-    leave ``--outdir`` as they found it when they exit 1."""
+    ``error:`` line, whatever the mutations do to one or two files they
+    read, and leave ``--outdir`` as they found it when they exit 1."""
     paths = {name: fuzz_inputs / f"{name}.csv" for name in FUZZ_READERS}
-    paths[which] = tmp_path / f"{which}.csv"
-    paths[which].write_bytes(mutate((fuzz_inputs / f"{which}.csv").read_bytes(), mutations))
+    for which, mutations in mutated.items():
+        paths[which] = tmp_path / f"{which}.csv"
+        paths[which].write_bytes(mutate((fuzz_inputs / f"{which}.csv").read_bytes(), mutations))
     # examples share tmp_path, so each starts from its own, not yet created, --outdir
     outdir = Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
     quotes, out = str(paths["quotes"]), str(outdir)
@@ -1017,7 +1088,7 @@ def test_mutated_inputs_exit_cleanly(fuzz_inputs, tmp_path, capsys, which, mutat
                      "--actions", str(paths["actions"]), "--start-year", "2020",
                      "--end-year", "2020"],
     }
-    for command in FUZZ_READERS[which]:
+    for command in dict.fromkeys(c for which in mutated for c in FUZZ_READERS[which]):
         before = listing(outdir)
         capsys.readouterr()
         rc = run(argv[command] + ["--config", str(paths["config"]), "--outdir", out])

@@ -317,6 +317,23 @@ class TestActionValidation:
         with pytest.raises(ParameterError):
             ic.CorporateAction("share_change", "A", BASE)
 
+    @pytest.mark.parametrize("kind, given, unused", [
+        ("delisting", {"new_shares": 99.0}, "new_shares"),
+        ("delisting", {"replacement_price": 3.0}, "replacement_price"),
+        ("share_change", {"new_shares": 5000.0, "replacement_price": 7.5}, "replacement_price"),
+    ])
+    def test_field_the_kind_does_not_use_rejected(self, kind, given, unused):
+        with pytest.raises(ParameterError, match=f"^{kind} of A takes no {unused}$"):
+            ic.CorporateAction(kind, "A", BASE, **given)
+
+    @pytest.mark.parametrize("kind, given", [
+        ("share_change", {"new_shares": np.inf}),
+        ("rights_or_bonus_issue", {"new_shares": 10.0, "replacement_price": np.inf}),
+    ])
+    def test_values_must_be_finite(self, kind, given):
+        with pytest.raises(ParameterError, match="finite"):
+            ic.CorporateAction(kind, "A", BASE, **given)
+
 
 @pytest.mark.parametrize("values, divisors", [
     ((1000.0, float("nan")), (1.0, 1.0)),

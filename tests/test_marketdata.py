@@ -91,6 +91,15 @@ class TestLoadQuotes:
         with pytest.raises(ParseError, match=":4: bad close value 'abc'"):
             md.load_quotes(path)
 
+    @pytest.mark.parametrize("text, column", [
+        ("", "date"),
+        ("date,ticker,shares_issued\n2020-01-02,AAA,100\n", "close"),
+    ], ids=["empty-file", "no-close"])
+    def test_header_without_a_column_names_line_1(self, tmp_path, text, column):
+        path = write_csv(tmp_path, text)
+        with pytest.raises(ParseError, match=f":1: missing required column '{column}'$"):
+            md.load_quotes(path)
+
     def test_empty_file_is_empty_universe(self, tmp_path):
         path = write_csv(tmp_path, "date,ticker,close,shares_issued\n")
         with pytest.raises(EmptyUniverseError):
