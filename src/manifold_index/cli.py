@@ -36,13 +36,10 @@ import numpy as np
 
 from . import indexcalc, manifold, marketdata, metrics, selection, spectral, synth
 from .errors import (
-    AlignmentError,
-    InsufficientDataError,
     InsufficientFeaturesError,
     ParameterError,
     ParseError,
     PipelineError,
-    UndefinedMetricError,
     open_text,
 )
 
@@ -263,8 +260,8 @@ def cmd_metrics(
             chunk = one.rows(marketdata.year_rows(one.dates, year))
             try:
                 reports.append((name, year, metrics.evaluate(chunk, benchmark.rows(bench_rows))))
-            except (AlignmentError, InsufficientDataError, UndefinedMetricError) as exc:
-                raise type(exc)(f"{exc} ({sfile}, year {year})") from None
+            except PipelineError as exc:
+                raise PipelineError(f"{exc} ({sfile}, year {year})") from None
 
     report_path = Path(cfg.outdir) / "metrics.csv"
     stability_path = Path(cfg.outdir) / "stability.csv"

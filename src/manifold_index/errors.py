@@ -1,13 +1,21 @@
 """Exception types shared across the pipeline; the opener of the readers'
 text files, which turns bytes that are not UTF-8 into a ParseError; the
-header rule of every CSV input and the row rule of the small ones."""
+header rule of every CSV input and the row rule of the small ones.
+
+Six types, each kept because code tells it apart: PipelineError, the base
+``cli.main`` reports; ParseError, which names the file and line;
+ParameterError, a ValueError the config and flag parsers catch as one;
+ConvergenceError, which carries the worst residual; InsufficientFeaturesError,
+which ``cli.grow_basis_and_select`` catches to grow the basis; and
+MissingPriceError, one message raised by two modules."""
 
 import csv
 from contextlib import contextmanager
 
 
 class PipelineError(Exception):
-    """Base class for every error this package raises deliberately."""
+    """Base class for every error this package raises deliberately, and the
+    error of an input the pipeline cannot turn into a result."""
 
 
 class ParseError(PipelineError):
@@ -21,28 +29,8 @@ class ParseError(PipelineError):
         self.line_no = line_no
 
 
-class DuplicateQuoteError(ParseError):
-    """Two rows share the same (ticker, date)."""
-
-
-class EmptyUniverseError(PipelineError):
-    """No tickers were loaded, or none survived screening."""
-
-
-class NotCompletableError(PipelineError):
-    """A series cannot be forward-filled: the first calendar value is absent."""
-
-
-class NormalizationError(PipelineError):
-    """A vector has zero (or non-finite) norm and cannot be unit-scaled."""
-
-
 class ParameterError(PipelineError, ValueError):
     """An operation received an out-of-range or inconsistent parameter."""
-
-
-class SingularMassError(PipelineError):
-    """The mass matrix has a (near-)zero diagonal entry, i.e. an isolated point."""
 
 
 class ConvergenceError(PipelineError):
@@ -53,10 +41,6 @@ class ConvergenceError(PipelineError):
             message = f"{message} (worst residual {worst_residual:.3e})"
         super().__init__(message)
         self.worst_residual = worst_residual
-
-
-class SizeError(PipelineError):
-    """Problem exceeds the guard for the dense verification path."""
 
 
 class InsufficientFeaturesError(PipelineError):
@@ -78,22 +62,6 @@ class MissingPriceError(PipelineError):
         super().__init__(f"no price for {ticker} on {date}")
         self.ticker = ticker
         self.date = date
-
-
-class DegenerateUniverseError(PipelineError):
-    """Total constituent market cap is zero or negative."""
-
-
-class InsufficientDataError(PipelineError):
-    """Too few observations for the requested statistic."""
-
-
-class AlignmentError(PipelineError):
-    """Two series do not share the same dates or length."""
-
-
-class UndefinedMetricError(PipelineError):
-    """The metric is undefined for this input (constant series, zero variance)."""
 
 
 def not_utf8(path, line_no: int | None, exc: UnicodeDecodeError) -> ParseError:

@@ -34,10 +34,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateUniverseError,
     MissingPriceError,
     ParameterError,
     ParseError,
+    PipelineError,
     read_rows,
 )
 
@@ -133,7 +133,7 @@ def init_divisor(shares, prices_at_base, base_level: float = DEFAULT_BASE_LEVEL)
         raise ParameterError(f"base level must be finite and > 0, got {base_level}")
     cap = float(index_value(prices_at_base, shares, 1.0))
     if not 0 < cap < math.inf:
-        raise DegenerateUniverseError(f"total cap at base is {cap}")
+        raise PipelineError(f"total cap at base is {cap}")
     divisor = cap / base_level
     if not 0 < divisor < math.inf:
         raise ParameterError(
@@ -164,14 +164,14 @@ def adjust_divisor(
         raise ParameterError(f"{action.ticker} is not a constituent on {action.effective_date}")
     m_old = float(index_value(prices_at_event, shares, 1.0))
     if m_old <= 0:
-        raise DegenerateUniverseError(f"pre-event cap is {m_old} on {action.effective_date}")
+        raise PipelineError(f"pre-event cap is {m_old} on {action.effective_date}")
 
     price = float(prices_at_event[pos])
     new_shares = 0.0 if action.kind == "delisting" else action.new_shares
     new_price = price if action.replacement_price is None else action.replacement_price
     m_new = m_old - price * float(shares[pos]) + new_price * new_shares
     if m_new <= 0:
-        raise DegenerateUniverseError(f"post-event cap is {m_new} on {action.effective_date}")
+        raise PipelineError(f"post-event cap is {m_new} on {action.effective_date}")
     after = np.array(shares, dtype=float)
     after[pos] = new_shares
     return divisor * (m_new / m_old), after
@@ -310,6 +310,6 @@ def read_actions_csv(path) -> list[CorporateAction]:
                     replacement_price=float(repl) if repl else None,
                 )
             )
-        except (ValueError, ParameterError) as exc:
+        except ValueError as exc:
             raise ParseError(path, line_no, f"bad action row: {exc}") from None
     return actions

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import ParameterError, SingularMassError
+from .errors import ParameterError, PipelineError
 
 DEFAULT_K = 10
 
@@ -181,7 +181,7 @@ class MassMatrix:
 
     def __post_init__(self):
         if not np.all(self.diag > 0):
-            raise SingularMassError("mass diagonal must be strictly positive")
+            raise PipelineError("mass diagonal must be strictly positive")
 
     @property
     def n(self) -> int:
@@ -209,7 +209,7 @@ def mass_matrix(weights: WeightMatrix) -> MassMatrix:
     diag = np.asarray(weights.entries.diagonal(), dtype=float).copy()
     if not np.all(diag > 1e-300):
         bad = int(np.argmin(diag))
-        raise SingularMassError(f"mass entry {bad} is {diag[bad]:.3e}; isolated point or NaN")
+        raise PipelineError(f"mass entry {bad} is {diag[bad]:.3e}; isolated point or NaN")
     return MassMatrix(diag=diag)
 
 

@@ -46,13 +46,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    DuplicateQuoteError,
-    EmptyUniverseError,
     MissingPriceError,
-    NormalizationError,
-    NotCompletableError,
     ParameterError,
     ParseError,
+    PipelineError,
     blank,
     header_columns,
     not_utf8,
@@ -110,7 +107,7 @@ class MarketFrame:
         bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
         if len(bad):
             i = bad[0]
-            raise NormalizationError(f"{self.tickers[i]}: vector norm {norms[i]} is not 1")
+            raise PipelineError(f"{self.tickers[i]}: vector norm {norms[i]} is not 1")
 
     @property
     def n(self) -> int:
@@ -240,7 +237,7 @@ class _QuoteColumns:
 
     def panel(self) -> QuotePanel:
         if not self.ticker_ids:
-            raise EmptyUniverseError(f"{self.source}: no quote rows")
+            raise PipelineError(f"{self.source}: no quote rows")
         dates, i = _ranked(self.date_ids, self.row_date)
         tickers, j = _ranked(self.ticker_ids, self.row_ticker)
         shape = (len(dates), len(tickers))
@@ -249,8 +246,8 @@ class _QuoteColumns:
         if np.count_nonzero(seen) < len(i):
             _, first_seen = np.unique(np.ravel_multi_index((i, j), shape), return_index=True)
             p = np.setdiff1d(np.arange(len(i)), first_seen)[0]
-            raise DuplicateQuoteError(self.source, self.row_line[p],
-                                      f"duplicate quote for ({tickers[j[p]]}, {dates[i[p]]})")
+            raise ParseError(self.source, self.row_line[p],
+                             f"duplicate quote for ({tickers[j[p]]}, {dates[i[p]]})")
         close_panel, shares_panel = np.full(shape, np.nan), np.full(shape, np.nan)
         close_panel[i, j] = np.frombuffer(self.closes)
         shares_panel[i, j] = np.frombuffer(self.shares)
@@ -377,8 +374,8 @@ def load_quotes(source) -> QuotePanel:
     and fields past the header's dropped.  A close must be finite and > 0
     and shares finite and >= 0; ``NA`` or an empty field is absent.  The
     first malformed line raises ParseError naming it; a second quote for the
-    same (ticker, date) raises DuplicateQuoteError once the rest of the file
-    has parsed.
+    same (ticker, date) raises a ParseError naming its line once the rest of
+    the file has parsed.
     """
     with open(source, "rb") as fh:
         batches = _record_batches(fh, source)
@@ -404,13 +401,13 @@ def complete_series(values) -> np.ndarray:
     """Forward-fill closes over their dates.
 
     ``values`` is one date-aligned series, or a dates x tickers block, with
-    NaN (or None) where a close is absent.  Raises NotCompletableError when
+    NaN (or None) where a close is absent.  Raises PipelineError when
     a series has no close on the first date (the caller routes such tickers
     to screening).
     """
     values = np.asarray(values, dtype=float)
     if np.isnan(values[0]).any():
-        raise NotCompletableError("first calendar value is absent; cannot forward-fill")
+        raise PipelineError("first calendar value is absent; cannot forward-fill")
     return _forward_fill(values)
 
 
@@ -422,7 +419,7 @@ def screen_universe(closes) -> np.ndarray:
     closes = np.asarray(closes, dtype=float)
     survivors = np.flatnonzero(~np.isnan(closes[0]) & ~np.isnan(closes[-1]))
     if not len(survivors):
-        raise EmptyUniverseError("screening removed every ticker")
+        raise PipelineError("screening removed every ticker")
     return survivors
 
 
@@ -431,7 +428,7 @@ def normalize(series) -> np.ndarray:
     v = np.asarray(series, dtype=float)
     nrm = float(np.linalg.norm(v))
     if not np.isfinite(nrm) or nrm <= 0.0:
-        raise NormalizationError(f"cannot normalize vector with norm {nrm}")
+        raise PipelineError(f"cannot normalize vector with norm {nrm}")
     return v / nrm
 
 
@@ -453,7 +450,7 @@ def build_market_frame(quotes: QuotePanel, rows: slice) -> MarketFrame:
     shares = _forward_fill(quotes.shares[rows, keep])[-1]
     absent = np.flatnonzero(np.isnan(shares))
     if len(absent):
-        raise NotCompletableError(
+        raise PipelineError(
             f"{tickers[absent[0]]}: shares_issued absent through {quotes.dates[rows.stop - 1]}"
         )
     return MarketFrame(tickers, vectors, closes[:, -1] * shares)
@@ -490,5 +487,5 @@ def calendar_from_quotes(quotes: QuotePanel, year: int) -> slice:
     at least two."""
     rows = year_rows(quotes.dates, year)
     if rows.stop - rows.start < 2:
-        raise EmptyUniverseError(f"no trading dates found for year {year}")
+        raise PipelineError(f"no trading dates found for year {year}")
     return rows

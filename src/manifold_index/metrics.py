@@ -13,11 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    InsufficientDataError,
-    UndefinedMetricError,
-)
+from .errors import PipelineError
 from .indexcalc import IndexSeries
 
 DEFAULT_RISK_FREE = 0.002
@@ -34,12 +30,12 @@ def monthly_returns(series: IndexSeries) -> np.ndarray:
     # dates ascend, so a month's last row is the one before the month changes
     month_ends = np.append(np.flatnonzero(months[1:] != months[:-1]), len(months) - 1)
     if len(month_ends) < 2:
-        raise InsufficientDataError("need at least 2 calendar months of levels")
+        raise PipelineError("need at least 2 calendar months of levels")
     closes = series.values[month_ends]
     with np.errstate(over="ignore"):  # an overflow is the inf rejected below
         rets = (closes[1:] - closes[:-1]) / closes[:-1]
     if not np.all(np.isfinite(rets)) or np.any(rets <= -1.0):
-        raise UndefinedMetricError("returns must be finite and > -1")
+        raise PipelineError("returns must be finite and > -1")
     return rets
 
 
@@ -48,18 +44,18 @@ def pearson(x, y) -> float:
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     if xv.shape != yv.shape:
-        raise AlignmentError(f"length mismatch: {xv.shape} vs {yv.shape}")
+        raise PipelineError(f"length mismatch: {xv.shape} vs {yv.shape}")
     if xv.size < 2:
-        raise InsufficientDataError("pearson needs at least 2 samples")
+        raise PipelineError("pearson needs at least 2 samples")
     dx = xv - xv.mean()
     dy = yv - yv.mean()
     sx = float(np.sqrt(dx @ dx))
     sy = float(np.sqrt(dy @ dy))
     if sx == 0.0 or sy == 0.0:
-        raise UndefinedMetricError("pearson undefined for a constant series")
+        raise PipelineError("pearson undefined for a constant series")
     rho = float((dx @ dy) / (sx * sy))
     if abs(rho) > 1.0 + 1e-12:
-        raise UndefinedMetricError(f"pearson {rho} outside [-1, 1]")
+        raise PipelineError(f"pearson {rho} outside [-1, 1]")
     return rho
 
 
@@ -68,7 +64,7 @@ def alpha(index_returns, market_returns) -> float:
     ri = np.asarray(index_returns, dtype=float)
     rm = np.asarray(market_returns, dtype=float)
     if ri.shape != rm.shape:
-        raise AlignmentError(f"length mismatch: {ri.shape} vs {rm.shape}")
+        raise PipelineError(f"length mismatch: {ri.shape} vs {rm.shape}")
     return float(ri.mean() - rm.mean())
 
 
@@ -78,13 +74,13 @@ def beta(index_returns, market_returns) -> float:
     ri = np.asarray(index_returns, dtype=float)
     rm = np.asarray(market_returns, dtype=float)
     if ri.shape != rm.shape:
-        raise AlignmentError(f"length mismatch: {ri.shape} vs {rm.shape}")
+        raise PipelineError(f"length mismatch: {ri.shape} vs {rm.shape}")
     if ri.size < 2:
-        raise InsufficientDataError("beta needs at least 2 samples")
+        raise PipelineError("beta needs at least 2 samples")
     dm = rm - rm.mean()
     var_m = float(dm @ dm) / (rm.size - 1)
     if var_m == 0.0:
-        raise UndefinedMetricError("beta undefined: market variance is zero")
+        raise PipelineError("beta undefined: market variance is zero")
     cov = float((ri - ri.mean()) @ dm) / (ri.size - 1)
     return cov / var_m
 
@@ -102,7 +98,7 @@ def stability_std(values: Sequence[float]) -> float:
     closer to 0 means more stable."""
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
-        raise InsufficientDataError("stability needs at least 2 values")
+        raise PipelineError("stability needs at least 2 values")
     return float(arr.std(ddof=1))
 
 
@@ -111,7 +107,7 @@ def mean_baseline_distance(values: Sequence[float], baseline: float) -> float:
     (1.0 for pearson and beta, 0.0 for the alphas)."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
-        raise InsufficientDataError("mean distance needs at least 1 value")
+        raise PipelineError("mean distance needs at least 1 value")
     return float(np.abs(arr - baseline).mean())
 
 
@@ -119,7 +115,7 @@ def evaluate(series: IndexSeries, benchmark: IndexSeries) -> dict[str, float]:
     """Report of one index against a benchmark over identical dates: each
     metric of BASELINES by name, in that order."""
     if series.dates != benchmark.dates:
-        raise AlignmentError("series and benchmark are not on the same trading dates")
+        raise PipelineError("series and benchmark are not on the same trading dates")
     ri = monthly_returns(series)
     rm = monthly_returns(benchmark)
     return {

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .errors import ConvergenceError, ParameterError, SizeError
+from .errors import ConvergenceError, ParameterError
 from .manifold import MassMatrix, WeightMatrix
 
 DENSE_CUTOFF = 300
@@ -92,7 +92,7 @@ def dense_oracle(w: WeightMatrix, a: MassMatrix) -> EigenBasis:
     ordinary symmetric solve.  Verification path only; guarded at n <= 2000."""
     n = _check_pair(w, a)
     if n > ORACLE_GUARD:
-        raise SizeError(f"dense oracle limited to n <= {ORACLE_GUARD}, got {n}")
+        raise ParameterError(f"dense oracle limited to n <= {ORACLE_GUARD}, got {n}")
     d = 1.0 / np.sqrt(a.diag)
     c = (d[:, None] * w.entries.toarray()) * d[None, :]
     values, y = np.linalg.eigh(c)

@@ -45,14 +45,25 @@ class SynthConfig:
             raise ParameterError(
                 f"need n_stocks >= n_sectors >= 1, got {self.n_stocks}, {self.n_sectors}"
             )
-        if self.sector_vol < 0 or self.idio_vol < 0:
-            raise ParameterError("volatilities must be >= 0")
+        for name in ("sector_vol", "idio_vol", "cap_log_sd"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not np.isfinite(self.cap_log_mean):
+            raise ParameterError(f"cap_log_mean must be finite, got {self.cap_log_mean}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.m_days < 20:
             raise ParameterError(f"m_days must be >= 20, got {self.m_days}")
         if self.m_days > 260:
             raise ParameterError(f"m_days must fit inside one year of weekdays, got {self.m_days}")
         if self.n_years < 1:
             raise ParameterError("n_years must be >= 1")
+        last_year = self.start_year + self.n_years - 1
+        if not 1 <= self.start_year <= last_year <= 9999:
+            raise ParameterError(
+                f"start_year {self.start_year} and n_years {self.n_years} give years "
+                f"{self.start_year}..{last_year}, outside 1..9999"
+            )
 
 
 @dataclass(frozen=True)

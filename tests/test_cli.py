@@ -880,6 +880,24 @@ def test_synth_defaults_come_from_synth_config(tmp_path, monkeypatch):
     assert seen == [synth.SynthConfig(), synth.SynthConfig(seed=3, sector_vol=0.02)]
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"),
+    ("--cap-log-sd", "-1"),
+    ("--start-year", "0"),
+    ("--sector-vol", "nan"),
+    ("--idio-vol", "inf"),
+])
+def test_synth_setting_out_of_range_is_one_error_line(tmp_path, capsys, flag, value):
+    outdir = tmp_path / "out"
+    rc = run(["synth", "--outdir", str(outdir), "--n-stocks", "10", "--m-days", "20",
+              flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {flag[2:].replace('-', '_')} ")
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("argv, names", [
     (["select", "--k", "abc"], "--k"),
     (["select", "--mode", "foo"], "'foo'"),

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from manifold_index import indexcalc as ic
 from manifold_index.errors import (
-    DegenerateUniverseError,
     MissingPriceError,
     ParameterError,
+    PipelineError,
 )
 
 BASE = dt.date(2021, 1, 4)
@@ -41,7 +41,7 @@ class TestInitDivisor:
         assert divisor == pytest.approx(0.22, abs=1e-15)
 
     def test_zero_cap_degenerate(self):
-        with pytest.raises(DegenerateUniverseError):
+        with pytest.raises(PipelineError, match="^total cap at base is 0.0$"):
             ic.init_divisor(np.array([]), [], 1000.0)
 
     @pytest.mark.parametrize("base_level", [0.0, -1.0, float("nan"), float("inf"), 1e-320])

@@ -12,13 +12,10 @@ from hypothesis import strategies as st
 from manifold_index import indexcalc
 from manifold_index import marketdata as md
 from manifold_index.errors import (
-    DuplicateQuoteError,
-    EmptyUniverseError,
     MissingPriceError,
-    NormalizationError,
-    NotCompletableError,
     ParameterError,
     ParseError,
+    PipelineError,
 )
 
 D = [dt.date(2020, 1, d) for d in (2, 3, 6, 7)]
@@ -68,7 +65,7 @@ class TestLoadQuotes:
             "2020-01-02,AAA,10,100\n"
             "2020-01-02,AAA,11,100\n",
         )
-        with pytest.raises(DuplicateQuoteError, match=r":3:.*AAA.*2020-01-02"):
+        with pytest.raises(ParseError, match=r":3: duplicate quote for \(AAA, 2020-01-02\)$"):
             md.load_quotes(path)
 
     def test_malformed_row_names_line_number(self, tmp_path):
@@ -102,7 +99,7 @@ class TestLoadQuotes:
 
     def test_empty_file_is_empty_universe(self, tmp_path):
         path = write_csv(tmp_path, "date,ticker,close,shares_issued\n")
-        with pytest.raises(EmptyUniverseError):
+        with pytest.raises(PipelineError, match="quotes.csv: no quote rows$"):
             md.load_quotes(path)
 
     def test_unknown_columns_ignored(self, tmp_path):
@@ -165,7 +162,7 @@ class TestCompleteSeries:
         assert out.tolist() == [10.0, 10.5, 11.0, 11.5]
 
     def test_no_predecessor_not_completable(self):
-        with pytest.raises(NotCompletableError):
+        with pytest.raises(PipelineError, match="^first calendar value is absent; cannot forward-fill$"):
             md.complete_series([None, 5.0, 6.0, 7.0])
 
     def test_accepts_raw_quotes_with_missing_rows(self, tmp_path):
@@ -220,7 +217,7 @@ class TestScreenUniverse:
         assert survivors(series) == ["AAA"]
 
     def test_zero_survivors(self):
-        with pytest.raises(EmptyUniverseError):
+        with pytest.raises(PipelineError, match="^screening removed every ticker$"):
             survivors({"AAA": [None, 5.0, 6.0, None]})
 
     def test_monotone_under_window_shrink(self, rng):
@@ -239,11 +236,13 @@ class TestScreenUniverse:
             small = {t: s[lo:hi] for t, s in series.items()}
             try:
                 big_survivors = set(survivors(series))
-            except EmptyUniverseError:
+            except PipelineError as exc:
+                assert str(exc) == "screening removed every ticker"
                 big_survivors = set()
             try:
                 small_survivors = set(survivors(small))
-            except EmptyUniverseError:
+            except PipelineError as exc:
+                assert str(exc) == "screening removed every ticker"
                 small_survivors = set()
             for t in big_survivors:
                 if small[t][0] is not None and small[t][-1] is not None:
@@ -270,7 +269,7 @@ class TestNormalize:
             assert np.allclose(md.normalize(c * v), md.normalize(v), atol=1e-12)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(PipelineError, match="^cannot normalize vector with norm 0.0$"):
             md.normalize([0.0, 0.0])
 
 
@@ -336,7 +335,7 @@ class TestBuildMarketFrame:
             {"AAA": [1.0, 2.0, 3.0, 4.0]}, {"AAA": [None, None, 30.0, None]}
         )
         assert caps_of(md.build_market_frame(quotes, ALL)) == {"AAA": 120.0}
-        with pytest.raises(NotCompletableError, match=f"AAA: shares_issued absent through {D[1]}"):
+        with pytest.raises(PipelineError, match=f"^AAA: shares_issued absent through {D[1]}$"):
             md.build_market_frame(quotes, slice(0, 2))
 
     def test_every_vector_unit_norm_and_length_m(self, rng):
@@ -392,7 +391,7 @@ class TestCalendarFromQuotes:
                             dates=dates)
         want = tuple(d for d in quotes.dates if d.year == year)
         if len(want) < 2:
-            with pytest.raises(EmptyUniverseError, match=f"year {year}"):
+            with pytest.raises(PipelineError, match=f"^no trading dates found for year {year}$"):
                 md.calendar_from_quotes(quotes, year)
         else:
             assert quotes.dates[md.calendar_from_quotes(quotes, year)] == want
@@ -429,8 +428,9 @@ FAULTS = {
 
 def reference_load(data):
     """Per-row reading of a quote file's bytes through csv.reader: the panel
-    as (dates, tickers, close, shares), or the (error class, line) it fails
-    at.  A record's line is its last physical line."""
+    as (dates, tickers, close, shares), or the line it fails at and whether
+    the fault is a duplicate quote.  A record's line is its last physical
+    line."""
     text = data.decode("utf-8", errors="surrogateescape")
     bad_byte = text.find("\udcff")
     if bad_byte >= 0:  # the line it is on
@@ -442,18 +442,18 @@ def reference_load(data):
     for fields in reader:
         line_no = reader.line_num
         if bad_byte >= 0 and line_no >= bad_line:
-            return ParseError, bad_line
+            return bad_line, False
         if not any(f.strip() for f in fields):
             continue
         if len(fields) < len(names):
-            return ParseError, line_no
+            return line_no, False
         try:
             date = dt.date.fromisoformat(fields[col["date"]].strip())
         except ValueError:
-            return ParseError, line_no
+            return line_no, False
         ticker = fields[col["ticker"]].strip()
         if not ticker:
-            return ParseError, line_no
+            return line_no, False
         values = []
         for name, positive in (("close", True), ("shares_issued", False)):
             token = fields[col[name]].strip()
@@ -463,15 +463,15 @@ def reference_load(data):
             try:
                 value = float(token)
             except ValueError:
-                return ParseError, line_no
+                return line_no, False
             if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
-                return ParseError, line_no
+                return line_no, False
             values.append(value)
         if (date, ticker) in cells and "duplicate" not in cells:
             cells["duplicate"] = line_no
         cells.setdefault((date, ticker), values)
     if "duplicate" in cells:
-        return DuplicateQuoteError, cells["duplicate"]
+        return cells["duplicate"], True
     dates = sorted({d for d, _ in cells})
     tickers = sorted({t for _, t in cells})
     close = np.full((len(dates), len(tickers)), np.nan)
@@ -548,10 +548,10 @@ def test_load_matches_per_row_reference(tmp_path, monkeypatch, case):
     path.write_bytes(data)
     expected = reference_load(data)
     if len(expected) == 2:
-        error, line_no = expected
+        line_no, duplicate = expected
         with pytest.raises(ParseError, match=f":{line_no}:") as caught:
             md.load_quotes(path)
-        assert caught.type is error
+        assert (f":{line_no}: duplicate quote for (" in str(caught.value)) == duplicate
         return
     panel = md.load_quotes(path)
     dates, tickers, close, shares = expected

@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 
 from manifold_index import metrics
 from manifold_index.indexcalc import IndexSeries
-from manifold_index.errors import (
-    AlignmentError,
-    InsufficientDataError,
-    UndefinedMetricError,
-)
+from manifold_index.errors import PipelineError
 
 
 def series_on(dates, values):
@@ -46,11 +42,11 @@ class TestMonthlyReturns:
                              ids=["rounds-to-minus-one", "overflows"])
     def test_return_must_be_finite_and_above_minus_one(self, levels):
         dates = month_days(2021, 1, 1) + month_days(2021, 2, 1)
-        with pytest.raises(UndefinedMetricError, match="> -1"):
+        with pytest.raises(PipelineError, match=r"^returns must be finite and > -1$"):
             metrics.monthly_returns(series_on(dates, levels))
 
     def test_single_month_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(PipelineError, match="^need at least 2 calendar months of levels$"):
             metrics.monthly_returns(series_on(month_days(2021, 1), [1.0, 2.0, 3.0]))
 
     def test_uses_last_trading_day_of_month(self):
@@ -67,11 +63,11 @@ def monthly_returns_per_date(series):
     for date, level in zip(series.dates, series.values.tolist()):
         month_last[(date.year, date.month)] = level  # dates ascending, last write wins
     if len(month_last) < 2:
-        raise InsufficientDataError("need at least 2 calendar months of levels")
+        raise PipelineError("need at least 2 calendar months of levels")
     closes = [month_last[k] for k in sorted(month_last)]
     rets = np.array([(curr - prev) / prev for prev, curr in zip(closes, closes[1:])])
     if not np.all(np.isfinite(rets)) or np.any(rets <= -1.0):
-        raise UndefinedMetricError("returns must be finite and > -1")
+        raise PipelineError("returns must be finite and > -1")
     return rets
 
 
@@ -92,8 +88,8 @@ def level_series(draw):
 def test_monthly_returns_equal_the_per_date_reference(series):
     try:
         want = monthly_returns_per_date(series)
-    except (InsufficientDataError, UndefinedMetricError) as exc:
-        with pytest.raises(type(exc)):
+    except PipelineError as exc:
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(exc))}$"):
             metrics.monthly_returns(series)
     else:
         got = metrics.monthly_returns(series)
@@ -128,11 +124,11 @@ class TestPearson:
             assert metrics.pearson(x, -a * x + b) == pytest.approx(-1.0, abs=1e-10)
 
     def test_constant_input_undefined(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(PipelineError, match="^pearson undefined for a constant series$"):
             metrics.pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(PipelineError, match=r"^length mismatch: \(2,\) vs \(3,\)$"):
             metrics.pearson([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
@@ -156,7 +152,7 @@ class TestAlpha:
         assert metrics.alpha((0.02, 0.02), (0.01, 0.01)) > 0
 
     def test_length_mismatch(self):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(PipelineError, match=r"^length mismatch: \(1,\) vs \(2,\)$"):
             metrics.alpha((0.01,), (0.01, 0.02))
 
 
@@ -180,7 +176,7 @@ class TestBeta:
         assert metrics.beta(a * ri + c, rm) == pytest.approx(a * metrics.beta(ri, rm), rel=1e-10)
 
     def test_zero_market_variance_undefined(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(PipelineError, match="^beta undefined: market variance is zero$"):
             metrics.beta((0.01, 0.02), (0.01, 0.01))
 
 
@@ -221,7 +217,7 @@ class TestStability:
         assert metrics.stability_std(3.0 * v) == pytest.approx(3.0 * s, rel=1e-10)
 
     def test_needs_two_values(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(PipelineError, match="^stability needs at least 2 values$"):
             metrics.stability_std([1.0])
 
 
@@ -238,7 +234,7 @@ class TestMeanBaselineDistance:
         assert got == pytest.approx(0.18 / 4, abs=1e-15)
 
     def test_empty_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(PipelineError, match="^mean distance needs at least 1 value$"):
             metrics.mean_baseline_distance([], 0.0)
 
 
@@ -258,7 +254,7 @@ class TestEvaluate:
         d2 = month_days(2021, 3) + month_days(2021, 4)
         s1 = series_on(d1, [1.0 + i for i in range(6)])
         s2 = series_on(d2, [1.0 + 2 * i for i in range(6)])
-        with pytest.raises(AlignmentError):
+        with pytest.raises(PipelineError, match="^series and benchmark are not on the same trading dates$"):
             metrics.evaluate(s1, s2)
 
 

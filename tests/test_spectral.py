@@ -8,7 +8,7 @@ from scipy import sparse
 
 from conftest import random_connected_operator, random_operator
 from manifold_index import manifold, spectral
-from manifold_index.errors import ConvergenceError, ParameterError, SizeError
+from manifold_index.errors import ConvergenceError, ParameterError
 
 
 def make_pair(dense):
@@ -267,7 +267,7 @@ class TestGuards:
         n = 2001
         w = manifold.WeightMatrix(sparse.identity(n, format="csr"))
         a = manifold.MassMatrix(np.ones(n))
-        with pytest.raises(SizeError):
+        with pytest.raises(ParameterError, match="^dense oracle limited to n <= 2000, got 2001$"):
             spectral.dense_oracle(w, a)
 
     def test_convergence_error_reports_residual(self, rng, monkeypatch):

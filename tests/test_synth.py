@@ -192,6 +192,20 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             synth.SynthConfig(sector_vol=-0.1)
 
+    # test_cli's synth test covers the other bounds through the CLI
+    @pytest.mark.parametrize("setting", [
+        {"cap_log_sd": float("nan")}, {"cap_log_mean": float("inf")},
+        {"start_year": 9999, "n_years": 2},
+    ])
+    def test_setting_out_of_range_named(self, setting):
+        with pytest.raises(ParameterError, match=f"^{next(iter(setting))} "):
+            synth.SynthConfig(**setting)
+
+    @pytest.mark.parametrize("year", [1, 9999])
+    def test_years_at_the_date_range_ends(self, year):
+        market = synth.generate_market(small_config(start_year=year, m_days=260))
+        assert {d.year for d in market.dates} == {year}
+
 
 def test_benchmark_csv_roundtrip(tmp_path):
     market = synth.generate_market(small_config())
