@@ -25,7 +25,6 @@ class ParseError(PipelineError):
     def __init__(self, path, line_no: int | None, message: str):
         where = path if line_no is None else f"{path}:{line_no}"
         super().__init__(f"{where}: {message}")
-        self.path = str(path)
         self.line_no = line_no
 
 
@@ -51,8 +50,6 @@ class InsufficientFeaturesError(PipelineError):
             f"only {found} feature points found, {requested} requested; "
             "more eigenpairs are needed"
         )
-        self.found = found
-        self.requested = requested
 
 
 class MissingPriceError(PipelineError):
@@ -60,8 +57,6 @@ class MissingPriceError(PipelineError):
 
     def __init__(self, ticker: str, date):
         super().__init__(f"no price for {ticker} on {date}")
-        self.ticker = ticker
-        self.date = date
 
 
 def not_utf8(path, line_no: int | None, exc: UnicodeDecodeError) -> ParseError:

@@ -88,15 +88,9 @@ class IndexSeries:
     divisors: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.dates) != len(self.values):
-            raise ParameterError("dates and values must have equal length")
-        if self.divisors is not None and len(self.divisors) != len(self.dates):
-            raise ParameterError("divisors must be None or match dates")
         every = self.values if self.divisors is None else np.append(self.values, self.divisors)
         if not np.all((every > 0) & (every < np.inf)):
             raise ParameterError("index levels and divisors must be finite and > 0")
-        if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
-            raise ParameterError("series dates must be strictly increasing")
 
     def rows(self, span: slice) -> IndexSeries:
         """The series on a slice of its dates."""
@@ -210,8 +204,6 @@ def compute_series(
     closing valuation, so the divisor is constant between action dates and
     each such segment is valued as one block.
     """
-    if not dates:
-        raise ParameterError("dates must be nonempty")
     closes = np.asarray(closes, dtype=float)
     shares = np.asarray(shares, dtype=float)
     if closes.shape != (len(dates), len(tickers)) or shares.shape != (len(tickers),):
@@ -256,8 +248,6 @@ def compute_series(
 
 def write_series_csv(path, series: IndexSeries) -> None:
     """Export ``date,level,divisor`` rows."""
-    if series.divisors is None:
-        raise ParameterError("a series CSV needs the divisor of every date")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "level", "divisor"])

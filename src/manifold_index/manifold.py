@@ -47,17 +47,6 @@ class AdjacencyGraph:
     neighbors: np.ndarray
     distances: np.ndarray
 
-    def __post_init__(self):
-        n = self.neighbors.shape[0]
-        if self.neighbors.shape != (n, self.k) or self.distances.shape != (n, self.k):
-            raise ParameterError("neighbors/distances must both be (n, k)")
-        if np.any(self.neighbors == np.arange(n)[:, None]):
-            raise ParameterError("a point cannot be its own neighbor")
-        if np.any(self.distances < 0):
-            raise ParameterError("squared distances must be nonnegative")
-        if self.k > 1 and np.any(np.diff(self.distances, axis=1) < 0):
-            raise ParameterError("distances must be ascending per point")
-
     @property
     def n(self) -> int:
         return self.neighbors.shape[0]
@@ -65,8 +54,6 @@ class AdjacencyGraph:
 
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ParameterError(f"points must be a 2-d array, got shape {pts.shape}")
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if len(bad):
         raise ParameterError(f"point {bad[0]} has a non-finite coordinate")
@@ -164,10 +151,6 @@ class WeightMatrix:
 
     entries: sparse.csr_matrix
 
-    def __post_init__(self):
-        if self.entries.shape[0] != self.entries.shape[1]:
-            raise ParameterError("weight matrix must be square")
-
     @property
     def n(self) -> int:
         return self.entries.shape[0]
@@ -179,10 +162,6 @@ class MassMatrix:
 
     diag: np.ndarray
 
-    def __post_init__(self):
-        if not np.all(self.diag > 0):
-            raise PipelineError("mass diagonal must be strictly positive")
-
     @property
     def n(self) -> int:
         return len(self.diag)
@@ -192,10 +171,6 @@ def symmetrize(w_tilde: sparse.spmatrix, mode: str = "balanced") -> WeightMatrix
     """W = (W~ + W~^T) / 2.  Averaging leaves the diagonal untouched; in
     ``balanced`` mode the diagonal is then recomputed from the symmetrized
     off-diagonals so each row sums to zero."""
-    if mode not in MODES:
-        raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    if w_tilde.shape[0] != w_tilde.shape[1]:
-        raise ParameterError("W~ must be square")
     w = (w_tilde + w_tilde.T) * 0.5
     if mode == "balanced":
         off = w - sparse.diags(w.diagonal())

@@ -47,7 +47,6 @@ import numpy as np
 
 from .errors import (
     MissingPriceError,
-    ParameterError,
     ParseError,
     PipelineError,
     blank,
@@ -74,15 +73,6 @@ class QuotePanel:
     close: np.ndarray
     shares: np.ndarray
 
-    def __post_init__(self):
-        shape = (len(self.dates), len(self.tickers))
-        if self.close.shape != shape or self.shares.shape != shape:
-            raise ParameterError(f"close and shares must both have shape {shape}")
-        for name in ("dates", "tickers"):
-            keys = getattr(self, name)
-            if any(a >= b for a, b in zip(keys, keys[1:])):
-                raise ParameterError(f"panel {name} must be strictly increasing")
-
 
 @dataclass
 class MarketFrame:
@@ -95,14 +85,6 @@ class MarketFrame:
     caps: np.ndarray
 
     def __post_init__(self):
-        n = len(self.tickers)
-        if self.vectors.ndim != 2 or len(self.vectors) != n or self.caps.shape != (n,):
-            raise ParameterError(
-                f"{n} tickers do not match vectors {self.vectors.shape} "
-                f"and caps {self.caps.shape}"
-            )
-        if len(set(self.tickers)) != n:
-            raise ParameterError("duplicate ticker in frame")
         norms = np.linalg.norm(self.vectors, axis=1)
         bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
         if len(bad):

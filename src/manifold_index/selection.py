@@ -51,14 +51,12 @@ def select_constituents(
     smallest-cap members (ties by ascending point index) down to exactly
     ``n_target``.
 
-    Raises InsufficientFeaturesError when the basis runs out first; the
-    error carries the counts so the caller can request more eigenpairs.
+    Raises InsufficientFeaturesError when the basis runs out first, so the
+    caller can request more eigenpairs.
     """
     if n_target < 1:
         raise ParameterError(f"target constituent count must be >= 1, got {n_target}")
     caps = np.asarray(caps, dtype=float)
-    if len(caps) != graph.n:
-        raise ParameterError(f"caps has length {len(caps)}, graph has {graph.n} points")
 
     picks: Picks = {}
     for vec_idx in range(basis.count):

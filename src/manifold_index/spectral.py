@@ -53,12 +53,6 @@ class EigenBasis:
     values: np.ndarray
     vectors: np.ndarray
 
-    def __post_init__(self):
-        if self.vectors.shape[1] != len(self.values):
-            raise ParameterError("vectors must have one column per eigenvalue")
-        if np.any(np.diff(self.values) < 0):
-            raise ParameterError("eigenvalues must be ascending")
-
     @property
     def count(self) -> int:
         return len(self.values)
@@ -195,8 +189,12 @@ class LanczosFactorization:
                     y = self.krylov[:, :m] @ s[:, :p]
                     y /= np.linalg.norm(y, axis=0)[None, :]
                     return theta[:p], y
+            # No input reaches this while p <= n: at m == m_max = n the check
+            # above has returned, and exhaustion means the m steps span R^n,
+            # so m = n too.  Without the raise a broken invariant would loop
+            # here for ever.
             if exhausted or m == m_max:
-                raise ConvergenceError(
+                raise ConvergenceError(  # pragma: no cover
                     f"Lanczos exhausted {m} steps without producing {p} eigenpairs"
                 )
             checkpoint = min(m_max, int(checkpoint * 1.5) + 16)

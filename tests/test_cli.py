@@ -1,5 +1,6 @@
 """CLI orchestration: artifacts, re-runnability, determinism, diagnostics."""
 
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from manifold_index import cli, indexcalc, selection, synth
+from manifold_index import cli, indexcalc, marketdata, selection, synth
 from manifold_index.errors import ParameterError, ParseError
 
 
@@ -886,6 +887,7 @@ def test_synth_defaults_come_from_synth_config(tmp_path, monkeypatch):
     ("--start-year", "0"),
     ("--sector-vol", "nan"),
     ("--idio-vol", "inf"),
+    ("--n-years", "0"),
 ])
 def test_synth_setting_out_of_range_is_one_error_line(tmp_path, capsys, flag, value):
     outdir = tmp_path / "out"
@@ -917,6 +919,161 @@ def test_usage_error_is_one_error_line(small_market, tmp_path, capsys, argv, nam
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and names in err[0]
+
+
+def lf_lines(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def write_quotes(path, rows) -> str:
+    """A quote file of ``(date, ticker, close, shares)`` text rows."""
+    path.write_text(lf_lines(["date,ticker,close,shares_issued", *map(",".join, rows)]))
+    return str(path)
+
+
+def synth_market(tmp_path, *flags) -> Path:
+    outdir = tmp_path / "market"
+    assert run(["synth", "--outdir", str(outdir), *flags]) == 0
+    return outdir
+
+
+def index_one_member(tmp_path, rows, action) -> list[str]:
+    """``index`` of the one-member list ``A`` over quote ``rows``, with one
+    corporate action row."""
+    (tmp_path / "list.csv").write_text(
+        "rank,ticker,source_eigenvector,extremum_kind,market_cap\n1,A,0,max,1.0\n"
+    )
+    (tmp_path / "actions.csv").write_text(
+        f"effective_date,ticker,kind,new_shares,replacement_price\n{action}\n"
+    )
+    return ["index", "--quotes", write_quotes(tmp_path / "quotes.csv", rows),
+            "--study-year", "2020", "--constituents", str(tmp_path / "list.csv"),
+            "--actions", str(tmp_path / "actions.csv")]
+
+
+def one_monthly_return(tmp_path):
+    # 30 weekdays a year span January and February: one monthly return
+    market = synth_market(tmp_path, "--n-stocks", "30", "--m-days", "30", "--n-years", "2")
+    return ["backtest", "--quotes", str(market / "quotes.csv"),
+            "--benchmark", str(market / "benchmark.csv"), "--k", "4", "--n-list", "5",
+            "--start-year", "2020", "--end-year", "2020"]
+
+
+def tiny_closes(tmp_path):
+    # squares of closes near 1e-160 are subnormal, so their norm loses digits
+    rows = [(f"2020-01-0{d}", t, f"1.{d}e-160" if t == "A" else f"1{d}", "100")
+            for d in (2, 3, 6, 7, 8) for t in "ABCD"]
+    return ["select", "--quotes", write_quotes(tmp_path / "quotes.csv", rows),
+            "--study-year", "2020", "--k", "2", "--n-list", "1"]
+
+
+def pre_event_cap_underflows(tmp_path):
+    # on the action date the cap is 1e-300 x 1e-30, which rounds to 0.0
+    rows = [("2021-01-04", "A", "100", "1e-30"), ("2021-01-05", "A", "1e-300", "1e-30")]
+    return index_one_member(tmp_path, rows, "2021-01-05,A,share_change,5,")
+
+
+def delisting_the_last_member(tmp_path):
+    rows = [("2021-01-04", "A", "100", "10"), ("2021-01-05", "A", "101", "10")]
+    return index_one_member(tmp_path, rows, "2021-01-05,A,delisting,,")
+
+
+def too_few_features(tmp_path):
+    # each point neighbours all 11 others, so an eigenvector has at most one
+    # maximum and one minimum; all 12 eigenvectors give 10 distinct points
+    market = synth_market(tmp_path, "--n-stocks", "12", "--n-sectors", "1",
+                          "--m-days", "20", "--n-years", "1")
+    return ["select", "--quotes", str(market / "quotes.csv"), "--study-year", "2020",
+            "--k", "11", "--n-list", "11"]
+
+
+def config_line_without_equals(tmp_path):
+    (tmp_path / "run.cfg").write_text("k 6\n")
+    return ["select", "--config", str(tmp_path / "run.cfg")]
+
+
+# Each check an input can reach: the argv that reaches it, less --outdir,
+# and the error line as a regex, {out} and {tmp} standing for the output and
+# the test directory.
+REACHABLE_CHECKS = {
+    "beta-of-one-return": (
+        one_monthly_return,
+        r"beta needs at least 2 samples \({out}/2020/index_005_2021\.csv, year 2021\)",
+    ),
+    "norm-lost-to-underflow": (tiny_closes, r"A: vector norm [0-9.]+ is not 1"),
+    "pre-event-cap-underflows": (pre_event_cap_underflows, r"pre-event cap is 0\.0 on 2021-01-05"),
+    "delisting-the-last-member": (
+        delisting_the_last_member, r"post-event cap is 0\.0 on 2021-01-05"
+    ),
+    "all-eigenpairs-too-few-features": (
+        too_few_features,
+        r"only 10 feature points found, 11 requested; more eigenpairs are needed",
+    ),
+    "config-line-without-equals": (
+        config_line_without_equals, r"{tmp}/run\.cfg:1: expected key=value, got 'k 6'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REACHABLE_CHECKS)
+def test_reachable_check_is_one_error_line(tmp_path, capsys, case):
+    """A check that an input trips ends the run with exit 1, one error line
+    and no output directory."""
+    build, pattern = REACHABLE_CHECKS[case]
+    argv = build(tmp_path)
+    capsys.readouterr()  # what a synth step printed
+    outdir = tmp_path / "out"
+    assert run([*argv, "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    expected = pattern.format(out=re.escape(str(outdir)), tmp=re.escape(str(tmp_path)))
+    assert re.fullmatch(f"error: {expected}", err[0]), err[0]
+    assert not outdir.exists()
+
+
+def quoted(line: str) -> str:
+    return '"' + line.replace(",", '","') + '"'
+
+
+# Rewrites of a quote file's lines, header first, that must load the same.
+QUOTE_FORMATS = {
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "cr": lambda lines: "\r".join(lines) + "\r",
+    "no-final-newline": lambda lines: "\n".join(lines),
+    "every-field-quoted": lambda lines: lf_lines(map(quoted, lines)),
+    "unknown-column": lambda lines: lf_lines(line.replace(",", ",x,", 1) for line in lines),
+    "blank-line-mid-file": lambda lines: lf_lines([*lines[:2000], "", *lines[2000:]]),
+    "shuffled-rows": lambda lines: lf_lines(
+        [lines[0], *random.Random(0).sample(lines[1:], len(lines) - 1)]
+    ),
+}
+
+
+def select_artifacts(quotes, outdir) -> dict[str, bytes]:
+    argv = ["select", "--quotes", str(quotes), "--study-year", "2020", "--outdir", str(outdir),
+            "--k", "4", "--n-list", "5,10"]
+    assert run(argv) == 0
+    return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def format_market(tmp_path_factory):
+    """A plain quote file of 20 stocks x 244 days, 4880 rows: more than one
+    batch of records on the loader's csv path; and its select artifacts."""
+    root = tmp_path_factory.mktemp("formats")
+    assert run(["synth", "--outdir", str(root), "--n-stocks", "20", "--m-days", "244",
+                "--n-sectors", "4", "--n-years", "1"]) == 0
+    return root / "quotes.csv", select_artifacts(root / "quotes.csv", root / "plain")
+
+
+@pytest.mark.parametrize("fmt", QUOTE_FORMATS)
+def test_quote_file_format_does_not_change_selection(format_market, tmp_path, fmt):
+    plain, artifacts = format_market
+    lines = plain.read_text().splitlines()
+    assert len(lines) > marketdata._CSV_BATCH + 1
+    variant = tmp_path / "quotes.csv"
+    variant.write_bytes(QUOTE_FORMATS[fmt](lines).encode())
+    assert select_artifacts(variant, tmp_path / "out") == artifacts
 
 
 @pytest.mark.parametrize("read", [

@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import io
+import re
 
 import numpy as np
 import pytest
@@ -68,15 +69,24 @@ class TestLoadQuotes:
         with pytest.raises(ParseError, match=r":3: duplicate quote for \(AAA, 2020-01-02\)$"):
             md.load_quotes(path)
 
-    def test_malformed_row_names_line_number(self, tmp_path):
-        path = write_csv(
-            tmp_path,
-            "date,ticker,close,shares_issued\n"
-            "2020-01-02,AAA,10,100\n"
-            "not-a-date,AAA,10,100\n",
-        )
-        with pytest.raises(ParseError, match=":3:"):
+    @pytest.mark.parametrize("rows, message", [
+        (b"2020-01-02,AAA,10,100\nnot-a-date,AAA,10,100\n", "bad date 'not-a-date'"),
+        (b"2020-01-02,AAA,10,100\n2020-01-03,AAA,11\n", "expected 4 fields, got 3"),
+        (b"2020-01-02,AAA,10,100\n2020-01-03,,11,100\n", "empty ticker"),
+        # a line this long also fills a whole read block without a line end
+        (b'2020-01-02,AAA,10,100\n2020-01-03,"' + b"x" * 200_000 + b'",11,100\n',
+         "bad CSV: field larger than field limit (131072)"),
+        # csv reads from the quote on line 2 on; the rows before the byte are checked first
+        (b'2020-01-02,"AAA",10,100\n2020-01-03,AA\xff,11,100\n',
+         "not UTF-8 text: byte 0xff (invalid start byte)"),
+    ], ids=["bad-date", "short-row", "empty-ticker", "field-past-csv-limit",
+            "not-utf8-after-a-quote"])
+    def test_malformed_row_names_line_number(self, tmp_path, rows, message):
+        path = tmp_path / "quotes.csv"
+        path.write_bytes(b"date,ticker,close,shares_issued\n" + rows)
+        with pytest.raises(ParseError, match=f":3: {re.escape(message)}$") as caught:
             md.load_quotes(path)
+        assert caught.value.line_no == 3
 
     def test_lines_are_physical_after_a_quoted_line_break(self, tmp_path):
         path = write_csv(

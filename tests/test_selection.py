@@ -139,10 +139,9 @@ class TestSelectConstituents:
         # a constant eigenvector contributes nothing under strict comparison
         graph = chain_graph(4)
         phi = np.ones(4)
-        with pytest.raises(InsufficientFeaturesError) as err:
+        message = "^only 0 feature points found, 4 requested; more eigenpairs are needed$"
+        with pytest.raises(InsufficientFeaturesError, match=message):
             selection.select_constituents(fake_basis(phi[:, None]), graph, 4, np.ones(4))
-        assert err.value.requested == 4
-        assert err.value.found == 0
 
     def test_sign_invariance_of_selection(self, rng):
         for trial in range(10):
