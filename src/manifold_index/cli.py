@@ -174,7 +174,10 @@ def grow_basis_and_select(
                 break
             except InsufficientFeaturesError:
                 if basis.count >= weights.n:
-                    raise
+                    raise PipelineError(
+                        f"all {weights.n} eigenvectors give fewer than {n_target} feature "
+                        "points; only a smaller --n-list or a smaller --k can help"
+                    ) from None
                 basis = next(bases)
     return out
 

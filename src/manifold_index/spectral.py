@@ -117,6 +117,9 @@ class LanczosFactorization:
     injected with zero coupling, which turns T block-diagonal and lets the
     iteration pick up remaining eigenspace dimensions, including copies of
     repeated eigenvalues.
+
+    The Krylov basis is n x (steps taken), never n x n: ``_extend`` widens
+    it to each checkpoint it reaches, so m steps hold 8 n m bytes of basis.
     """
 
     def __init__(self, w: WeightMatrix, a: MassMatrix, seed: int = 0):
@@ -124,7 +127,7 @@ class LanczosFactorization:
         self.w, self.a = w, a
         self.scale = 1.0 / np.sqrt(a.diag)
         self.m_max = n  # step limit: n steps span all of R^n
-        self.krylov = np.zeros((n, n))
+        self.krylov = np.zeros((n, 0))  # columns 0..steps-1 hold the basis
         self.alphas = np.zeros(n)
         self.betas = np.zeros(n)
         self._rng = np.random.default_rng(seed)
@@ -135,6 +138,12 @@ class LanczosFactorization:
         self._beta_prev = 0.0
 
     def _extend(self, target: int) -> None:
+        if target > self.krylov.shape[1] and not self.exhausted:
+            # every step slices [:, :m], so a wider buffer changes only the
+            # leading dimension of each BLAS call, not the bases
+            grown = np.zeros((len(self.scale), min(target, self.m_max)))
+            grown[:, : self.steps] = self.krylov[:, : self.steps]
+            self.krylov = grown
         big_q, alphas, betas = self.krylov, self.alphas, self.betas
         d, entries = self.scale, self.w.entries
         while self.steps < target and not self.exhausted:

@@ -1007,7 +1007,8 @@ REACHABLE_CHECKS = {
     ),
     "all-eigenpairs-too-few-features": (
         too_few_features,
-        r"only 10 feature points found, 11 requested; more eigenpairs are needed",
+        r"all 12 eigenvectors give fewer than 11 feature points; "
+        r"only a smaller --n-list or a smaller --k can help",
     ),
     "config-line-without-equals": (
         config_line_without_equals, r"{tmp}/run\.cfg:1: expected key=value, got 'k 6'"

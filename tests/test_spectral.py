@@ -209,6 +209,24 @@ class TestResumedFactorization:
                 assert np.array_equal(resumed[0], cold[0])
                 assert np.array_equal(resumed[1], cold[1])
 
+    def test_basis_grows_with_the_steps_taken(self, rng):
+        """Above the 160-step single checkpoint the Krylov basis is widened
+        to each checkpoint reached, never to n, and resuming over a wider
+        basis still gives a fresh solve's bases."""
+        n = 600
+        _, w, a = random_connected_operator(rng, n, 6, "balanced")
+        factorization = spectral.LanczosFactorization(w, a, seed=1)
+        widths = []
+        for p in (10, 40, 80):
+            resumed = spectral.solve_generalized(w, a, p, factorization=factorization)
+            widths.append(factorization.krylov.shape[1])
+            assert factorization.steps <= widths[-1] <= factorization.m_max
+            assert widths[-1] < n
+            cold = lanczos_solve(w, a, p, seed=1)
+            assert np.array_equal(resumed.values, cold.values)
+            assert np.array_equal(resumed.vectors, cold.vectors)
+        assert widths == sorted(widths) and widths[0] < widths[-1]
+
     def test_factorization_of_another_problem_rejected(self, rng):
         _, w, a = random_connected_operator(rng, 40, 4, "balanced")
         factorization = spectral.LanczosFactorization(w, a, seed=1)
