@@ -156,7 +156,7 @@ def _log(message: str) -> None:
 
 def grow_basis_and_select(
     weights: manifold.WeightMatrix,
-    mass: manifold.MassMatrix,
+    mass: np.ndarray,
     graph: manifold.AdjacencyGraph,
     caps: np.ndarray,
     n_targets,

@@ -109,11 +109,6 @@ def index_value(prices, shares, divisor: float):
     """
     prices = np.asarray(prices, dtype=float)
     shares = np.asarray(shares, dtype=float)
-    if prices.shape[-1:] != shares.shape:
-        raise ParameterError(
-            f"prices of shape {prices.shape} do not hold one close per "
-            f"member ({shares.shape})"
-        )
     total = np.zeros(prices.shape[:-1])
     for j, s in enumerate(shares.tolist()):
         total = total + prices[..., j] * s
@@ -206,11 +201,6 @@ def compute_series(
     """
     closes = np.asarray(closes, dtype=float)
     shares = np.asarray(shares, dtype=float)
-    if closes.shape != (len(dates), len(tickers)) or shares.shape != (len(tickers),):
-        raise ParameterError(
-            f"closes of shape {closes.shape} and shares of shape {shares.shape} do not "
-            f"match {len(dates)} dates x {len(tickers)} members"
-        )
     bad = np.flatnonzero(np.isnan(closes[0]) | ~((shares > 0) & (shares < np.inf)))
     if len(bad):
         j = bad[0]

@@ -47,18 +47,6 @@ class AdjacencyGraph:
     neighbors: np.ndarray
     distances: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.neighbors.shape[0]
-
-
-def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if len(bad):
-        raise ParameterError(f"point {bad[0]} has a non-finite coordinate")
-    return pts
-
 
 # The search takes distances one block of rows at a time, each block about
 # this many bytes of float64; with the n x n Gram matrix it bounds memory.
@@ -84,19 +72,16 @@ def _block_sq_dists(pts, sq_norms, gram, s: int, e: int) -> np.ndarray:
 def knn_graph(points, k: int) -> AdjacencyGraph:
     """Exact k-nearest-neighbour graph by Euclidean distance.
 
-    ``points`` is an (n, m) array.  Ties are broken by
-    ascending point index, which makes the graph deterministic; duplicate
-    points become mutual neighbours at distance 0.
+    ``points`` is an (n, m) array of finite coordinates small enough that
+    no squared distance overflows, as the market frame's unit vectors are.
+    Ties are broken by ascending point index, which makes the graph
+    deterministic; duplicate points become mutual neighbours at distance 0.
     """
-    pts = _as_points(points)
+    pts = np.asarray(points, dtype=float)
     n = len(pts)
     if not 1 <= k < n:
         raise ParameterError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
     sq_norms = np.einsum("ij,ij->i", pts, pts)
-    # A squared distance is at most 4 max |x|^2; under that bound none overflows.
-    bad = np.flatnonzero(sq_norms > np.finfo(float).max / 4)
-    if len(bad):
-        raise ParameterError(f"point {bad[0]} is too large: its distances overflow")
     # One product for all rows: numpy computes it as a symmetric rank-k
     # update, whose entries can differ in the last bit from a product per block.
     gram = pts @ pts.T
@@ -156,17 +141,6 @@ class WeightMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class MassMatrix:
-    """Positive diagonal of the operator pair."""
-
-    diag: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
-
 def symmetrize(w_tilde: sparse.spmatrix, mode: str = "balanced") -> WeightMatrix:
     """W = (W~ + W~^T) / 2.  Averaging leaves the diagonal untouched; in
     ``balanced`` mode the diagonal is then recomputed from the symmetrized
@@ -179,13 +153,14 @@ def symmetrize(w_tilde: sparse.spmatrix, mode: str = "balanced") -> WeightMatrix
     return WeightMatrix(entries=sparse.csr_matrix(w))
 
 
-def mass_matrix(weights: WeightMatrix) -> MassMatrix:
-    """A = diag(W): the diagonal of the (possibly rebalanced) symmetric W."""
+def mass_matrix(weights: WeightMatrix) -> np.ndarray:
+    """A = diag(W): the diagonal of the (possibly rebalanced) symmetric W,
+    every entry > 1e-300."""
     diag = np.asarray(weights.entries.diagonal(), dtype=float).copy()
     if not np.all(diag > 1e-300):
         bad = int(np.argmin(diag))
         raise PipelineError(f"mass entry {bad} is {diag[bad]:.3e}; isolated point or NaN")
-    return MassMatrix(diag=diag)
+    return diag
 
 
 def build_operator(
@@ -193,7 +168,7 @@ def build_operator(
     k: int = DEFAULT_K,
     t: float | None = None,
     mode: str = "balanced",
-) -> tuple[AdjacencyGraph, WeightMatrix, MassMatrix]:
+) -> tuple[AdjacencyGraph, WeightMatrix, np.ndarray]:
     """Convenience assembly: KNN graph, symmetrized weights, mass diagonal.
 
     ``t=None`` selects the self-tuning bandwidth (mean squared KNN distance).

@@ -379,20 +379,6 @@ def _forward_fill(values: np.ndarray) -> np.ndarray:
     return np.take_along_axis(values, source, axis=0)
 
 
-def complete_series(values) -> np.ndarray:
-    """Forward-fill closes over their dates.
-
-    ``values`` is one date-aligned series, or a dates x tickers block, with
-    NaN (or None) where a close is absent.  Raises PipelineError when
-    a series has no close on the first date (the caller routes such tickers
-    to screening).
-    """
-    values = np.asarray(values, dtype=float)
-    if np.isnan(values[0]).any():
-        raise PipelineError("first calendar value is absent; cannot forward-fill")
-    return _forward_fill(values)
-
-
 def screen_universe(closes) -> np.ndarray:
     """Columns of a calendar-aligned dates x tickers close block (NaN where
     absent) that are traded throughout the window: close present on the
@@ -425,8 +411,9 @@ def build_market_frame(quotes: QuotePanel, rows: slice) -> MarketFrame:
     tickers = [quotes.tickers[j] for j in keep]
 
     # One contiguous 1-D vector per stock: the norm of each is then taken
-    # exactly as for a lone series.
-    closes = np.ascontiguousarray(complete_series(quotes.close[rows, keep]).T)
+    # exactly as for a lone series.  Every kept column has a first close, so
+    # the fill leaves no NaN.
+    closes = np.ascontiguousarray(_forward_fill(quotes.close[rows, keep]).T)
     vectors = np.array([normalize(c) for c in closes])
 
     shares = _forward_fill(quotes.shares[rows, keep])[-1]

@@ -43,8 +43,6 @@ def pearson(x, y) -> float:
     """Linear correlation of two equal-length level vectors."""
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
-    if xv.shape != yv.shape:
-        raise PipelineError(f"length mismatch: {xv.shape} vs {yv.shape}")
     dx = xv - xv.mean()
     dy = yv - yv.mean()
     sx = float(np.sqrt(dx @ dx))
@@ -58,8 +56,6 @@ def alpha(index_returns, market_returns) -> float:
     """Mean excess monthly return over the market."""
     ri = np.asarray(index_returns, dtype=float)
     rm = np.asarray(market_returns, dtype=float)
-    if ri.shape != rm.shape:
-        raise PipelineError(f"length mismatch: {ri.shape} vs {rm.shape}")
     return float(ri.mean() - rm.mean())
 
 
@@ -87,21 +83,15 @@ def jensen_alpha(index_returns, market_returns, risk_free: float = DEFAULT_RISK_
 
 
 def stability_std(values: Sequence[float]) -> float:
-    """Sample standard deviation of a metric across years or across series;
-    closer to 0 means more stable."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        raise PipelineError("stability needs at least 2 values")
-    return float(arr.std(ddof=1))
+    """Sample standard deviation of 2 or more values of a metric, across
+    years or across series; closer to 0 means more stable."""
+    return float(np.asarray(values, dtype=float).std(ddof=1))
 
 
 def mean_baseline_distance(values: Sequence[float], baseline: float) -> float:
     """Mean absolute distance of a metric from its ideal baseline
     (1.0 for pearson and beta, 0.0 for the alphas)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise PipelineError("mean distance needs at least 1 value")
-    return float(np.abs(arr - baseline).mean())
+    return float(np.abs(np.asarray(values, dtype=float) - baseline).mean())
 
 
 def evaluate(series: IndexSeries, benchmark: IndexSeries) -> dict[str, float]:

@@ -17,7 +17,7 @@ import csv
 
 import numpy as np
 
-from .errors import InsufficientFeaturesError, ParameterError, ParseError, read_rows
+from .errors import InsufficientFeaturesError, ParseError, read_rows
 from .manifold import AdjacencyGraph
 from .spectral import EigenBasis
 
@@ -29,10 +29,9 @@ Picks = dict[int, tuple[int, str]]
 
 def detect_extrema(phi: np.ndarray, graph: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray]:
     """Indices of strict local maxima and minima of ``phi`` over each point's
-    directed KNN neighborhood, both in ascending index order."""
+    directed KNN neighborhood, both in ascending index order; ``phi``
+    holds one value per graph point."""
     phi = np.asarray(phi, dtype=float)
-    if len(phi) != graph.n:
-        raise ParameterError(f"phi has length {len(phi)}, graph has {graph.n} points")
     neighbor_vals = phi[graph.neighbors]
     own = phi[:, None]
     maxima = np.nonzero(np.all(neighbor_vals < own, axis=1))[0]
@@ -51,11 +50,9 @@ def select_constituents(
     smallest-cap members (ties by ascending point index) down to exactly
     ``n_target``.
 
-    Raises InsufficientFeaturesError when the basis runs out first, so the
-    caller can request more eigenpairs.
+    ``n_target`` is at least 1.  Raises InsufficientFeaturesError when the
+    basis runs out first, so the caller can request more eigenpairs.
     """
-    if n_target < 1:
-        raise ParameterError(f"target constituent count must be >= 1, got {n_target}")
     caps = np.asarray(caps, dtype=float)
 
     picks: Picks = {}

@@ -1,23 +1,26 @@
 """Sparse symmetric generalized eigensolver for the operator pair (W, A).
 
 Solves W phi = lambda A phi for the p algebraically smallest eigenpairs.
-A is positive diagonal, so the problem maps to the ordinary symmetric one
-C y = lambda y with C = A^{-1/2} W A^{-1/2} and phi = A^{-1/2} y; the
-A-inner product of the phi's is the plain inner product of the y's, which
-keeps the returned basis A-orthonormal for free.
+A is positive diagonal, passed as the array of its diagonal, so the
+problem maps to the ordinary symmetric one C y = lambda y with
+C = A^{-1/2} W A^{-1/2} and phi = A^{-1/2} y; the A-inner product of the
+phi's is the plain inner product of the y's, which keeps the returned basis
+A-orthonormal for free.
 
 This module alone picks the solver and grows the basis:
 
-* dense path (n <= DENSE_CUTOFF and no factorization given): LAPACK's
-  generalized symmetric-definite driver on the materialized pair.
-* iterative path (above the cutoff, or whenever a LanczosFactorization is
-  given): Lanczos on C with full reorthogonalization, random restarts on
+* growing_bases yields the bases at p = batch, 2*batch, ... up to n, and
+  is the one place the path is picked: at n <= DENSE_CUTOFF each basis is
+  solved densely; above it every basis extends one LanczosFactorization,
+  so growing to p costs the steps of one solve at p, each basis
+  bit-identical to a fresh solve's.
+* solve_generalized runs Lanczos when it is given a factorization and
+  LAPACK's generalized symmetric-definite driver on the materialized pair
+  otherwise.
+* Lanczos works on C with full reorthogonalization, random restarts on
   breakdown (so later steps can pick up remaining eigenspace directions,
   including copies of repeated eigenvalues), and adaptive extension of the
   factorization until the requested pairs meet the residual tolerance.
-* growing_bases yields the bases at p = batch, 2*batch, ... up to n; above
-  the cutoff they extend one factorization, so growing to p costs the
-  steps of one solve at p, each basis bit-identical to a fresh solve's.
 * dense_oracle: an independent check that scales W by A^{-1/2} explicitly
   and calls the dense ordinary eigensolver; used by tests against both
   production paths.
@@ -36,7 +39,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from .errors import ConvergenceError, ParameterError
-from .manifold import MassMatrix, WeightMatrix
+from .manifold import WeightMatrix
 
 DENSE_CUTOFF = 300
 ORACLE_GUARD = 2000
@@ -65,40 +68,32 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def residuals(w: WeightMatrix, a: MassMatrix, basis: EigenBasis) -> np.ndarray:
+def residuals(w: WeightMatrix, a: np.ndarray, basis: EigenBasis) -> np.ndarray:
     """Relative residuals ||W phi - lambda A phi|| / max(1, ||W phi||) per pair."""
     wphi = w.entries @ basis.vectors
-    aphi = a.diag[:, None] * basis.vectors
+    aphi = a[:, None] * basis.vectors
     num = np.linalg.norm(wphi - basis.values[None, :] * aphi, axis=0)
     den = np.maximum(1.0, np.linalg.norm(wphi, axis=0))
     return num / den
 
 
-def _check_pair(w: WeightMatrix, a: MassMatrix) -> int:
-    n = w.n
-    if a.n != n:
-        raise ParameterError(f"W is {n}x{n} but A has {a.n} entries")
-    return n
-
-
-def dense_oracle(w: WeightMatrix, a: MassMatrix) -> EigenBasis:
+def dense_oracle(w: WeightMatrix, a: np.ndarray) -> EigenBasis:
     """All n eigenpairs via the explicit A^{-1/2} transform and a dense
     ordinary symmetric solve.  Verification path only; guarded at n <= 2000."""
-    n = _check_pair(w, a)
-    if n > ORACLE_GUARD:
-        raise ParameterError(f"dense oracle limited to n <= {ORACLE_GUARD}, got {n}")
-    d = 1.0 / np.sqrt(a.diag)
+    if w.n > ORACLE_GUARD:
+        raise ParameterError(f"dense oracle limited to n <= {ORACLE_GUARD}, got {w.n}")
+    d = 1.0 / np.sqrt(a)
     c = (d[:, None] * w.entries.toarray()) * d[None, :]
     values, y = np.linalg.eigh(c)
     phi = d[:, None] * y
-    phi /= np.sqrt(a.diag @ (phi * phi))[None, :]
+    phi /= np.sqrt(a @ (phi * phi))[None, :]
     return EigenBasis(values=values, vectors=_fix_signs(phi))
 
 
-def _solve_dense(w: WeightMatrix, a: MassMatrix, p: int) -> EigenBasis:
+def _solve_dense(w: WeightMatrix, a: np.ndarray, p: int) -> EigenBasis:
     # LAPACK generalized driver; eigenvectors come back A-orthonormal.
     values, phi = sla.eigh(
-        w.entries.toarray(), np.diag(a.diag), subset_by_index=(0, p - 1)
+        w.entries.toarray(), np.diag(a), subset_by_index=(0, p - 1)
     )
     return EigenBasis(values=values, vectors=_fix_signs(phi))
 
@@ -122,10 +117,10 @@ class LanczosFactorization:
     it to each checkpoint it reaches, so m steps hold 8 n m bytes of basis.
     """
 
-    def __init__(self, w: WeightMatrix, a: MassMatrix, seed: int = 0):
-        n = _check_pair(w, a)
-        self.w, self.a = w, a
-        self.scale = 1.0 / np.sqrt(a.diag)
+    def __init__(self, w: WeightMatrix, a: np.ndarray, seed: int = 0):
+        n = w.n
+        self.w = w
+        self.scale = 1.0 / np.sqrt(a)
         self.m_max = n  # step limit: n steps span all of R^n
         self.krylov = np.zeros((n, 0))  # columns 0..steps-1 hold the basis
         self.alphas = np.zeros(n)
@@ -210,31 +205,24 @@ class LanczosFactorization:
 
 
 def solve_generalized(
-    w: WeightMatrix, a: MassMatrix, p: int, factorization: LanczosFactorization | None = None
+    w: WeightMatrix, a: np.ndarray, p: int, factorization: LanczosFactorization | None = None
 ) -> EigenBasis:
     """The p algebraically smallest eigenpairs of W phi = lambda A phi,
-    ascending and A-orthonormal.
+    1 <= p <= n, ascending and A-orthonormal.
 
-    Lanczos extends ``factorization``, which must have been built for this
-    (w, a), so growing the basis over several calls costs the steps of the
-    largest p only; the result is that of a fresh factorization.  Without
-    one the pair is solved densely at n <= DENSE_CUTOFF and by a fresh
-    factorization above it.  Raises ConvergenceError when the pairs miss
-    the residual contract.
+    Given ``factorization``, a LanczosFactorization of this (w, a), Lanczos
+    extends it, so growing the basis over several calls costs the steps of
+    the largest p only; the result is that of a fresh factorization.
+    Without one the pair is solved densely, whatever n is; growing_bases
+    decides which.  Raises ConvergenceError when the pairs miss the
+    residual contract.
     """
-    n = _check_pair(w, a)
-    if not 1 <= p <= n:
-        raise ParameterError(f"p must satisfy 1 <= p <= n, got p={p}, n={n}")
-    if factorization is None and n <= DENSE_CUTOFF:
+    if factorization is None:
         basis = _solve_dense(w, a, p)
     else:
-        if factorization is None:
-            factorization = LanczosFactorization(w, a)
-        elif factorization.w is not w or factorization.a is not a:
-            raise ParameterError("factorization was built for another operator")
         theta, y = factorization.smallest(p)
         phi = factorization.scale[:, None] * y
-        phi /= np.sqrt(a.diag @ (phi * phi))[None, :]
+        phi /= np.sqrt(a @ (phi * phi))[None, :]
         order = np.argsort(theta, kind="stable")
         basis = EigenBasis(values=theta[order], vectors=_fix_signs(phi[:, order]))
 
@@ -245,11 +233,12 @@ def solve_generalized(
     return basis
 
 
-def growing_bases(w: WeightMatrix, a: MassMatrix, batch: int):
+def growing_bases(w: WeightMatrix, a: np.ndarray, batch: int):
     """Yield the bases of the p = batch, 2*batch, ... smallest eigenpairs,
-    the last at p = n.  Above DENSE_CUTOFF every solve extends one
-    factorization; at or below it each basis is solved densely."""
-    n = _check_pair(w, a)
+    the last at p = n, for a batch >= 1.  The solver path is picked here:
+    above DENSE_CUTOFF every solve extends one factorization; at or below
+    it each basis is solved densely."""
+    n = w.n
     factorization = LanczosFactorization(w, a) if n > DENSE_CUTOFF else None
     for p in range(batch, n + batch, batch):
         yield solve_generalized(w, a, min(p, n), factorization=factorization)

@@ -595,6 +595,44 @@ class TestBacktest:
                 values, baseline
             )
 
+    @pytest.mark.parametrize("mode", ["paper", "balanced"])
+    def test_metrics_do_not_depend_on_level_scale(self, small_market, tmp_path, mode):
+        """--base-level B scales every level by B/1000; neither it nor a
+        benchmark scaled by 3 moves a metric (within 1e-12)."""
+        import csv
+
+        from manifold_index import metrics
+
+        def backtest(name, benchmark, *flags):
+            outdir = tmp_path / name
+            assert run([
+                "backtest", "--quotes", str(small_market / "quotes.csv"),
+                "--benchmark", str(benchmark), "--outdir", str(outdir), "--mode", mode,
+                "--k", "6", "--n-list", "5,10", "--start-year", "2020", "--end-year", "2020",
+                *flags,
+            ]) == 0
+            with open(outdir / "metrics.csv", newline="") as fh:
+                reports = list(csv.DictReader(fh))
+            levels = []
+            for report in reports:
+                with open(outdir / "2020" / f"{report['index_name']}.csv", newline="") as fh:
+                    levels += [float(row["level"]) for row in csv.DictReader(fh)]
+            names = [(r["index_name"], r["year"]) for r in reports]
+            values = [float(r[metric]) for r in reports for metric in metrics.BASELINES]
+            return names, np.array(values), np.array(levels)
+
+        header, *rows = (small_market / "benchmark.csv").read_text().splitlines()
+        tripled = tmp_path / "benchmark_x3.csv"
+        tripled.write_text(lf_lines([header, *(
+            f"{date},{3 * float(level)!r}" for date, level in (row.split(",") for row in rows)
+        )]))
+        names, values, levels = backtest("plain", small_market / "benchmark.csv")
+        rebased = backtest("rebased", small_market / "benchmark.csv", "--base-level", "7.5")
+        for variant in (rebased, backtest("tripled", tripled)):
+            assert variant[0] == names
+            assert np.max(np.abs(variant[1] - values)) <= 1e-12
+        assert np.max(np.abs(rebased[2] / (levels * 7.5 / 1000) - 1)) <= 1e-12
+
     def test_metrics_match_independent_recompute(self, small_market, tmp_path):
         """Recompute every report row from the emitted CSV artifacts alone."""
         import csv
@@ -711,7 +749,8 @@ class TestBatchedEigenGrowth:
         p = 0
         while True:
             p += 8
-            basis = spectral.solve_generalized(w, a, p)
+            fresh = spectral.LanczosFactorization(w, a)
+            basis = spectral.solve_generalized(w, a, p, factorization=fresh)
             try:
                 want = selection.select_constituents(basis, graph, 140, frame.caps)
                 break
@@ -951,18 +990,60 @@ def index_one_member(tmp_path, rows, action) -> list[str]:
             "--actions", str(tmp_path / "actions.csv")]
 
 
-def one_monthly_return(tmp_path):
-    # 30 weekdays a year span January and February: one monthly return
-    market = synth_market(tmp_path, "--n-stocks", "30", "--m-days", "30", "--n-years", "2")
+def backtest_2020(market) -> list[str]:
     return ["backtest", "--quotes", str(market / "quotes.csv"),
             "--benchmark", str(market / "benchmark.csv"), "--k", "4", "--n-list", "5",
             "--start-year", "2020", "--end-year", "2020"]
 
 
-def tiny_closes(tmp_path):
-    # squares of closes near 1e-160 are subnormal, so their norm loses digits
-    rows = [(f"2020-01-0{d}", t, f"1.{d}e-160" if t == "A" else f"1{d}", "100")
-            for d in (2, 3, 6, 7, 8) for t in "ABCD"]
+def one_monthly_return(tmp_path):
+    # 30 weekdays a year span January and February: one monthly return
+    return backtest_2020(synth_market(tmp_path, "--n-stocks", "30", "--m-days", "30",
+                                      "--n-years", "2"))
+
+
+def one_calendar_month(tmp_path):
+    # 20 weekdays a year fall in January alone: no monthly return
+    return backtest_2020(synth_market(tmp_path, "--n-stocks", "30", "--m-days", "20",
+                                      "--n-years", "2"))
+
+
+def constant_target_year(tmp_path):
+    # every 2021 close repeats its ticker's first one, so the 2021 levels are constant
+    market = synth_market(tmp_path, "--n-stocks", "30", "--m-days", "60", "--n-years", "2")
+    header, *rows = (market / "quotes.csv").read_text().splitlines()
+    first: dict[str, str] = {}
+    for i, (date, ticker, close, shares) in enumerate(row.split(",") for row in rows):
+        if date.startswith("2021"):
+            rows[i] = ",".join((date, ticker, first.setdefault(ticker, close), shares))
+    (market / "quotes.csv").write_text(lf_lines([header, *rows]))
+    return backtest_2020(market)
+
+
+def select_small(*flags):
+    """The argv builder of a select over a small synth market with ``flags``."""
+    def build(tmp_path):
+        market = synth_market(tmp_path, "--n-stocks", "30", "--m-days", "60", "--n-years", "1")
+        return ["select", "--quotes", str(market / "quotes.csv"), "--study-year", "2020",
+                "--n-list", "5", *flags]
+    return build
+
+
+def closes_of_a(exponent):
+    """The argv builder of a select over tickers A..D whose closes are 12..18,
+    A's times 10**exponent."""
+    def build(tmp_path):
+        rows = [(f"2020-01-0{d}", t, f"1.{d}e{exponent}" if t == "A" else f"1{d}", "100")
+                for d in (2, 3, 6, 7, 8) for t in "ABCD"]
+        return ["select", "--quotes", write_quotes(tmp_path / "quotes.csv", rows),
+                "--study-year", "2020", "--k", "2", "--n-list", "1"]
+    return build
+
+
+def identical_closes(tmp_path):
+    # 12 tickers share one price vector, so every KNN distance is 0
+    rows = [(f"2020-01-0{d}", f"T{j:02d}", f"1{d}", "100")
+            for d in (2, 3, 6, 7, 8) for j in range(12)]
     return ["select", "--quotes", write_quotes(tmp_path / "quotes.csv", rows),
             "--study-year", "2020", "--k", "2", "--n-list", "1"]
 
@@ -1000,7 +1081,27 @@ REACHABLE_CHECKS = {
         one_monthly_return,
         r"beta needs at least 2 samples \({out}/2020/index_005_2021\.csv, year 2021\)",
     ),
-    "norm-lost-to-underflow": (tiny_closes, r"A: vector norm [0-9.]+ is not 1"),
+    # squares of closes near 1e-160 are subnormal, so their norm loses digits
+    "norm-lost-to-underflow": (closes_of_a(-160), r"A: vector norm [0-9.]+ is not 1"),
+    # squares of closes near 1e200 overflow
+    "norm-overflows": (closes_of_a(200), r"cannot normalize vector with norm inf"),
+    "k-zero": (select_small("--k", "0"), r"k must satisfy 1 <= k < n, got k=0, n=30"),
+    "negative-bandwidth": (
+        select_small("--t", "-1"), r"bandwidth t must be finite and > 0, got -1\.0"
+    ),
+    # every kernel weight exp(-d2/t) underflows to 0
+    "bandwidth-underflows-mass": (
+        select_small("--t", "1e-300"), r"mass entry 0 is 0\.000e\+00; isolated point or NaN"
+    ),
+    "identical-closes": (identical_closes, r"all KNN distances are zero; bandwidth undefined"),
+    "one-calendar-month": (
+        one_calendar_month,
+        r"need at least 2 calendar months of levels \({out}/2020/index_005_2021\.csv, year 2021\)",
+    ),
+    "constant-target-year": (
+        constant_target_year,
+        r"pearson undefined for a constant series \({out}/2020/index_005_2021\.csv, year 2021\)",
+    ),
     "pre-event-cap-underflows": (pre_event_cap_underflows, r"pre-event cap is 0\.0 on 2021-01-05"),
     "delisting-the-last-member": (
         delisting_the_last_member, r"post-event cap is 0\.0 on 2021-01-05"

@@ -82,10 +82,6 @@ class TestIndexValue:
         with pytest.raises(MissingPriceError, match=r"B.*2021-01-05"):
             ic.compute_series(DAYS[:2], closes, self.tickers, self.shares, 1000.0)
 
-    def test_one_close_per_constituent(self):
-        with pytest.raises(ParameterError):
-            ic.index_value([2.0, 4.0], self.shares, self.divisor)
-
 
 class TestAdjustDivisor:
     def test_direct_ratio(self):
@@ -201,16 +197,6 @@ class TestComputeSeries:
         closes[5, 1] = np.nan
         with pytest.raises(MissingPriceError, match=r"B.*2021-01-09"):
             ic.compute_series(DAYS, closes, tickers, shares, 1000.0, actions)
-
-    def test_block_shape_must_match(self):
-        tickers, shares = members(("A", 10.0), ("B", 5.0))
-        closes = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {})
-        with pytest.raises(ParameterError):
-            ic.compute_series(DAYS, closes[:, :1], tickers, shares, 1000.0)
-        with pytest.raises(ParameterError):
-            ic.compute_series(DAYS, closes[:-1], tickers, shares, 1000.0)
-        with pytest.raises(ParameterError):
-            ic.compute_series(DAYS, closes, tickers, shares[:1], 1000.0)
 
     @pytest.mark.parametrize("b_shares, message", [
         (0.0, "B: shares_issued 0.0 on 2021-01-04 is not finite and > 0"),

@@ -133,26 +133,6 @@ def test_knn_memory_is_one_gram_plus_a_block():
     assert peak < 1.5 * 8 * n * n
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_point_rejected_naming_row(bad):
-    points = np.random.default_rng(0).standard_normal((6, 3))
-    points[3, 1] = bad
-    points[5, 0] = bad
-    for build in (manifold.knn_graph, manifold.build_operator):
-        with pytest.raises(ParameterError, match="point 3 has a non-finite coordinate"):
-            build(points, 2)
-
-
-@pytest.mark.parametrize("points, row", [
-    ([[1e200, 0.0], [2e200, 0.0], [0.0, 1.0], [0.0, 2.0]], 0),  # squared norms overflow
-    ([[0.0, 1.0], [1e154, 0.0], [-1e154, 0.0], [0.0, 2.0]], 1),  # only the distance does
-])
-def test_overflowing_cloud_rejected_naming_row(points, row):
-    for build in (manifold.knn_graph, manifold.build_operator):
-        with pytest.raises(ParameterError, match=f"point {row} is too large"):
-            build(points, 1)
-
-
 class TestWeightTilde:
     def graph_with_distances(self, neighbors, distances):
         return manifold.AdjacencyGraph(
@@ -278,7 +258,7 @@ class TestSymmetrize:
 class TestMassMatrix:
     def test_copies_diagonal(self):
         w = manifold.WeightMatrix(sparse.csr_matrix(np.diag([0.75, 0.5, 1.25])))
-        assert manifold.mass_matrix(w).diag.tolist() == [0.75, 0.5, 1.25]
+        assert manifold.mass_matrix(w).tolist() == [0.75, 0.5, 1.25]
 
     def test_two_mutual_neighbors(self):
         # kernel value w on the single edge -> A = diag(w, w)
@@ -290,7 +270,7 @@ class TestMassMatrix:
         )
         w = manifold.symmetrize(manifold.weight_tilde(graph, t), "paper")
         a = manifold.mass_matrix(w)
-        assert np.allclose(a.diag, [kern, kern], atol=1e-15)
+        assert np.allclose(a, [kern, kern], atol=1e-15)
 
     def test_zero_diagonal_rejected(self):
         w = manifold.WeightMatrix(sparse.csr_matrix(np.diag([1.0, 0.0])))

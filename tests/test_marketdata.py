@@ -162,18 +162,23 @@ def make_panel(closes, shares, dates=D):
     return md.QuotePanel(tuple(dates), tuple(tickers), block(closes), block(shares))
 
 
+def fill(values):
+    """The completion step on a list, None where a close is absent."""
+    return md._forward_fill(np.array(values, dtype=float))
+
+
 class TestCompleteSeries:
     def test_forward_fill(self):
-        out = md.complete_series([10.0, None, None, 11.0])
-        assert out.tolist() == [10.0, 10.0, 10.0, 11.0]
+        assert fill([10.0, None, None, 11.0]).tolist() == [10.0, 10.0, 10.0, 11.0]
 
     def test_dense_series_unchanged(self):
-        out = md.complete_series([10.0, 10.5, 11.0, 11.5])
-        assert out.tolist() == [10.0, 10.5, 11.0, 11.5]
+        assert fill([10.0, 10.5, 11.0, 11.5]).tolist() == [10.0, 10.5, 11.0, 11.5]
 
     def test_no_predecessor_not_completable(self):
-        with pytest.raises(PipelineError, match="^first calendar value is absent; cannot forward-fill$"):
-            md.complete_series([None, 5.0, 6.0, 7.0])
+        # a leading gap stays: screening drops such a column, and
+        # compute_series reports an index member's as a MissingPriceError
+        out = fill([None, 5.0, None, 7.0])
+        assert np.isnan(out[0]) and out[1:].tolist() == [5.0, 5.0, 7.0]
 
     def test_accepts_raw_quotes_with_missing_rows(self, tmp_path):
         # a loaded panel column: no row on D[1], an NA close on D[2]
@@ -186,12 +191,11 @@ class TestCompleteSeries:
             "2020-01-07,AAA,11.0,100\n",
         )
         panel = md.load_quotes(path)
-        out = md.complete_series(panel.close[:, 0])
+        out = md._forward_fill(panel.close[:, 0])
         assert out.tolist() == [10.0, 10.0, 10.0, 11.0]
 
     def test_block_fills_each_column(self):
-        block = [[10.0, 1.0], [None, None], [12.0, None], [None, 4.0]]
-        out = md.complete_series(block)
+        out = fill([[10.0, 1.0], [None, None], [12.0, None], [None, 4.0]])
         assert out.tolist() == [[10.0, 1.0], [10.0, 1.0], [12.0, 1.0], [12.0, 4.0]]
 
     def test_idempotent(self, rng):
@@ -201,8 +205,8 @@ class TestCompleteSeries:
             for i in range(1, m):
                 if rng.uniform() < 0.4:
                     series[i] = None
-            once = md.complete_series(series)
-            twice = md.complete_series(list(once))
+            once = fill(series)
+            twice = fill(list(once))
             assert np.array_equal(once, twice)
 
 

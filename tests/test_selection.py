@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from manifold_index import manifold, selection, spectral
-from manifold_index.errors import InsufficientFeaturesError, ParameterError
+from manifold_index.errors import InsufficientFeaturesError
 
 
 def brute_force_extrema(phi, neighbors):
@@ -101,10 +101,6 @@ class TestDetectExtrema:
             bma, bmi = brute_force_extrema(phi, graph.neighbors)
             assert ma.tolist() == bma and mi.tolist() == bmi
 
-    def test_length_mismatch(self):
-        with pytest.raises(ParameterError):
-            selection.detect_extrema(np.ones(4), chain_graph(3))
-
 
 def fake_basis(vectors):
     vectors = np.asarray(vectors, dtype=float)
@@ -193,11 +189,6 @@ class TestSelectConstituents:
             else:
                 picked = selection.select_constituents(fake_basis(vectors), graph, n_target, caps)
                 assert list(picked) == expected
-
-    def test_bad_target(self):
-        graph = chain_graph(3)
-        with pytest.raises(ParameterError):
-            selection.select_constituents(fake_basis(np.ones((3, 1))), graph, 0, np.ones(3))
 
 
 def test_feature_count_grows_with_eigenvalue_rank(rng):
