@@ -279,9 +279,9 @@ def cmd_synth(args) -> tuple[Path, Path]:
     """Generate a synthetic market and emit quotes.csv + benchmark.csv."""
     given = {f.name: getattr(args, f.name) for f in fields(synth.SynthConfig)}
     config = synth.SynthConfig(**{k: v for k, v in given.items() if v is not None})
+    market = synth.generate_market(config)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    market = synth.generate_market(config)
     quotes_path = outdir / "quotes.csv"
     bench_path = outdir / "benchmark.csv"
     synth.write_quotes_csv(quotes_path, market)

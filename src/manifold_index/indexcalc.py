@@ -88,9 +88,14 @@ class IndexSeries:
     divisors: np.ndarray | None = None
 
     def __post_init__(self):
-        every = self.values if self.divisors is None else np.append(self.values, self.divisors)
-        if not np.all((every > 0) & (every < np.inf)):
-            raise ParameterError("index levels and divisors must be finite and > 0")
+        divisors = np.ones(len(self.values)) if self.divisors is None else self.divisors
+        valid = (self.values > 0) & (self.values < np.inf) & (divisors > 0) & (divisors < np.inf)
+        if not valid.all():
+            i = int(np.argmin(valid))
+            level, divisor = float(self.values[i]), float(divisors[i])
+            # a divisor that fails makes its level fail too, so it is named first
+            what, value = ("level", level) if 0 < divisor < np.inf else ("divisor", divisor)
+            raise ParameterError(f"index {what} {value} on {self.dates[i]} is not finite and > 0")
 
     def rows(self, span: slice) -> IndexSeries:
         """The series on a slice of its dates."""

@@ -43,7 +43,6 @@ class AdjacencyGraph:
     (excluding i itself), distances[i] the matching squared Euclidean
     distances in ascending order."""
 
-    k: int
     neighbors: np.ndarray
     distances: np.ndarray
 
@@ -103,7 +102,7 @@ def knn_graph(points, k: int) -> AdjacencyGraph:
         pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
         neighbors[s:e] = col[pick]
         distances[s:e] = dist[pick]
-    return AdjacencyGraph(k=k, neighbors=neighbors, distances=distances)
+    return AdjacencyGraph(neighbors=neighbors, distances=distances)
 
 
 def auto_bandwidth(graph: AdjacencyGraph) -> float:

@@ -56,8 +56,6 @@ from .errors import (
 
 MISSING_TOKENS = {"", "NA"}
 
-NORM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class QuotePanel:
@@ -83,13 +81,6 @@ class MarketFrame:
     tickers: list[str]
     vectors: np.ndarray
     caps: np.ndarray
-
-    def __post_init__(self):
-        norms = np.linalg.norm(self.vectors, axis=1)
-        bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
-        if len(bad):
-            i = bad[0]
-            raise PipelineError(f"{self.tickers[i]}: vector norm {norms[i]} is not 1")
 
     @property
     def n(self) -> int:
@@ -392,12 +383,13 @@ def screen_universe(closes) -> np.ndarray:
 
 
 def normalize(series) -> np.ndarray:
-    """Scale a dense series to unit Euclidean norm (direction preserved)."""
+    """Scale a dense series of finite closes > 0 to unit Euclidean norm.  It
+    is first multiplied by the power of two that puts its largest value in
+    [0.5, 1): exact, so the norm lies in [0.5, sqrt(len)] for any such closes,
+    and where no square under- or overflows the result is ``v / norm(v)``."""
     v = np.asarray(series, dtype=float)
-    nrm = float(np.linalg.norm(v))
-    if not np.isfinite(nrm) or nrm <= 0.0:
-        raise PipelineError(f"cannot normalize vector with norm {nrm}")
-    return v / nrm
+    s = np.ldexp(v, -np.frexp(v.max())[1])
+    return s / np.linalg.norm(s)
 
 
 def build_market_frame(quotes: QuotePanel, rows: slice) -> MarketFrame:

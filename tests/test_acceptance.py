@@ -268,14 +268,14 @@ def test_criterion_10_kernel_spot_values():
     """w(d2=0) = -1 exactly; w(d2=t) = -1/e to 1e-15."""
     with criterion(10, "kernel spot values at d2=0 and d2=t"):
         graph = manifold.AdjacencyGraph(
-            k=1, neighbors=np.array([[1], [0]]), distances=np.array([[0.0], [0.0]])
+            neighbors=np.array([[1], [0]]), distances=np.array([[0.0], [0.0]])
         )
         wt = manifold.weight_tilde(graph, t=1.7)
         assert wt[0, 1] == -1.0
 
         for t in (0.3, 1.0, 42.0):
             graph = manifold.AdjacencyGraph(
-                k=1, neighbors=np.array([[1], [0]]), distances=np.array([[t], [t]])
+                neighbors=np.array([[1], [0]]), distances=np.array([[t], [t]])
             )
             wt = manifold.weight_tilde(graph, t=t)
             assert abs(wt[0, 1] - (-np.exp(-1.0))) <= 1e-15

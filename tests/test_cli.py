@@ -1,5 +1,6 @@
 """CLI orchestration: artifacts, re-runnability, determinism, diagnostics."""
 
+import math
 import random
 import re
 import tempfile
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from manifold_index import cli, indexcalc, marketdata, selection, synth
@@ -1029,17 +1030,6 @@ def select_small(*flags):
     return build
 
 
-def closes_of_a(exponent):
-    """The argv builder of a select over tickers A..D whose closes are 12..18,
-    A's times 10**exponent."""
-    def build(tmp_path):
-        rows = [(f"2020-01-0{d}", t, f"1.{d}e{exponent}" if t == "A" else f"1{d}", "100")
-                for d in (2, 3, 6, 7, 8) for t in "ABCD"]
-        return ["select", "--quotes", write_quotes(tmp_path / "quotes.csv", rows),
-                "--study-year", "2020", "--k", "2", "--n-list", "1"]
-    return build
-
-
 def identical_closes(tmp_path):
     # 12 tickers share one price vector, so every KNN distance is 0
     rows = [(f"2020-01-0{d}", f"T{j:02d}", f"1{d}", "100")
@@ -1052,6 +1042,18 @@ def pre_event_cap_underflows(tmp_path):
     # on the action date the cap is 1e-300 x 1e-30, which rounds to 0.0
     rows = [("2021-01-04", "A", "100", "1e-30"), ("2021-01-05", "A", "1e-300", "1e-30")]
     return index_one_member(tmp_path, rows, "2021-01-05,A,share_change,5,")
+
+
+def level_overflows(tmp_path):
+    # the 2021-01-05 cap is 1e300 x 1e10, which rounds to inf
+    rows = [("2021-01-04", "A", "100", "1e10"), ("2021-01-05", "A", "1e300", "1e10")]
+    return index_one_member(tmp_path, rows, "")
+
+
+def divisor_overflows(tmp_path):
+    # the post-event cap 1e300 x 1e10 is inf, and so is the divisor it rescales
+    rows = [("2021-01-04", "A", "1e300", "1e8"), ("2021-01-05", "A", "1e300", "1e8")]
+    return index_one_member(tmp_path, rows, "2021-01-05,A,share_change,1e10,")
 
 
 def delisting_the_last_member(tmp_path):
@@ -1081,10 +1083,6 @@ REACHABLE_CHECKS = {
         one_monthly_return,
         r"beta needs at least 2 samples \({out}/2020/index_005_2021\.csv, year 2021\)",
     ),
-    # squares of closes near 1e-160 are subnormal, so their norm loses digits
-    "norm-lost-to-underflow": (closes_of_a(-160), r"A: vector norm [0-9.]+ is not 1"),
-    # squares of closes near 1e200 overflow
-    "norm-overflows": (closes_of_a(200), r"cannot normalize vector with norm inf"),
     "k-zero": (select_small("--k", "0"), r"k must satisfy 1 <= k < n, got k=0, n=30"),
     "negative-bandwidth": (
         select_small("--t", "-1"), r"bandwidth t must be finite and > 0, got -1\.0"
@@ -1103,6 +1101,15 @@ REACHABLE_CHECKS = {
         r"pearson undefined for a constant series \({out}/2020/index_005_2021\.csv, year 2021\)",
     ),
     "pre-event-cap-underflows": (pre_event_cap_underflows, r"pre-event cap is 0\.0 on 2021-01-05"),
+    "level-overflows": (level_overflows, r"index level inf on 2021-01-05 is not finite and > 0"),
+    "divisor-overflows": (
+        divisor_overflows, r"index divisor inf on 2021-01-05 is not finite and > 0"
+    ),
+    # a second-day return near 1e300 takes the benchmark cap past the float range
+    "synth-level-overflows": (
+        lambda tmp_path: ["synth", "--sector-vol", "1e300"],
+        r"index level inf on 2020-01-02 is not finite and > 0",
+    ),
     "delisting-the-last-member": (
         delisting_the_last_member, r"post-event cap is 0\.0 on 2021-01-05"
     ),
@@ -1131,6 +1138,65 @@ def test_reachable_check_is_one_error_line(tmp_path, capsys, case):
     expected = pattern.format(out=re.escape(str(outdir)), tmp=re.escape(str(tmp_path)))
     assert re.fullmatch(f"error: {expected}", err[0]), err[0]
     assert not outdir.exists()
+
+
+def backtest_artifacts(quotes, benchmark, outdir) -> dict[str, bytes]:
+    assert run(["backtest", "--quotes", str(quotes), "--benchmark", str(benchmark),
+                "--outdir", str(outdir), "--k", "6", "--n-list", "5,10",
+                "--start-year", "2020", "--end-year", "2021"]) == 0
+    return listing(outdir)
+
+
+@pytest.fixture(scope="module")
+def scale_market(tmp_path_factory):
+    """A 60-stock, 3-year market and its backtest artifacts."""
+    root = tmp_path_factory.mktemp("scale")
+    assert run(["synth", "--outdir", str(root), "--n-stocks", "60", "--m-days", "60",
+                "--n-sectors", "4", "--n-years", "3"]) == 0
+    return root, backtest_artifacts(root / "quotes.csv", root / "benchmark.csv", root / "out")
+
+
+def scaled_columns(text: str, j: int, columns) -> str:
+    """A CSV text with each float in ``columns`` (by header name) times 2**j,
+    its line ends kept."""
+    end = "\r\n" if text.endswith("\r\n") else "\n"
+    header, *rows = text.split(end)[:-1]
+    at = [header.split(",").index(name) for name in columns]
+    fields = [row.split(",") for row in rows]
+    for row in fields:
+        for i in at:
+            row[i] = repr(math.ldexp(float(row[i]), j))
+    return end.join([header, *map(",".join, fields), ""])
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(j=st.integers(-600, 600))
+@example(j=600)
+@example(j=-600)
+def test_power_of_two_scale_moves_only_caps_and_divisors(scale_market, tmp_path, j):
+    """Closes times 2**j with shares times 2**-j leave every backtest
+    artifact byte-identical; closes times 2**j alone scale the market_cap
+    and divisor columns by exactly 2**j and change no other byte."""
+    root, plain = scale_market
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    text = (root / "quotes.csv").read_text()
+    variants = {
+        "same-caps": scaled_columns(scaled_columns(text, j, ["close"]), -j, ["shares_issued"]),
+        "scaled-caps": scaled_columns(text, j, ["close"]),
+    }
+    for name, quotes in variants.items():
+        (work / f"{name}.csv").write_text(quotes)
+    same_caps = backtest_artifacts(work / "same-caps.csv", root / "benchmark.csv", work / "a")
+    assert same_caps == plain
+    scaled = backtest_artifacts(work / "scaled-caps.csv", root / "benchmark.csv", work / "b")
+    assert scaled.keys() == plain.keys()
+    for path, data in plain.items():
+        name = Path(path).name
+        column = ("market_cap" if name.startswith("constituents_")
+                  else "divisor" if name.startswith("index_") else None)
+        expected = data if column is None else scaled_columns(data.decode(), j, [column]).encode()
+        assert scaled[path] == expected, path
 
 
 def quoted(line: str) -> str:

@@ -136,7 +136,6 @@ def test_knn_memory_is_one_gram_plus_a_block():
 class TestWeightTilde:
     def graph_with_distances(self, neighbors, distances):
         return manifold.AdjacencyGraph(
-            k=np.shape(neighbors)[1],
             neighbors=np.asarray(neighbors, dtype=np.int64),
             distances=np.asarray(distances, dtype=float),
         )
@@ -266,7 +265,7 @@ class TestMassMatrix:
         t = 1.0
         d2 = -np.log(kern) * t
         graph = manifold.AdjacencyGraph(
-            k=1, neighbors=np.array([[1], [0]]), distances=np.array([[d2], [d2]])
+            neighbors=np.array([[1], [0]]), distances=np.array([[d2], [d2]])
         )
         w = manifold.symmetrize(manifold.weight_tilde(graph, t), "paper")
         a = manifold.mass_matrix(w)
@@ -286,7 +285,6 @@ class TestMassMatrix:
 class TestAutoBandwidth:
     def test_mean_of_stored_distances(self):
         graph = manifold.AdjacencyGraph(
-            k=2,
             neighbors=np.array([[1, 2], [0, 2], [0, 1]]),
             distances=np.array([[1.0, 2.0], [1.0, 3.0], [2.0, 3.0]]),
         )
@@ -294,7 +292,7 @@ class TestAutoBandwidth:
 
     def test_all_zero_distances_rejected(self):
         graph = manifold.AdjacencyGraph(
-            k=1, neighbors=np.array([[1], [0]]), distances=np.array([[0.0], [0.0]])
+            neighbors=np.array([[1], [0]]), distances=np.array([[0.0], [0.0]])
         )
         with pytest.raises(ParameterError):
             manifold.auto_bandwidth(graph)

@@ -282,9 +282,26 @@ class TestNormalize:
             c = float(rng.uniform(1e-6, 1e6))
             assert np.allclose(md.normalize(c * v), md.normalize(v), atol=1e-12)
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(PipelineError, match="^cannot normalize vector with norm 0.0$"):
-            md.normalize([0.0, 0.0])
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mantissas=st.lists(st.floats(1.0, 10.0), min_size=1, max_size=366),
+    decade=st.integers(-323, 307),
+    j=st.integers(-300, 300),
+)
+def test_normalize_is_unit_over_the_float_range(mantissas, decade, j):
+    """Closes from subnormal to 1e308 give a unit vector; where no square
+    of a close underflows or overflows it is bit-identical to v / norm(v),
+    and a power of two 2**j that keeps the closes normal changes no bit."""
+    v = np.array(mantissas) * 10.0**decade
+    out = md.normalize(v)
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+    if -140 <= decade <= 140:
+        assert np.array_equal(out, v / np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(v, j)
+    if np.all((scaled >= np.finfo(float).tiny) & (scaled < np.inf)):
+        assert np.array_equal(md.normalize(scaled), out)
 
 
 def frame_fixture():
