@@ -1140,6 +1140,36 @@ def test_reachable_check_is_one_error_line(tmp_path, capsys, case):
     assert not outdir.exists()
 
 
+# Powers of two that take one ticker's closes to an end of the float range.
+FLOAT_EXTREMES = {
+    # closes near 4e-162, whose squares are subnormal and lose digits
+    "norm-lost-to-underflow": -540,
+    # closes near 2e201, whose squares overflow
+    "norm-overflows": 664,
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_EXTREMES)
+def test_one_ticker_at_a_float_extreme_selects_the_same(tmp_path, case):
+    """A's closes times 2**j, with A's shares times 2**-j, leave every select
+    artifact byte-identical."""
+    j = FLOAT_EXTREMES[case]
+    closes = {"A": (12, 13, 16, 17, 18), "B": (15, 11, 14, 19, 12),
+              "C": (13, 17, 12, 15, 16), "D": (18, 14, 13, 11, 17)}
+    days = [f"2020-01-0{d}" for d in (2, 3, 6, 7, 8)]
+
+    def select_with_a_times(power, outdir):
+        rows = [(day, t, repr(math.ldexp(c[i], power if t == "A" else 0)),
+                 repr(math.ldexp(100.0, -power if t == "A" else 0)))
+                for i, day in enumerate(days) for t, c in closes.items()]
+        quotes = write_quotes(tmp_path / f"quotes_{power}.csv", rows)
+        assert run(["select", "--quotes", quotes, "--study-year", "2020", "--outdir",
+                    str(outdir), "--k", "2", "--n-list", "1,2,3"]) == 0
+        return listing(outdir)
+
+    assert select_with_a_times(j, tmp_path / "scaled") == select_with_a_times(0, tmp_path / "plain")
+
+
 def backtest_artifacts(quotes, benchmark, outdir) -> dict[str, bytes]:
     assert run(["backtest", "--quotes", str(quotes), "--benchmark", str(benchmark),
                 "--outdir", str(outdir), "--k", "6", "--n-list", "5,10",
