@@ -10,9 +10,10 @@ continuous at the event instant.
 
 The members are a list of tickers with a float64 array of their shares
 issued, prices arrive as a dates x members close block (the forward-filled
-panel columns of the members), and the divisor is a plain float.  A
-delisting sets its member's shares to 0; the member keeps its column,
-valued at 0.0, so it adds exactly +0.0 to every later cap.  The block is
+panel columns of the members, finite after the first date), and the
+divisor is a plain float.  A delisting sets its member's shares to 0; the
+member keeps its column, whose finite closes times 0.0 shares add exactly
++0.0 to every later cap.  The block is
 valued one segment at a time, a segment running from the first date or an
 action date up to the next action date.  Within a segment each level is
 the caps added column by column in member order, then divided by D: the
@@ -171,19 +172,6 @@ def adjust_divisor(
     return divisor * (m_new / m_old), after
 
 
-def _member_closes(closes, dates, start, end, tickers, shares) -> np.ndarray:
-    """Rows ``start:end`` of the close block, 0.0 in the columns of delisted
-    members (shares 0).  A NaN in another column is a MissingPriceError
-    naming the earliest date, then the first member in list order."""
-    block = closes[start:end]
-    live = shares > 0
-    missing = np.argwhere(np.isnan(block) & live)
-    if len(missing):
-        i, j = missing[0]
-        raise MissingPriceError(tickers[j], dates[start + i])
-    return np.where(live, block, 0.0)
-
-
 def compute_series(
     dates: Sequence[dt.date],
     closes,
@@ -197,16 +185,17 @@ def compute_series(
     ``closes[i, j]`` is the close of ``tickers[j]`` on ``dates[i]`` and
     ``shares[j]`` its shares issued on the first date.  The first member,
     in list order, whose first close is absent or whose shares are absent
-    or not finite and > 0 is an error.  A close must be present while its
-    member is in the index and may be NaN after its delisting, which sets
-    the member's shares to 0.  Actions apply in (date, ticker) order on the
-    first date on or after their effective date, each before that day's
-    closing valuation, so the divisor is constant between action dates and
-    each such segment is valued as one block.
+    or not > 0 is an error.  Every later close is finite, as the forward
+    fill of ``marketdata.index_inputs`` makes it, delisted members' too: a
+    delisting sets the member's shares to 0 and keeps its column.  Actions
+    apply in (date, ticker) order on the first date on or after their
+    effective date, each before that day's closing valuation, so the
+    divisor is constant between action dates and each such segment is
+    valued as one block.
     """
     closes = np.asarray(closes, dtype=float)
     shares = np.asarray(shares, dtype=float)
-    bad = np.flatnonzero(np.isnan(closes[0]) | ~((shares > 0) & (shares < np.inf)))
+    bad = np.flatnonzero(np.isnan(closes[0]) | ~(shares > 0))
     if len(bad):
         j = bad[0]
         if np.isnan(closes[0, j]):
@@ -232,11 +221,10 @@ def compute_series(
     cursor = 0
     for start, end in zip(bounds, bounds[1:]):
         while cursor < len(pending) and action_rows[cursor] == start:
-            at_event = _member_closes(closes, dates, start, start + 1, tickers, shares)[0]
-            divisor, shares = adjust_divisor(divisor, pending[cursor], at_event, tickers, shares)
+            action = pending[cursor]
+            divisor, shares = adjust_divisor(divisor, action, closes[start], tickers, shares)
             cursor += 1
-        block = _member_closes(closes, dates, start, end, tickers, shares)
-        levels[start:end] = index_value(block, shares, divisor)
+        levels[start:end] = index_value(closes[start:end], shares, divisor)
         divisors[start:end] = divisor
     return IndexSeries(dates=tuple(dates), values=levels, divisors=divisors)
 

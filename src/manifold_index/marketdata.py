@@ -425,6 +425,8 @@ def index_inputs(
     """Closes forward-filled over the panel rows ``rows`` (dates x tickers)
     and shares issued on the first of them, NaN where absent, for a list of
     index constituents; ``indexcalc.compute_series`` checks the first date.
+    A close present on the first date fills every later one, so after that
+    date the block is finite and > 0.
 
     Raises MissingPriceError for a ticker the panel lacks.
     """

@@ -506,6 +506,47 @@ class TestIndexAndMetrics:
         ]
         assert not (tmp_path / "out").exists()
 
+    def test_index_reads_quotes_through_the_forward_fill(self, small_market, artifacts, tmp_path):
+        """A delisted member's quotes after its delisting are never read,
+        and a live member's mid-year quote that is absent, ``NA`` or the
+        close before it gives the same series."""
+        header, *rows = (small_market / "quotes.csv").read_text().splitlines()
+        fields = [row.split(",") for row in rows]
+        lines = (artifacts / "constituents_005.csv").read_text().splitlines()[1:]
+        changed, delisted, live = (line.split(",")[1] for line in lines[:3])
+        dates = sorted({f[0] for f in fields if f[0].startswith("2021")})
+        (tmp_path / "actions.csv").write_text(
+            "effective_date,ticker,kind,new_shares,replacement_price\n"
+            f"{dates[10]},{changed},share_change,5000,\n{dates[20]},{delisted},delisting,,\n"
+        )
+
+        def series(name, quotes):
+            (tmp_path / f"{name}.csv").write_text(lf_lines([header, *map(",".join, quotes)]))
+            assert run([
+                "index", "--quotes", str(tmp_path / f"{name}.csv"), "--study-year", "2020",
+                "--outdir", str(tmp_path / name), "--actions", str(tmp_path / "actions.csv"),
+                "--constituents", str(artifacts / "constituents_005.csv"),
+            ]) == 0
+            return (tmp_path / name / "index_005_2021.csv").read_bytes()
+
+        full = series("full", fields)
+        assert len({line.split(b",")[2] for line in full.splitlines()[1:]}) == 3
+        after_delisting = [f for f in fields if f[1] == delisted and f[0] > dates[20]]
+        assert after_delisting
+        assert series("delisted-rows-dropped",
+                      [f for f in fields if f not in after_delisting]) == full
+
+        at = fields.index(next(f for f in fields if f[:2] == [dates[40], live]))
+        assert fields[at - 1][:2] == [dates[39], live]
+
+        def close_at(close):
+            return fields[:at] + [[dates[40], live, close, fields[at][3]]] + fields[at + 1:]
+
+        variants = {"dropped": fields[:at] + fields[at + 1:], "na": close_at("NA"),
+                    "repeated": close_at(fields[at - 1][2])}
+        filled = {series(name, quotes) for name, quotes in variants.items()}
+        assert len(filled) == 1 and filled != {full}
+
 
 class TestBacktest:
     def test_two_stage_pipeline_end_to_end(self, small_market, tmp_path):

@@ -78,8 +78,13 @@ class TestIndexValue:
         ]
 
     def test_missing_price_names_ticker_and_date(self):
+        closes = np.array([[2.0, np.nan, 30.0], self.base_prices])
+        with pytest.raises(MissingPriceError, match="^no price for B on 2021-01-04$"):
+            ic.compute_series(DAYS[:2], closes, self.tickers, self.shares, 1000.0)
+        # later closes are forward-filled, so a NaN there only comes from a
+        # direct call; the level it gives names the date
         closes = np.array([self.base_prices, [2.0, np.nan, 30.0]])
-        with pytest.raises(MissingPriceError, match=r"B.*2021-01-05"):
+        with pytest.raises(ParameterError, match="^index level nan on 2021-01-05 is not finite"):
             ic.compute_series(DAYS[:2], closes, self.tickers, self.shares, 1000.0)
 
 
@@ -184,24 +189,19 @@ class TestComputeSeries:
         assert np.array_equal(series.values[:5], no_event.values)
         assert series.values[5] == pytest.approx(series.values[4], rel=1e-10)
 
-    def test_delisted_column_may_be_nan_after_delisting_only(self):
+    def test_delisted_member_later_closes_do_not_move_the_series(self, rng):
         tickers, shares = members(("A", 10.0), ("B", 5.0))
-        closes = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {("A", 3): 0.1})
+        closes = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {("A", 3): 0.1, ("A", 7): -0.05})
         actions = [ic.CorporateAction("delisting", "B", DAYS[5])]
-        filled = ic.compute_series(DAYS, closes, tickers, shares, 1000.0, actions)
-        closes[6:, 1] = np.nan
+        series = ic.compute_series(DAYS, closes, tickers, shares, 1000.0, actions)
+        closes[6:, 1] = 2.0 ** rng.uniform(-1000, 1000, size=4)
         again = ic.compute_series(DAYS, closes, tickers, shares, 1000.0, actions)
-        assert again.dates == filled.dates
-        assert np.array_equal(again.values, filled.values)
-        assert np.array_equal(again.divisors, filled.divisors)
-        closes[5, 1] = np.nan
-        with pytest.raises(MissingPriceError, match=r"B.*2021-01-09"):
-            ic.compute_series(DAYS, closes, tickers, shares, 1000.0, actions)
+        assert np.array_equal(again.values, series.values)
+        assert np.array_equal(again.divisors, series.divisors)
 
     @pytest.mark.parametrize("b_shares, message", [
         (0.0, "B: shares_issued 0.0 on 2021-01-04 is not finite and > 0"),
         (-5.0, "B: shares_issued -5.0 on 2021-01-04 is not finite and > 0"),
-        (np.inf, "B: shares_issued inf on 2021-01-04 is not finite and > 0"),
         (np.nan, "B: shares_issued absent on 2021-01-04"),
     ])
     def test_shares_at_input_must_be_finite_and_positive(self, b_shares, message):
@@ -215,6 +215,13 @@ class TestComputeSeries:
             ic.compute_series(DAYS, closes, tickers, shares, 1000.0)
         closes[0, 0] = np.nan
         with pytest.raises(MissingPriceError, match="no price for A on 2021-01-04"):
+            ic.compute_series(DAYS, closes, tickers, shares, 1000.0)
+
+    def test_infinite_shares_give_infinite_base_cap(self):
+        # the loader rejects inf shares; a direct call ends at init_divisor
+        closes = make_panel(["A", "B"], {"A": 4.0, "B": 8.0}, {})
+        tickers, shares = members(("A", 10.0), ("B", np.inf))
+        with pytest.raises(PipelineError, match="^total cap at base is inf$"):
             ic.compute_series(DAYS, closes, tickers, shares, 1000.0)
 
     @pytest.mark.parametrize("kind, new_shares", [
@@ -393,8 +400,8 @@ def replay_series(dates, closes, tickers, shares, base_level, actions):
 
 @st.composite
 def index_inputs(draw):
-    """Dates with gaps, a close block, and actions that are valid in the
-    order they apply; a delisted column turns NaN after its delisting."""
+    """Dates with gaps, a finite close block, and actions that are valid in
+    the order they apply; a delisted column keeps its closes."""
     n = draw(st.integers(1, 6))
     m = draw(st.integers(1, 15))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -420,8 +427,6 @@ def index_inputs(draw):
         actions.append(action)
         if action.kind == "delisting":
             live.remove(action.ticker)
-            row = next(i for i, d in enumerate(dates) if d >= action.effective_date)
-            closes[row + 1:, int(action.ticker[1:])] = np.nan
     return dates, closes, tickers, shares, actions
 
 

@@ -8,7 +8,7 @@ from scipy import sparse
 
 from conftest import random_connected_operator, random_operator
 from manifold_index import manifold, spectral
-from manifold_index.errors import ConvergenceError, ParameterError
+from manifold_index.errors import ConvergenceError
 
 
 def make_pair(dense):
@@ -267,13 +267,6 @@ class TestPathRule:
 
 
 class TestGuards:
-    def test_oracle_size_guard(self):
-        n = 2001
-        w = manifold.WeightMatrix(sparse.identity(n, format="csr"))
-        a = np.ones(n)
-        with pytest.raises(ParameterError, match="^dense oracle limited to n <= 2000, got 2001$"):
-            spectral.dense_oracle(w, a)
-
     def test_convergence_error_reports_residual(self, rng, monkeypatch):
         _, w, a = random_connected_operator(rng, 60, 4, "balanced")
         monkeypatch.setattr(spectral, "RESIDUAL_RTOL", 0.0)
