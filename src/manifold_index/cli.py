@@ -40,7 +40,7 @@ from .errors import (
     ParameterError,
     ParseError,
     PipelineError,
-    open_text,
+    read_text,
 )
 
 DEFAULT_N_LIST = (50, 100, 150, 180, 380)
@@ -114,20 +114,19 @@ def load_config(path) -> PipelineConfig:
     """Read a flat key=value config file into a PipelineConfig."""
     parsers = {f.name: f.metadata["parse"] for f in fields(PipelineConfig)}
     values = {}
-    with open_text(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(path, line_no, f"expected key=value, got {line!r}")
-            key, text = (part.strip() for part in line.split("=", 1))
-            if key not in parsers:
-                raise ParseError(path, line_no, f"unknown config key {key!r}")
-            try:
-                values[key] = parsers[key](text)
-            except ValueError as exc:
-                raise ParseError(path, line_no, f"bad value for {key}: {exc}") from None
+    for line_no, raw in enumerate(read_text(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(path, line_no, f"expected key=value, got {line!r}")
+        key, text = (part.strip() for part in line.split("=", 1))
+        if key not in parsers:
+            raise ParseError(path, line_no, f"unknown config key {key!r}")
+        try:
+            values[key] = parsers[key](text)
+        except ValueError as exc:
+            raise ParseError(path, line_no, f"bad value for {key}: {exc}") from None
     return PipelineConfig(**values)
 
 

@@ -1,16 +1,17 @@
-"""Exception types shared across the pipeline; the opener of the readers'
-text files, which turns bytes that are not UTF-8 into a ParseError; the
-header rule of every CSV input and the row rule of the small ones.
+"""Exception types shared across the pipeline, and the CSV contract of every
+file it reads or writes: the text reader, which turns a byte that is not
+UTF-8 into a ParseError naming its line; the header rule of every CSV input
+and the row rule of the small ones; and the writer of every CSV artifact.
 
-Six types, each kept because code tells it apart: PipelineError, the base
+Five types, each kept because code tells it apart: PipelineError, the base
 ``cli.main`` reports; ParseError, which names the file and line;
 ParameterError, a ValueError the config and flag parsers catch as one;
-ConvergenceError, which carries the worst residual; InsufficientFeaturesError,
-which ``cli.grow_basis_and_select`` catches to grow the basis; and
-MissingPriceError, one message raised by two modules."""
+ConvergenceError, which carries the worst residual; and
+InsufficientFeaturesError, which ``cli.grow_basis_and_select`` catches to
+grow the basis."""
 
 import csv
-from contextlib import contextmanager
+import io
 
 
 class PipelineError(Exception):
@@ -52,28 +53,35 @@ class InsufficientFeaturesError(PipelineError):
         )
 
 
-class MissingPriceError(PipelineError):
-    """A constituent has no price on a date the index needs."""
+def line_ends(text: str) -> int:
+    """Line ends in ``text``: LF, CRLF or a lone CR, as csv counts them."""
+    ends = text.count("\n")
+    return ends + text.count("\r") - text.count("\r\n") if "\r" in text else ends
 
-    def __init__(self, ticker: str, date):
-        super().__init__(f"no price for {ticker} on {date}")
 
-
-def not_utf8(path, line_no: int | None, exc: UnicodeDecodeError) -> ParseError:
+def not_utf8(path, line_no: int, exc: UnicodeDecodeError) -> ParseError:
     """The ParseError for a byte of ``path`` that does not decode as UTF-8."""
     byte = exc.object[exc.start]
     return ParseError(path, line_no, f"not UTF-8 text: byte {byte:#04x} ({exc.reason})")
 
 
-@contextmanager
-def open_text(path):
-    """Open a UTF-8 text file for reading with ``newline=""``, as csv wants
-    it; a byte that is not UTF-8 raises ParseError naming the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise not_utf8(path, None, exc) from None
+def read_text(path) -> io.StringIO:
+    """A small UTF-8 text file, whole, with ``newline=""`` as csv wants it; a
+    byte that is not UTF-8 raises ParseError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, 1 + line_ends(data[:exc.start].decode("utf-8")), exc) from None
+
+
+def write_rows(path, header: list, rows) -> None:
+    """Write a CSV artifact: the ``header`` row, then each of ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def blank(fields: list) -> bool:
@@ -96,18 +104,17 @@ def read_rows(path, columns):
     input whose header names ``columns``; blank rows are skipped.  A row
     without one field per header column, or text csv cannot tokenize, is a
     ParseError naming its line (the last of a record spanning several)."""
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            position = header_columns(path, header, columns)
-            for fields in reader:
-                if blank(fields):
-                    continue
-                if len(fields) != len(header):
-                    raise ParseError(
-                        path, reader.line_num, f"expected {len(header)} fields, got {len(fields)}"
-                    )
-                yield reader.line_num, {name: fields[i].strip() for name, i in position.items()}
-        except csv.Error as exc:
-            raise ParseError(path, reader.line_num, f"bad CSV: {exc}") from None
+    reader = csv.reader(read_text(path))
+    try:
+        header = next(reader, [])
+        position = header_columns(path, header, columns)
+        for fields in reader:
+            if blank(fields):
+                continue
+            if len(fields) != len(header):
+                raise ParseError(
+                    path, reader.line_num, f"expected {len(header)} fields, got {len(fields)}"
+                )
+            yield reader.line_num, {name: fields[i].strip() for name, i in position.items()}
+    except csv.Error as exc:
+        raise ParseError(path, reader.line_num, f"bad CSV: {exc}") from None

@@ -26,7 +26,6 @@ bits of most levels.
 from __future__ import annotations
 
 import bisect
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
@@ -34,13 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    MissingPriceError,
-    ParameterError,
-    ParseError,
-    PipelineError,
-    read_rows,
-)
+from .errors import ParameterError, ParseError, PipelineError, read_rows, write_rows
 
 ACTION_KINDS = ("share_change", "delisting", "rights_or_bonus_issue")
 
@@ -199,7 +192,7 @@ def compute_series(
     if len(bad):
         j = bad[0]
         if np.isnan(closes[0, j]):
-            raise MissingPriceError(tickers[j], dates[0])
+            raise PipelineError(f"no price for {tickers[j]} on {dates[0]}")
         if np.isnan(shares[j]):
             raise ParameterError(f"{tickers[j]}: shares_issued absent on {dates[0]}")
         raise ParameterError(
@@ -231,12 +224,9 @@ def compute_series(
 
 def write_series_csv(path, series: IndexSeries) -> None:
     """Export ``date,level,divisor`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "level", "divisor"])
-        for date, level, div in zip(series.dates, series.values.tolist(),
-                                    series.divisors.tolist()):
-            writer.writerow([date.isoformat(), repr(level), repr(div)])
+    write_rows(path, ["date", "level", "divisor"],
+               ([date.isoformat(), repr(level), repr(div)] for date, level, div
+                in zip(series.dates, series.values.tolist(), series.divisors.tolist())))
 
 
 def read_levels_csv(path, what: str, columns: tuple[str, ...]):

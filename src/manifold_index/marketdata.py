@@ -45,14 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    MissingPriceError,
-    ParseError,
-    PipelineError,
-    blank,
-    header_columns,
-    not_utf8,
-)
+from .errors import ParseError, PipelineError, blank, header_columns, line_ends, not_utf8
 
 MISSING_TOKENS = {"", "NA"}
 
@@ -137,6 +130,12 @@ class _QuoteColumns:
         position = header_columns(source, header, names)
         self.columns = [position[name] for name in names]
         self.width = len(header)
+        # What a record of another width reads as: its empty date fails the
+        # date check, and its "0" close and shares leave their columns to the
+        # one-call parse of _numbers, which an empty token would defeat.
+        self.filler = [""] * self.width
+        for name in names[2:]:
+            self.filler[position[name]] = "0"
         # Each distinct date or ticker token is parsed once and then maps to
         # an id; two tokens may name the same date or ticker.
         self.date_of_token: dict[str, int] = {}
@@ -160,50 +159,41 @@ class _QuoteColumns:
     def add(self, fields: list, count: np.ndarray, line: np.ndarray) -> None:
         """Check and keep a batch of records: record r has ``count[r]``
         fields, the next ones of ``fields``, and ends on line ``line[r]``.
-        Blank records are skipped; the first faulty one raises ParseError."""
+        Blank records are skipped; the first faulty one raises ParseError,
+        a record without one field per header column among them."""
         width = self.width
         start = np.cumsum(count) - count
-
-        def record(r):
-            return fields[start[r]:start[r] + count[r]]
-
-        # Odd records one at a time: a blank one is dropped, a long one keeps
-        # the header's fields and a short one is padded with empty ones.
-        runs, at, kept = [], 0, np.ones(len(count), dtype=bool)
+        runs, at = [], 0  # each record of another width reads as the filler row
         for r in np.flatnonzero(count != width):
-            runs.append(fields[at:start[r]])
-            if blank(record(r)):
-                kept[r] = False
-            else:
-                runs.append((record(r) + [""] * width)[:width])
+            runs += [fields[at:start[r]], self.filler]
             at = start[r] + count[r]
         regular = list(chain.from_iterable(runs + [fields[at:]])) if runs else fields
-        rows = np.flatnonzero(kept)
         columns = [regular[c::width] for c in self.columns]
         dates = _ids(columns[0], self.date_of_token, self._date_id)
         tickers = _ids(columns[1], self.ticker_of_token, self._ticker_id)
         closes, bad_close, close_fault = _numbers(columns[2], "close", True)
         shares, bad_shares, shares_fault = _numbers(columns[3], "shares_issued", False)
-        faulty = (count[rows] < width) | (dates < 0) | (tickers < 0) | bad_close | bad_shares
+        faulty = (dates < 0) | (tickers < 0) | bad_close | bad_shares
         keep = slice(None)
         if faulty.any():
             # a blank record has no date either; it is skipped, not a fault
-            skipped = [k for k in np.flatnonzero(dates < 0) if blank(record(rows[k]))]
+            skipped = [r for r in np.flatnonzero(dates < 0)
+                       if blank(fields[start[r]:start[r] + count[r]])]
             faulty[skipped] = False
-            keep = np.ones(len(rows), dtype=bool)
+            keep = np.ones(len(count), dtype=bool)
             keep[skipped] = False
         if faulty.any():
-            k = np.argmax(faulty)  # checked for width, date, ticker, close, shares in turn
-            if count[rows[k]] < width:
-                message = f"expected {width} fields, got {count[rows[k]]}"
-            elif dates[k] < 0:
-                message = f"bad date {columns[0][k]!r}"
-            elif tickers[k] < 0:
+            r = np.argmax(faulty)  # checked for width, date, ticker, close, shares in turn
+            if count[r] != width:
+                message = f"expected {width} fields, got {count[r]}"
+            elif dates[r] < 0:
+                message = f"bad date {columns[0][r]!r}"
+            elif tickers[r] < 0:
                 message = "empty ticker"
             else:
-                message = close_fault(k) if bad_close[k] else shares_fault(k)
-            raise ParseError(self.source, int(line[rows[k]]), message)
-        for store, column in ((self.row_line, line[rows]), (self.row_date, dates),
+                message = close_fault(r) if bad_close[r] else shares_fault(r)
+            raise ParseError(self.source, int(line[r]), message)
+        for store, column in ((self.row_line, line), (self.row_date, dates),
                               (self.row_ticker, tickers), (self.closes, closes),
                               (self.shares, shares)):
             store.frombytes(column[keep].data.cast("B"))
@@ -242,26 +232,12 @@ _BLOCK_BYTES = 1 << 16
 _CSV_BATCH = 4096  # records per batch of quoted input
 
 
-def _line_ends(text: str) -> int:
-    """Line ends in ``text``: LF, CRLF or a lone CR, as csv counts them."""
-    ends = text.count("\n")
-    return ends + text.count("\r") - text.count("\r\n") if "\r" in text else ends
-
-
 def _byte_blocks(fh):
-    """A binary file in blocks of about ``_BLOCK_BYTES``, each ending after a
-    line end but the last, which holds whatever follows the last one."""
-    tail = bytearray()
+    """A binary file in blocks of ``_BLOCK_BYTES`` and the rest of the line
+    each ends in, so every block but the last ends after an LF.  A file
+    whose lines end in a lone CR is one block."""
     while chunk := fh.read(_BLOCK_BYTES):
-        # after the last "\n", or the last "\r" the chunk shows is no "\r\n"
-        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
-        if cut:
-            yield tail + chunk[:cut]
-            tail = bytearray(chunk[cut:])
-        else:
-            tail += chunk
-    if tail:
-        yield tail
+        yield chunk + fh.readline()
 
 
 def _text_blocks(fh, source):
@@ -277,9 +253,9 @@ def _text_blocks(fh, source):
             text = head[:max(head.rfind(b"\n"), head.rfind(b"\r")) + 1].decode("utf-8")
             if text:
                 yield line_no, text
-            raise not_utf8(source, line_no + _line_ends(text), exc) from None
+            raise not_utf8(source, line_no + line_ends(text), exc) from None
         yield line_no, text
-        line_no += _line_ends(text)
+        line_no += line_ends(text)
 
 
 def _split(text: str, line_no: int):
@@ -343,12 +319,12 @@ def load_quotes(source) -> QuotePanel:
     """Read a quote CSV into a QuotePanel.
 
     The file must be UTF-8 and carry a header with at least ``date,ticker,
-    close,shares_issued``; unknown columns are ignored, blank rows skipped
-    and fields past the header's dropped.  A close must be finite and > 0
-    and shares finite and >= 0; ``NA`` or an empty field is absent.  The
-    first malformed line raises ParseError naming it; a second quote for the
-    same (ticker, date) raises a ParseError naming its line once the rest of
-    the file has parsed.
+    close,shares_issued``; unknown columns are ignored and blank rows
+    skipped, and every other row has one field per header column.  A close
+    must be finite and > 0 and shares finite and >= 0; ``NA`` or an empty
+    field is absent.  The first malformed line raises ParseError naming it;
+    a second quote for the same (ticker, date) raises a ParseError naming
+    its line once the rest of the file has parsed.
     """
     with open(source, "rb") as fh:
         batches = _record_batches(fh, source)
@@ -424,18 +400,16 @@ def index_inputs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closes forward-filled over the panel rows ``rows`` (dates x tickers)
     and shares issued on the first of them, NaN where absent, for a list of
-    index constituents; ``indexcalc.compute_series`` checks the first date.
-    A close present on the first date fills every later one, so after that
-    date the block is finite and > 0.
-
-    Raises MissingPriceError for a ticker the panel lacks.
+    index constituents; a ticker the panel lacks is absent throughout.
+    ``indexcalc.compute_series`` checks the first date.  A close present on
+    the first date fills every later one, so after that date the block is
+    finite and > 0.
     """
     column = {t: j for j, t in enumerate(quotes.tickers)}
-    for t in tickers:
-        if t not in column:
-            raise MissingPriceError(t, quotes.dates[rows.start])
-    cols = [column[t] for t in tickers]
-    return _forward_fill(quotes.close[rows, cols]), quotes.shares[rows.start, cols]
+    cols = np.array([column.get(t, -1) for t in tickers], dtype=np.intp)
+    closes, shares = _forward_fill(quotes.close[rows, cols]), quotes.shares[rows.start, cols]
+    closes[:, cols < 0] = shares[cols < 0] = np.nan
+    return closes, shares
 
 
 def year_rows(dates, year: int) -> slice:

@@ -8,12 +8,11 @@ variance are used throughout.  The default monthly risk-free rate is 0.2%.
 
 from __future__ import annotations
 
-import csv
 from typing import Sequence
 
 import numpy as np
 
-from .errors import PipelineError
+from .errors import PipelineError, write_rows
 from .indexcalc import IndexSeries
 
 DEFAULT_RISK_FREE = 0.002
@@ -112,11 +111,9 @@ def evaluate(series: IndexSeries, benchmark: IndexSeries) -> dict[str, float]:
 def write_reports_csv(path, rows: Sequence[tuple[str, int, dict[str, float]]]) -> None:
     """Export ``index_name,year`` and each metric of BASELINES, one row per
     report."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index_name", "year", *BASELINES])
-        for name, year, report in rows:
-            writer.writerow([name, year] + [repr(report[m]) for m in BASELINES])
+    write_rows(path, ["index_name", "year", *BASELINES],
+               ([name, year] + [repr(report[m]) for m in BASELINES]
+                for name, year, report in rows))
 
 
 def stability_rows(rows: Sequence[tuple[str, int, dict[str, float]]]) -> list[tuple]:
@@ -155,9 +152,6 @@ def write_stability_csv(path, rows: Sequence[tuple]) -> None:
     mean_baseline_distance`` (std across years for scope=index and across
     series for scope=year; the mean distance to baseline is reported per
     index).  None is written as an empty field."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scope", "name", "metric", "std", "mean_baseline_distance"])
-        for scope, name, metric, *values in rows:
-            writer.writerow([scope, name, metric]
-                            + ["" if v is None else repr(v) for v in values])
+    write_rows(path, ["scope", "name", "metric", "std", "mean_baseline_distance"],
+               ([scope, name, metric] + ["" if v is None else repr(v) for v in values]
+                for scope, name, metric, *values in rows))

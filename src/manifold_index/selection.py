@@ -13,11 +13,9 @@ contributes little or nothing and needs no special-casing.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .errors import InsufficientFeaturesError, ParseError, read_rows
+from .errors import InsufficientFeaturesError, ParseError, read_rows, write_rows
 from .manifold import AdjacencyGraph
 from .spectral import EigenBasis
 
@@ -78,11 +76,9 @@ def select_constituents(
 def write_constituents_csv(path, picks: Picks, tickers, caps) -> None:
     """Export ``rank,ticker,source_eigenvector,extremum_kind,market_cap``."""
     caps = np.asarray(caps, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "ticker", "source_eigenvector", "extremum_kind", "market_cap"])
-        for rank, (idx, (eigvec, kind)) in enumerate(picks.items(), start=1):
-            writer.writerow([rank, tickers[idx], eigvec, kind, repr(float(caps[idx]))])
+    write_rows(path, ["rank", "ticker", "source_eigenvector", "extremum_kind", "market_cap"],
+               ([rank, tickers[idx], eigvec, kind, repr(float(caps[idx]))]
+                for rank, (idx, (eigvec, kind)) in enumerate(picks.items(), start=1)))
 
 
 def read_constituents_csv(path) -> list[str]:

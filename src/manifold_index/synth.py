@@ -76,10 +76,6 @@ class SyntheticMarket:
     sectors: np.ndarray
     benchmark: IndexSeries
 
-    @property
-    def dates(self) -> tuple[dt.date, ...]:
-        return self.quotes.dates
-
 
 def trading_dates(start_year: int, n_years: int, m_days: int) -> tuple[dt.date, ...]:
     """First ``m_days`` weekdays of each calendar year, concatenated."""

@@ -891,7 +891,7 @@ class TestConfigFile:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(f"error: {config}: not UTF-8")
+        assert err[0].startswith(f"error: {config}:2: not UTF-8")
 
     def test_bad_bandwidth_is_clean_diagnostic(self, small_market, tmp_path, capsys):
         rc = run([
@@ -1319,10 +1319,15 @@ def test_quote_file_format_does_not_change_selection(format_market, tmp_path, fm
     cli.load_config, synth.read_benchmark_csv, indexcalc.read_series_csv,
     selection.read_constituents_csv, indexcalc.read_actions_csv,
 ])
-def test_readers_reject_non_utf8_naming_the_file(tmp_path, read):
+@pytest.mark.parametrize("data, line", [
+    (b"date,level\n2021-01-04,1000.0\xff\n", 2),
+    (b"date,level\r2021-01-04,1000.0\r2021-01-05,999.\xff\r", 3),
+], ids=["lf", "cr"])
+def test_readers_reject_non_utf8_naming_the_line(tmp_path, read, data, line):
     path = tmp_path / "input.csv"
-    path.write_bytes(b"date,level\n2021-01-04,1000.0\xff\n")
-    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not UTF-8 text: byte 0xff"):
+    path.write_bytes(data)
+    where = re.escape(f"{path}:{line}:")
+    with pytest.raises(ParseError, match=f"^{where} not UTF-8 text: byte 0xff"):
         read(path)
 
 

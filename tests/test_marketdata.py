@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 
 from manifold_index import indexcalc
 from manifold_index import marketdata as md
-from manifold_index.errors import (
-    MissingPriceError,
-    ParameterError,
-    ParseError,
-    PipelineError,
-)
+from manifold_index.errors import ParameterError, ParseError, PipelineError
 
 D = [dt.date(2020, 1, d) for d in (2, 3, 6, 7)]
 ALL = slice(0, len(D))  # every row of a panel over D
@@ -72,6 +67,7 @@ class TestLoadQuotes:
     @pytest.mark.parametrize("rows, message", [
         (b"2020-01-02,AAA,10,100\nnot-a-date,AAA,10,100\n", "bad date 'not-a-date'"),
         (b"2020-01-02,AAA,10,100\n2020-01-03,AAA,11\n", "expected 4 fields, got 3"),
+        (b"2020-01-02,AAA,10,100\n2020-01-03,AAA,11,100,9\n", "expected 4 fields, got 5"),
         (b"2020-01-02,AAA,10,100\n2020-01-03,,11,100\n", "empty ticker"),
         # a line this long also fills a whole read block without a line end
         (b'2020-01-02,AAA,10,100\n2020-01-03,"' + b"x" * 200_000 + b'",11,100\n',
@@ -79,7 +75,7 @@ class TestLoadQuotes:
         # csv reads from the quote on line 2 on; the rows before the byte are checked first
         (b'2020-01-02,"AAA",10,100\n2020-01-03,AA\xff,11,100\n',
          "not UTF-8 text: byte 0xff (invalid start byte)"),
-    ], ids=["bad-date", "short-row", "empty-ticker", "field-past-csv-limit",
+    ], ids=["bad-date", "short-row", "long-row", "empty-ticker", "field-past-csv-limit",
             "not-utf8-after-a-quote"])
     def test_malformed_row_names_line_number(self, tmp_path, rows, message):
         path = tmp_path / "quotes.csv"
@@ -176,7 +172,7 @@ class TestCompleteSeries:
 
     def test_no_predecessor_not_completable(self):
         # a leading gap stays: screening drops such a column, and
-        # compute_series reports an index member's as a MissingPriceError
+        # compute_series reports an index member's as a missing price
         out = fill([None, 5.0, None, 7.0])
         assert np.isnan(out[0]) and out[1:].tolist() == [5.0, 5.0, 7.0]
 
@@ -393,10 +389,9 @@ class TestIndexInputs:
         # on D[2] ZZZ is not in the panel, AAA has no close, BBB no shares;
         # compute_series checks the first date of what index_inputs returns
         quotes = frame_fixture()
-        with pytest.raises(MissingPriceError, match=f"^no price for ZZZ on {D[2]}$"):
-            md.index_inputs(quotes, slice(2, 4), ["ZZZ"])
         for ticker, error, message in (
-            ("AAA", MissingPriceError, f"no price for AAA on {D[2]}"),
+            ("ZZZ", PipelineError, f"no price for ZZZ on {D[2]}"),
+            ("AAA", PipelineError, f"no price for AAA on {D[2]}"),
             ("BBB", ParameterError, f"BBB: shares_issued absent on {D[2]}"),
         ):
             closes, shares = md.index_inputs(quotes, slice(2, 4), [ticker])
@@ -453,6 +448,7 @@ FAULTS = {
     "empty_ticker": ("ticker", " "),
     "not_utf8": ("ticker", "A\udcff"),  # written as the byte 0xff
     "short_row": None,
+    "long_row": None,
     "duplicate": None,
 }
 
@@ -476,7 +472,7 @@ def reference_load(data):
             return bad_line, False
         if not any(f.strip() for f in fields):
             continue
-        if len(fields) < len(names):
+        if len(fields) != len(names):
             return line_no, False
         try:
             date = dt.date.fromisoformat(fields[col["date"]].strip())
@@ -517,8 +513,8 @@ def reference_load(data):
 def quote_files(draw):
     """(bytes, read block size) of a random quote file: shuffled rows, absent
     values, missing ticker-days, an extra column, blank and whitespace-only
-    lines, rows longer than the header, LF, CRLF or CR line ends, quoted
-    fields (some holding a comma or a line break) and up to two faults."""
+    lines of any width, LF, CRLF or CR line ends, quoted fields (some
+    holding a comma or a line break) and up to two faults."""
     names = ["date", "ticker", "close", "shares_issued"]
     extra = draw(st.none() | st.integers(0, 4))
     if extra is not None:
@@ -543,7 +539,6 @@ def quote_files(draw):
     rows = [[row[n] for n in names] for row in draw(st.permutations(rows))]
     quoting = draw(st.booleans())
     for row in rows:
-        row += draw(st.lists(st.sampled_from(["x", "", " "]), max_size=2))  # past the header
         if quoting and draw(st.booleans()):
             t = names.index("ticker")
             row[t] = '"' + row[t] + draw(st.sampled_from(["", "\n1", "\r\n2"])) + '"'
@@ -556,6 +551,9 @@ def quote_files(draw):
             rows.insert(draw(st.integers(0, len(rows))), list(rows[at]))
         elif fault == "short_row":
             rows[at] = rows[at][:len(names) - 1]
+        elif fault == "long_row":
+            rows[at] = rows[at] + draw(st.lists(st.sampled_from(["x", "", " "]), min_size=1,
+                                                max_size=2))
         elif names.index(FAULTS[fault][0]) < len(rows[at]):  # not cut short before
             column, token = FAULTS[fault]
             rows[at][names.index(column)] = token

@@ -21,7 +21,7 @@ class TestDeterminism:
     def test_same_seed_bit_identical(self):
         a = synth.generate_market(small_config())
         b = synth.generate_market(small_config())
-        assert a.dates == b.dates
+        assert a.quotes.dates == b.quotes.dates
         assert a.benchmark.values.tobytes() == b.benchmark.values.tobytes()
         assert a.quotes.tickers == b.quotes.tickers
         assert a.quotes.close.tobytes() == b.quotes.close.tobytes()
@@ -150,7 +150,7 @@ class TestBenchmark:
             n_stocks=30, m_days=30, n_sectors=5, seed=3, n_years=1))
         quotes = market.quotes
         replay = indexcalc.compute_series(
-            list(market.dates), quotes.close, quotes.tickers, quotes.shares[0], 1000.0
+            list(quotes.dates), quotes.close, quotes.tickers, quotes.shares[0], 1000.0
         )
         assert replay.dates == market.benchmark.dates
         assert np.allclose(replay.values, market.benchmark.values, rtol=1e-12)
@@ -163,14 +163,14 @@ class TestBenchmark:
 class TestCalendar:
     def test_year_blocks_are_weekdays(self):
         market = synth.generate_market(small_config(n_years=2, m_days=30))
-        assert len(market.dates) == 60
-        years = sorted({d.year for d in market.dates})
+        assert len(market.quotes.dates) == 60
+        years = sorted({d.year for d in market.quotes.dates})
         assert years == [2020, 2021]
-        assert all(d.weekday() < 5 for d in market.dates)
+        assert all(d.weekday() < 5 for d in market.quotes.dates)
 
     def test_quotes_cover_every_date(self):
         market = synth.generate_market(small_config())
-        assert market.quotes.close.shape == (len(market.dates), 25)
+        assert market.quotes.close.shape == (len(market.quotes.dates), 25)
         assert not np.isnan(market.quotes.close).any()
         assert not np.isnan(market.quotes.shares).any()
 
@@ -204,7 +204,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("year", [1, 9999])
     def test_years_at_the_date_range_ends(self, year):
         market = synth.generate_market(small_config(start_year=year, m_days=260))
-        assert {d.year for d in market.dates} == {year}
+        assert {d.year for d in market.quotes.dates} == {year}
 
 
 def test_benchmark_csv_roundtrip(tmp_path):
