@@ -376,6 +376,12 @@ def _read_each(files, read) -> dict:
     return out
 
 
+def _import_scipy() -> None:
+    """Load the SciPy modules of the operator and the eigensolver."""
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse  # noqa: F401
+
+
 def _dispatch(args: argparse.Namespace) -> None:
     if args.command == "synth":
         cmd_synth(args)
@@ -389,8 +395,9 @@ def _dispatch(args: argparse.Namespace) -> None:
     if args.command == "metrics":
         cmd_metrics(cfg, _read_each(args.series, indexcalc.read_series_csv), writes)
     else:
-        # parsed once, however many years the command covers
-        quotes = marketdata.load_quotes(cfg.quotes)
+        # parsed once; for select and backtest in a forked child while SciPy loads
+        meanwhile = _import_scipy if args.command in _SELECTING else None
+        quotes = marketdata.load_quotes(cfg.quotes, meanwhile=meanwhile)
         if args.command == "select":
             cmd_select(cfg, quotes, writes)
         elif args.command == "index":

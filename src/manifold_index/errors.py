@@ -8,8 +8,9 @@ Five types, each kept because code tells it apart: PipelineError, the base
 ParameterError, a ValueError the config and flag parsers catch as one;
 ConvergenceError, which carries the worst residual; and
 InsufficientFeaturesError, which ``cli.grow_basis_and_select`` catches to
-grow the basis."""
+grow the basis.  Each survives pickle: the forked quote parse sends one back."""
 
+import copyreg
 import csv
 import io
 
@@ -17,6 +18,9 @@ import io
 class PipelineError(Exception):
     """Base class for every error this package raises deliberately, and the
     error of an input the pipeline cannot turn into a result."""
+
+    def __reduce__(self):  # unpickled without __init__, whose arguments a subclass drops
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ParseError(PipelineError):

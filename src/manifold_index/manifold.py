@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ParameterError, PipelineError
 
@@ -116,6 +115,7 @@ def auto_bandwidth(graph: AdjacencyGraph) -> float:
 def weight_tilde(graph: AdjacencyGraph, t: float) -> sparse.csr_matrix:
     """Directed kernel matrix W~: -exp(-d2/t) on KNN edges, row-sum-cancelling
     diagonal, zero elsewhere.  Every row sums to zero by construction."""
+    from scipy import sparse
     if not 0 < t < np.inf:
         raise ParameterError(f"bandwidth t must be finite and > 0, got {t}")
     n, k = graph.neighbors.shape
@@ -144,6 +144,7 @@ def symmetrize(w_tilde: sparse.spmatrix, mode: str = "balanced") -> WeightMatrix
     """W = (W~ + W~^T) / 2.  Averaging leaves the diagonal untouched; in
     ``balanced`` mode the diagonal is then recomputed from the symmetrized
     off-diagonals so each row sums to zero."""
+    from scipy import sparse
     w = (w_tilde + w_tilde.T) * 0.5
     if mode == "balanced":
         off = w - sparse.diags(w.diagonal())

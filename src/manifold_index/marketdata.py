@@ -35,6 +35,9 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import os
+import pickle
+import signal
 from array import array
 from bisect import bisect_left
 from contextlib import suppress
@@ -315,17 +318,7 @@ def _record_batches(fh, source):
         yield _split(text, line_no)
 
 
-def load_quotes(source) -> QuotePanel:
-    """Read a quote CSV into a QuotePanel.
-
-    The file must be UTF-8 and carry a header with at least ``date,ticker,
-    close,shares_issued``; unknown columns are ignored and blank rows
-    skipped, and every other row has one field per header column.  A close
-    must be finite and > 0 and shares finite and >= 0; ``NA`` or an empty
-    field is absent.  The first malformed line raises ParseError naming it;
-    a second quote for the same (ticker, date) raises a ParseError naming
-    its line once the rest of the file has parsed.
-    """
+def _parse_quotes(source) -> QuotePanel:
     with open(source, "rb") as fh:
         batches = _record_batches(fh, source)
         # an empty file has an empty header, which lacks every column
@@ -335,6 +328,61 @@ def load_quotes(source) -> QuotePanel:
         for batch in batches:
             quotes.add(*batch)
     return quotes.panel()
+
+
+def _send_quotes(source, read_fd: int, write_fd: int) -> None:
+    """A forked child's work: write the pickled panel of ``source``, or the
+    exception its parse raised, to the pipe; return early if no reader is left."""
+    os.close(read_fd)  # else a parent that died would leave the write blocked
+    try:
+        result = _parse_quotes(source)
+    except Exception as exc:
+        result = exc
+    with suppress(BrokenPipeError), open(write_fd, "wb") as pipe:
+        pipe.write(pickle.dumps(result, protocol=5))
+
+
+def load_quotes(source, meanwhile=None) -> QuotePanel:
+    """Read a quote CSV into a QuotePanel.
+
+    The file must be UTF-8 and carry a header with at least ``date,ticker,
+    close,shares_issued``; unknown columns are ignored and blank rows
+    skipped, and every other row has one field per header column.  A close
+    must be finite and > 0 and shares finite and >= 0; ``NA`` or an empty
+    field is absent.  The first malformed line raises ParseError naming it;
+    a second quote for the same (ticker, date) raises a ParseError naming
+    its line once the rest of the file has parsed.
+
+    Given ``meanwhile``, a forked child parses the file while this process
+    calls it; where os.fork does not exist the call comes first, then the parse.
+    """
+    if meanwhile is None:
+        return _parse_quotes(source)
+    if not hasattr(os, "fork"):
+        meanwhile()
+        return _parse_quotes(source)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the forked child, which the census cannot see
+        try:
+            _send_quotes(source, read_fd, write_fd)
+        finally:
+            os._exit(0)  # runs no caller's finally block and flushes no buffer
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            meanwhile()
+            result = pickle.load(pipe)
+    except EOFError:
+        raise PipelineError(f"{source}: the quote parse ended without a result") from None
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _forward_fill(values: np.ndarray) -> np.ndarray:

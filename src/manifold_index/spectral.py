@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import ConvergenceError
 from .manifold import WeightMatrix
@@ -88,6 +87,7 @@ def dense_oracle(w: WeightMatrix, a: np.ndarray) -> EigenBasis:
 
 
 def _solve_dense(w: WeightMatrix, a: np.ndarray, p: int) -> EigenBasis:
+    from scipy import linalg as sla
     # LAPACK generalized driver; eigenvectors come back A-orthonormal.
     values, phi = sla.eigh(
         w.entries.toarray(), np.diag(a), subset_by_index=(0, p - 1)
@@ -176,6 +176,7 @@ class LanczosFactorization:
         bounds pass ``RITZ_TOL``, at breakdown exhaustion (the factorization is
         then exact) or at the step limit.
         """
+        from scipy import linalg as sla
         m_max = self.m_max
         checkpoint = m_max if m_max <= 160 else min(m_max, max(2 * p + 32, 48))
         while True:

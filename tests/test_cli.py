@@ -1,8 +1,11 @@
 """CLI orchestration: artifacts, re-runnability, determinism, diagnostics."""
 
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -1002,6 +1005,33 @@ def test_usage_error_is_one_error_line(small_market, tmp_path, capsys, argv, nam
     assert err[0].startswith("error: ") and names in err[0]
 
 
+WITHOUT_SCIPY = """
+import sys
+from manifold_index import cli
+assert not [name for name in sys.modules if name.startswith("scipy")]
+sys.modules["scipy"] = None  # any import of SciPy from here on fails
+market = ["--quotes", "m/quotes.csv", "--study-year", "2020", "--outdir", "out"]
+with open("constituents_001.csv", "w") as fh:
+    fh.write("rank,ticker,source_eigenvector,extremum_kind,market_cap\\n1,S0000,0,max,1\\n")
+for argv in (["synth", "--outdir", "m", "--n-stocks", "8", "--n-sectors", "2",
+              "--m-days", "65", "--n-years", "2"],
+             ["index", *market, "--constituents", "constituents_001.csv"],
+             ["metrics", "--benchmark", "m/benchmark.csv", "--outdir", "out",
+              "--series", "out/index_001_2021.csv"]):
+    assert cli.main(argv) == 0, argv
+"""
+
+
+def test_only_select_and_backtest_load_scipy(tmp_path):
+    """Importing the CLI loads no SciPy module, and synth, index and metrics
+    run where SciPy cannot be imported."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "metrics.csv").exists()
+
+
 def lf_lines(lines) -> str:
     return "\n".join(lines) + "\n"
 
@@ -1313,6 +1343,11 @@ def test_quote_file_format_does_not_change_selection(format_market, tmp_path, fm
     variant = tmp_path / "quotes.csv"
     variant.write_bytes(QUOTE_FORMATS[fmt](lines).encode())
     assert select_artifacts(variant, tmp_path / "out") == artifacts
+    # select parses in a forked child; the loader gives the same panel here too
+    want, got = marketdata.load_quotes(plain), marketdata.load_quotes(variant)
+    assert (got.dates, got.tickers) == (want.dates, want.tickers)
+    assert got.close.tobytes() == want.close.tobytes()
+    assert got.shares.tobytes() == want.shares.tobytes()
 
 
 @pytest.mark.parametrize("read", [

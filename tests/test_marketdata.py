@@ -3,7 +3,10 @@
 import csv
 import datetime as dt
 import io
+import os
+import pickle
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +15,13 @@ from hypothesis import strategies as st
 
 from manifold_index import indexcalc
 from manifold_index import marketdata as md
-from manifold_index.errors import ParameterError, ParseError, PipelineError
+from manifold_index.errors import (
+    ConvergenceError,
+    InsufficientFeaturesError,
+    ParameterError,
+    ParseError,
+    PipelineError,
+)
 
 D = [dt.date(2020, 1, d) for d in (2, 3, 6, 7)]
 ALL = slice(0, len(D))  # every row of a panel over D
@@ -146,6 +155,148 @@ class TestLoadQuotes:
         )
         with pytest.raises(ParseError, match=":3: shares_issued must be finite"):
             md.load_quotes(path)
+
+
+# ---------------------------------------------------------------------------
+# load_quotes with ``meanwhile``: the parse in a forked child
+
+
+def many_quotes(tmp_path, n_tickers=50, n_days=200):
+    """A quote file whose pickled panel (160 kB of arrays) overfills a pipe."""
+    start = dt.date(2020, 1, 1)
+    rows = [f"{start + dt.timedelta(days=i)},T{j:02d},{100 + i + j / 8},{1000 + j}\n"
+            for j in range(n_tickers) for i in range(n_days)]
+    return write_csv(tmp_path, "date,ticker,close,shares_issued\n" + "".join(rows))
+
+
+def counter():
+    """A ``meanwhile`` that counts its calls in ``calls``."""
+    def meanwhile():
+        meanwhile.calls += 1
+    meanwhile.calls = 0
+    return meanwhile
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_panel(got, want):
+    assert got.dates == want.dates and got.tickers == want.tickers
+    assert got.close.tobytes() == want.close.tobytes()
+    assert got.shares.tobytes() == want.shares.tobytes()
+
+
+QUOTE_FAULTS = {
+    "named-line": "date,ticker,close,shares_issued\n2020-01-02,AAA,10,100\n2020-01-03,AAA,x,1\n",
+    "duplicate": "date,ticker,close,shares_issued\n2020-01-02,AAA,10,100\n2020-01-02,AAA,11,1\n",
+    "missing-file": None,
+}
+
+
+class TestForkedLoad:
+    def test_panel_is_the_in_process_panel(self, tmp_path):
+        path = many_quotes(tmp_path)
+        meanwhile = counter()
+        assert_same_panel(md.load_quotes(path, meanwhile=meanwhile), md.load_quotes(path))
+        assert meanwhile.calls == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("case", QUOTE_FAULTS)
+    def test_fault_is_raised_as_in_process(self, tmp_path, case):
+        path = tmp_path / "quotes.csv"
+        if QUOTE_FAULTS[case] is not None:
+            path.write_text(QUOTE_FAULTS[case])
+        with pytest.raises(Exception) as here:
+            md.load_quotes(path)
+        meanwhile = counter()
+        with pytest.raises(Exception) as forked:
+            md.load_quotes(path, meanwhile=meanwhile)
+        assert type(forked.value) is type(here.value)
+        assert str(forked.value) == str(here.value)
+        assert getattr(forked.value, "line_no", None) == getattr(here.value, "line_no", None)
+        assert meanwhile.calls == 1
+        assert_no_child_left()
+
+    def test_meanwhile_that_raises_leaves_no_child(self, tmp_path):
+        def meanwhile():
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="^interrupted$"):
+            md.load_quotes(many_quotes(tmp_path), meanwhile=meanwhile)
+        assert_no_child_left()
+
+    def test_child_that_sends_nothing_is_one_error(self, tmp_path, monkeypatch):
+        # the forked child runs the patched module, as one killed mid-parse would end
+        monkeypatch.setattr(md, "_send_quotes", lambda source, r, w: (os.close(r), os.close(w)))
+        path = many_quotes(tmp_path)
+        with pytest.raises(PipelineError, match="csv: the quote parse ended without a result$"):
+            md.load_quotes(path, meanwhile=counter())
+        assert_no_child_left()
+
+    def test_without_fork_the_parse_runs_here(self, tmp_path, monkeypatch):
+        path = many_quotes(tmp_path)
+        want = md.load_quotes(path)
+        monkeypatch.delattr(os, "fork")
+        meanwhile = counter()
+        assert_same_panel(md.load_quotes(path, meanwhile=meanwhile), want)
+        assert meanwhile.calls == 1
+
+    @pytest.mark.parametrize("text", [
+        "date,ticker,close,shares_issued\n2020-01-02,AAA,10,100\n", QUOTE_FAULTS["named-line"],
+    ], ids=["panel", "named-line"])
+    def test_child_body_writes_the_result_and_closes_both_ends(self, tmp_path, text):
+        path = write_csv(tmp_path, text)
+        read_fd, write_fd = os.pipe()
+        reader = os.dup(read_fd)
+        md._send_quotes(path, read_fd, write_fd)  # a small result: the pipe holds it
+        with open(reader, "rb") as pipe:
+            result = pickle.load(pipe)
+        for fd in (read_fd, write_fd):
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        if isinstance(result, Exception):
+            assert type(result) is ParseError and result.line_no == 3
+        else:
+            assert_same_panel(result, md.load_quotes(path))
+
+    def test_child_body_returns_when_the_parent_is_gone(self, tmp_path):
+        path = many_quotes(tmp_path)
+        read_fd, write_fd = os.pipe()
+        childs_read = os.dup(read_fd)
+        os.close(read_fd)  # the parent's end, as if the parent had died
+        returned = []
+
+        def body():
+            # a result larger than the pipe would block for ever on a live read end
+            md._send_quotes(path, childs_read, write_fd)
+            returned.append(True)
+
+        thread = threading.Thread(target=body, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert returned == [True]
+        with pytest.raises(OSError):
+            os.fstat(write_fd)
+
+
+@pytest.mark.parametrize("error", [
+    PipelineError("no quote rows"),
+    ParseError("q.csv", 7, "bad date 'x'"),
+    ParseError("q.csv", None, "no rows"),
+    ParameterError("k must be >= 1"),
+    ConvergenceError("eigenpairs failed", 2.5e-7),
+    InsufficientFeaturesError(3, 10),
+    FileNotFoundError(2, "No such file or directory", "q.csv"),
+], ids=lambda e: type(e).__name__)
+def test_errors_survive_pickle(error):
+    """The forked parse hands its exception back pickled."""
+    back = pickle.loads(pickle.dumps(error, protocol=5))
+    assert type(back) is type(error) and str(back) == str(error)
+    assert vars(back) == vars(error)
+    for name in ("line_no", "worst_residual", "filename", "errno"):
+        assert getattr(back, name, None) == getattr(error, name, None)
 
 
 def make_panel(closes, shares, dates=D):
