@@ -35,13 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import indexcalc, manifold, marketdata, metrics, selection, spectral, synth
-from .errors import (
-    InsufficientFeaturesError,
-    ParameterError,
-    ParseError,
-    PipelineError,
-    read_text,
-)
+from .errors import ParameterError, ParseError, PipelineError, read_text
 
 DEFAULT_N_LIST = (50, 100, 150, 180, 380)
 EIGEN_BATCH = 32  # eigenpairs added to the basis per growth step
@@ -160,25 +154,24 @@ def grow_basis_and_select(
     caps: np.ndarray,
     n_targets,
 ) -> dict[int, selection.Picks]:
-    """Select constituents for each target count from the smallest basis of
-    ``spectral.growing_bases`` (EIGEN_BATCH more eigenpairs per step) whose
-    features suffice.  Fatal once all n eigenpairs are exhausted."""
-    bases = spectral.growing_bases(weights, mass, EIGEN_BATCH)
-    basis = next(bases)
+    """Select constituents for each target count N.  Each basis of
+    ``spectral.growing_bases`` (EIGEN_BATCH more eigenpairs per step) is
+    scanned once, from its first eigenvector, for every N still unmet; an
+    N takes its list at the first eigenvector where the features number at
+    least N.  Fatal once all n eigenpairs leave an N unmet."""
+    pending = sorted(set(n_targets))
     out: dict[int, selection.Picks] = {}
-    for n_target in sorted(n_targets):
-        while True:
-            try:
-                out[n_target] = selection.select_constituents(basis, graph, n_target, caps)
-                break
-            except InsufficientFeaturesError:
-                if basis.count >= weights.n:
-                    raise PipelineError(
-                        f"all {weights.n} eigenvectors give fewer than {n_target} feature "
-                        "points; only a smaller --n-list or a smaller --k can help"
-                    ) from None
-                basis = next(bases)
-    return out
+    for basis in spectral.growing_bases(weights, mass, EIGEN_BATCH):
+        for picks in selection.accumulate_features(basis, graph):
+            while pending and len(picks) >= pending[0]:
+                n_target = pending.pop(0)
+                out[n_target] = selection.select_constituents(picks, n_target, caps)
+            if not pending:
+                return out
+    raise PipelineError(
+        f"all {weights.n} eigenvectors give fewer than {pending[0]} feature "
+        "points; only a smaller --n-list or a smaller --k can help"
+    )
 
 
 def cmd_select(

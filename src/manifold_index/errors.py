@@ -3,12 +3,11 @@ file it reads or writes: the text reader, which turns a byte that is not
 UTF-8 into a ParseError naming its line; the header rule of every CSV input
 and the row rule of the small ones; and the writer of every CSV artifact.
 
-Five types, each kept because code tells it apart: PipelineError, the base
+Four types, each kept because code tells it apart: PipelineError, the base
 ``cli.main`` reports; ParseError, which names the file and line;
-ParameterError, a ValueError the config and flag parsers catch as one;
-ConvergenceError, which carries the worst residual; and
-InsufficientFeaturesError, which ``cli.grow_basis_and_select`` catches to
-grow the basis.  Each survives pickle: the forked quote parse sends one back."""
+ParameterError, a ValueError the config and flag parsers catch as one; and
+ConvergenceError, which carries the worst residual.  Each survives pickle:
+the forked quote parse sends one back."""
 
 import copyreg
 import csv
@@ -45,16 +44,6 @@ class ConvergenceError(PipelineError):
             message = f"{message} (worst residual {worst_residual:.3e})"
         super().__init__(message)
         self.worst_residual = worst_residual
-
-
-class InsufficientFeaturesError(PipelineError):
-    """The eigenbasis ran out before enough feature points accumulated."""
-
-    def __init__(self, found: int, requested: int):
-        super().__init__(
-            f"only {found} feature points found, {requested} requested; "
-            "more eigenpairs are needed"
-        )
 
 
 def line_ends(text: str) -> int:

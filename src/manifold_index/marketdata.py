@@ -2,7 +2,7 @@
 
 Raw daily quotes arrive as a UTF-8 CSV file of rows
 ``date,ticker,close,shares_issued`` (ISO-8601 dates; an absent value is an
-empty field or ``NA``; LF or CRLF line ends; fields may be quoted as CSV
+empty field or ``NA``; LF, CRLF or CR line ends; fields may be quoted as CSV
 quotes them).  The loader parses the file once into a :class:`QuotePanel`:
 the sorted quoted dates x the sorted tickers, with one ``close`` and one
 ``shares`` float array of that shape, in which NaN marks a value that is
@@ -236,11 +236,19 @@ _CSV_BATCH = 4096  # records per batch of quoted input
 
 
 def _byte_blocks(fh):
-    """A binary file in blocks of ``_BLOCK_BYTES`` and the rest of the line
-    each ends in, so every block but the last ends after an LF.  A file
-    whose lines end in a lone CR is one block."""
+    """A binary file in blocks of about ``_BLOCK_BYTES``, each but the last
+    cut after its last LF or lone CR; what follows the cut starts the next.
+    A CR that ends a read may be the first half of a CRLF, so no cut
+    follows it."""
+    rest = b""
     while chunk := fh.read(_BLOCK_BYTES):
-        yield chunk + fh.readline()
+        block = rest + chunk
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            yield block[:cut]
+        rest = block[cut:]
+    if rest:
+        yield rest
 
 
 def _text_blocks(fh, source):

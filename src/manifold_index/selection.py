@@ -3,8 +3,9 @@
 A point is a feature when the eigenvector value at that point is strictly
 above (maximum) or strictly below (minimum) every value over the point's
 own directed KNN list.  Features accumulate eigenvector by eigenvector in
-ascending eigenvalue order until the target count is reached; any surplus
-is trimmed smallest-market-cap first.
+ascending eigenvalue order (accumulate_features); a target count N takes
+them at the first eigenvector where they number at least N, and
+select_constituents trims any surplus smallest-market-cap first.
 
 Comparisons are strict, on exact floats: equal neighbor values disqualify
 both tests, so a constant (or numerically near-constant) eigenvector
@@ -13,9 +14,12 @@ contributes little or nothing and needs no special-casing.
 
 from __future__ import annotations
 
+import heapq
+from typing import Iterator
+
 import numpy as np
 
-from .errors import InsufficientFeaturesError, ParseError, read_rows, write_rows
+from .errors import ParseError, read_rows, write_rows
 from .manifold import AdjacencyGraph
 from .spectral import EigenBasis
 
@@ -37,22 +41,11 @@ def detect_extrema(phi: np.ndarray, graph: AdjacencyGraph) -> tuple[np.ndarray, 
     return maxima, minima
 
 
-def select_constituents(
-    basis: EigenBasis,
-    graph: AdjacencyGraph,
-    n_target: int,
-    caps: np.ndarray,
-) -> Picks:
-    """Accumulate extrema over eigenvectors in ascending eigenvalue order,
-    stop once the set holds at least ``n_target`` points, then trim the
-    smallest-cap members (ties by ascending point index) down to exactly
-    ``n_target``.
-
-    ``n_target`` is at least 1.  Raises InsufficientFeaturesError when the
-    basis runs out first, so the caller can request more eigenpairs.
-    """
-    caps = np.asarray(caps, dtype=float)
-
+def accumulate_features(basis: EigenBasis, graph: AdjacencyGraph) -> Iterator[Picks]:
+    """Yield the growing picks after each eigenvector of ``basis``, in
+    ascending eigenvalue order: every extremum so far, once, with the
+    vector and kind it was first seen at.  The one dict is yielded each
+    time and grows in place on the next step."""
     picks: Picks = {}
     for vec_idx in range(basis.count):
         maxima, minima = detect_extrema(basis.vectors[:, vec_idx], graph)
@@ -61,16 +54,15 @@ def select_constituents(
         pooled = sorted([(int(i), "max") for i in maxima] + [(int(i), "min") for i in minima])
         for i, kind in pooled:
             picks.setdefault(i, (vec_idx, kind))
-        if len(picks) >= n_target:
-            break
-    else:
-        raise InsufficientFeaturesError(len(picks), n_target)
+        yield picks
 
-    if len(picks) > n_target:
-        doomed = sorted(picks, key=lambda i: (caps[i], i))
-        drop = set(doomed[: len(picks) - n_target])
-        picks = {i: source for i, source in picks.items() if i not in drop}
-    return picks
+
+def select_constituents(picks: Picks, n_target: int, caps: np.ndarray) -> Picks:
+    """A new dict of ``picks`` in pick order without its smallest-cap
+    members (ties by ascending point index), down to ``n_target``."""
+    caps = np.asarray(caps, dtype=float)
+    drop = set(heapq.nsmallest(len(picks) - n_target, picks, key=lambda i: (caps[i], i)))
+    return {i: source for i, source in picks.items() if i not in drop}
 
 
 def write_constituents_csv(path, picks: Picks, tickers, caps) -> None:

@@ -8,6 +8,7 @@ configurable.
 import datetime as dt
 import time
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from manifold_index import (
     spectral,
     synth,
 )
+from manifold_index.errors import PipelineError
 from test_selection import brute_force_extrema, replay_selection
 from test_spectral import assert_bases_agree
 
@@ -112,10 +114,14 @@ def test_criterion_4_extrema_brute_force_oracle():
             assert minima.tolist() == b_min
 
 
-def test_criterion_5_selection_replay_oracle():
-    """select_constituents equals an independent step-by-step replay on 25
-    random fixtures (exact list equality), including trimming ties."""
+def test_criterion_5_selection_replay_oracle(monkeypatch):
+    """grow_basis_and_select equals an independent step-by-step replay for
+    every N of an unsorted list with repeats, on 25 random fixtures (exact
+    list equality), including trimming ties.  The eight vectors come as a
+    basis of the first one, then one of all eight: in 14 of the 25 lists
+    some N is met on the first basis and some only on the second."""
     rng = np.random.default_rng(23)
+    more_n = np.random.default_rng(24)  # the list's further N; rng draws what it did
     with criterion(5, "constituent selection equals independent replay, 25 fixtures"):
         for trial in range(25):
             n = int(rng.integers(12, 50))
@@ -123,17 +129,23 @@ def test_criterion_5_selection_replay_oracle():
             graph = manifold.knn_graph(rng.standard_normal((n, 3)), k)
             vectors = rng.standard_normal((n, 8))
             caps = rng.integers(1, 5, size=n).astype(float)  # deliberate cap ties
-            n_target = int(rng.integers(1, max(2, (2 * n) // 3)))
-            basis = spectral.EigenBasis(
-                values=np.arange(8, dtype=float), vectors=vectors
-            )
-            expected = replay_selection(vectors, graph.neighbors, n_target, caps)
-            if expected is None:
-                with pytest.raises(Exception):
-                    selection.select_constituents(basis, graph, n_target, caps)
+            high = max(2, (2 * n) // 3)
+            n_list = [int(rng.integers(1, high)), *map(int, more_n.integers(1, high, size=3))]
+            bases = [
+                spectral.EigenBasis(values=np.arange(p, dtype=float), vectors=vectors[:, :p])
+                for p in (1, 8)
+            ]
+            monkeypatch.setattr(spectral, "growing_bases", lambda w, a, batch: iter(bases))
+            expected = {n_target: replay_selection(vectors, graph.neighbors, n_target, caps)
+                        for n_target in n_list}
+            unmet = [n_target for n_target, want in sorted(expected.items()) if want is None]
+            weights = SimpleNamespace(n=n)  # only its n is read beside the patched bases
+            if unmet:
+                with pytest.raises(PipelineError, match=f" fewer than {unmet[0]} feature points"):
+                    cli.grow_basis_and_select(weights, None, graph, caps, n_list)
             else:
-                got = selection.select_constituents(basis, graph, n_target, caps)
-                assert list(got) == expected
+                got = cli.grow_basis_and_select(weights, None, graph, caps, n_list)
+                assert {n_target: list(picks) for n_target, picks in got.items()} == expected
 
 
 def test_criterion_6_divisor_continuity():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from manifold_index import cli, indexcalc, marketdata, selection, synth
 from manifold_index.errors import ParameterError, ParseError
+from test_selection import first_list
 
 
 def run(argv):
@@ -748,13 +749,43 @@ class TestBatchedEigenGrowth:
         sources = {vec for vec, _ in picks[12].values()}
         assert max(sources) >= 1
 
+    def test_each_basis_is_scanned_once_for_every_n(self, small_market, monkeypatch):
+        """Three N that the first basis meets cost the eigenvectors the
+        largest of them needs, not one scan from the first vector per N."""
+        from manifold_index import manifold, marketdata, spectral
+
+        quotes = marketdata.load_quotes(small_market / "quotes.csv")
+        frame = marketdata.build_market_frame(
+            quotes, marketdata.calendar_from_quotes(quotes, 2020)
+        )
+        graph, w, a = manifold.build_operator(frame.vectors, k=6, mode="balanced")
+        n_list = [20, 10, 30]
+        basis = next(spectral.growing_bases(w, a, cli.EIGEN_BATCH))
+        needed = {  # eigenvectors until the features number n_target
+            n_target: 1 + next(i for i, picks in enumerate(
+                selection.accumulate_features(basis, graph)) if len(picks) >= n_target)
+            for n_target in n_list
+        }
+        assert len(set(needed.values())) == 3 and needed[30] < basis.count
+
+        detect = selection.detect_extrema
+        calls = []
+
+        def counting(phi, graph_):
+            calls.append(phi)
+            return detect(phi, graph_)
+
+        monkeypatch.setattr(selection, "detect_extrema", counting)
+        picks = cli.grow_basis_and_select(w, a, graph, frame.caps, n_list)
+        assert sorted(picks) == [10, 20, 30]
+        assert len(calls) == needed[30] < sum(needed.values())
+
     def test_growth_costs_one_solve_at_the_final_p(self, tmp_path, monkeypatch):
         """Above the dense cutoff the bases that spectral.growing_bases yields
         extend one Lanczos factorization: its steps are those of one fresh
         solve at the final p, and the picks are those of a fresh solve at
         each p."""
-        from manifold_index import manifold, marketdata, selection, spectral
-        from manifold_index.errors import InsufficientFeaturesError
+        from manifold_index import manifold, marketdata, spectral
 
         run([
             "synth", "--outdir", str(tmp_path), "--seed", "4",
@@ -790,17 +821,13 @@ class TestBatchedEigenGrowth:
         spectral.solve_generalized(w, a, ps[-1], factorization=fresh)
         assert grown.steps == fresh.steps
 
-        # reference: a fresh solve at each p until the selection succeeds
-        p = 0
-        while True:
+        # reference: a fresh solve at each p until the features suffice
+        p, want = 0, None
+        while want is None:
             p += 8
             fresh = spectral.LanczosFactorization(w, a)
             basis = spectral.solve_generalized(w, a, p, factorization=fresh)
-            try:
-                want = selection.select_constituents(basis, graph, 140, frame.caps)
-                break
-            except InsufficientFeaturesError:
-                continue
+            want = first_list(basis, graph, 140, frame.caps)
         assert p == ps[-1]
         assert list(picks[140].items()) == list(want.items())
 

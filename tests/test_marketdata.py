@@ -17,7 +17,6 @@ from manifold_index import indexcalc
 from manifold_index import marketdata as md
 from manifold_index.errors import (
     ConvergenceError,
-    InsufficientFeaturesError,
     ParameterError,
     ParseError,
     PipelineError,
@@ -287,7 +286,6 @@ class TestForkedLoad:
     ParseError("q.csv", None, "no rows"),
     ParameterError("k must be >= 1"),
     ConvergenceError("eigenpairs failed", 2.5e-7),
-    InsufficientFeaturesError(3, 10),
     FileNotFoundError(2, "No such file or directory", "q.csv"),
 ], ids=lambda e: type(e).__name__)
 def test_errors_survive_pickle(error):
@@ -716,6 +714,21 @@ def quote_files(draw):
     text = eol.join([",".join(names)] + lines) + draw(st.sampled_from([eol, ""]))
     block = draw(st.integers(1, 48) | st.just(1 << 18))
     return text.encode("utf-8", errors="surrogateescape"), block
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_byte_blocks_hold_whole_lines(tmp_path, monkeypatch, eol):
+    """A file streams in several blocks whatever its line ends, each block
+    ending at a line end, and no block cuts a CRLF in two."""
+    monkeypatch.setattr(md, "_BLOCK_BYTES", 16)
+    data = eol.join(b"2020-01-02,T%d,1.5,2" % i for i in range(20)) + eol
+    path = tmp_path / "quotes.csv"
+    path.write_bytes(data)
+    with open(path, "rb") as fh:
+        blocks = list(md._byte_blocks(fh))
+    assert b"".join(blocks) == data
+    assert len(blocks) > 1
+    assert all(block.endswith(eol) for block in blocks)
 
 
 @settings(max_examples=300, deadline=None,

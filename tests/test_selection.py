@@ -1,12 +1,11 @@
-"""Extrema detection and constituent accumulation, checked against
-independent step-by-step reimplementations."""
+"""Extrema detection, feature accumulation and the cap trim, checked
+against independent step-by-step reimplementations."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from manifold_index import manifold, selection, spectral
-from manifold_index.errors import InsufficientFeaturesError
 
 
 def brute_force_extrema(phi, neighbors):
@@ -109,15 +108,42 @@ def fake_basis(vectors):
     )
 
 
+def first_list(basis, graph, n_target, caps):
+    """The list of ``n_target`` taken at the first eigenvector of ``basis``
+    whose accumulated features number at least ``n_target``, or None when
+    all of them give fewer."""
+    return next((selection.select_constituents(picks, n_target, caps)
+                 for picks in selection.accumulate_features(basis, graph)
+                 if len(picks) >= n_target), None)
+
+
+class TestAccumulateFeatures:
+    def test_one_growing_prefix_per_eigenvector(self, rng):
+        graph = manifold.knn_graph(rng.standard_normal((30, 3)), 4)
+        vectors = rng.standard_normal((30, 6))
+        seen = []
+        for vec_idx, picks in enumerate(selection.accumulate_features(fake_basis(vectors), graph)):
+            maxima, minima = selection.detect_extrema(vectors[:, vec_idx], graph)
+            new = sorted(set(maxima.tolist() + minima.tolist()) - set(seen))
+            assert list(picks) == seen + new
+            assert all(picks[i][0] == vec_idx for i in new)
+            seen = list(picks)
+        assert vec_idx == 5
+
+    def test_constant_vector_adds_nothing(self):
+        # a constant eigenvector contributes nothing under strict comparison
+        graph = chain_graph(4)
+        prefixes = [dict(p) for p in selection.accumulate_features(fake_basis(np.ones((4, 2))), graph)]
+        assert prefixes == [{}, {}]
+
+
 class TestSelectConstituents:
     def test_exact_fit_no_trimming(self):
         graph = chain_graph(5)
         phi = np.array([0.0, 1.0, 0.0, 2.0, 0.5])
         ma, mi = selection.detect_extrema(phi, graph)
         n_target = len(ma) + len(mi)
-        picked = selection.select_constituents(
-            fake_basis(phi[:, None]), graph, n_target, caps=np.ones(5)
-        )
+        picked = first_list(fake_basis(phi[:, None]), graph, n_target, caps=np.ones(5))
         assert sorted(picked) == sorted(ma.tolist() + mi.tolist())
 
     def test_trimming_removes_smallest_caps(self):
@@ -127,17 +153,17 @@ class TestSelectConstituents:
         ma, mi = selection.detect_extrema(phi, graph)
         pool = ma.tolist() + mi.tolist()
         n_target = len(pool) - 2
-        picked = selection.select_constituents(fake_basis(phi[:, None]), graph, n_target, caps)
+        picked = first_list(fake_basis(phi[:, None]), graph, n_target, caps)
         doomed = sorted(pool, key=lambda i: (caps[i], i))[:2]
         assert sorted(picked) == sorted(set(pool) - set(doomed))
 
-    def test_insufficient_features_names_counts(self):
-        # a constant eigenvector contributes nothing under strict comparison
-        graph = chain_graph(4)
-        phi = np.ones(4)
-        message = "^only 0 feature points found, 4 requested; more eigenpairs are needed$"
-        with pytest.raises(InsufficientFeaturesError, match=message):
-            selection.select_constituents(fake_basis(phi[:, None]), graph, 4, np.ones(4))
+    def test_returns_a_new_dict_in_pick_order(self):
+        picks = {4: (0, "max"), 1: (0, "min"), 3: (1, "max")}
+        caps = np.array([1.0, 5.0, 1.0, 2.0, 9.0])
+        trimmed = selection.select_constituents(picks, 2, caps)
+        assert list(trimmed.items()) == [(4, (0, "max")), (1, (0, "min"))]
+        whole = selection.select_constituents(picks, 3, caps)
+        assert whole == picks and whole is not picks
 
     def test_sign_invariance_of_selection(self, rng):
         for trial in range(10):
@@ -146,22 +172,22 @@ class TestSelectConstituents:
             vectors = rng.standard_normal((n, 5))
             caps = rng.uniform(1, 100, n)
             flip = np.where(rng.uniform(size=5) < 0.5, -1.0, 1.0)
-            a = selection.select_constituents(fake_basis(vectors), graph, 8, caps)
-            b = selection.select_constituents(fake_basis(vectors * flip), graph, 8, caps)
+            a = first_list(fake_basis(vectors), graph, 8, caps)
+            b = first_list(fake_basis(vectors * flip), graph, 8, caps)
             assert list(a) == list(b)
 
     def test_member_counted_once_with_first_seen_provenance(self):
         graph = chain_graph(5)
         phi = np.array([0.0, 1.0, 0.0, 2.0, 0.5])
         vectors = np.column_stack([phi, phi])  # same features twice
-        picked = selection.select_constituents(fake_basis(vectors), graph, 4, np.ones(5))
+        picked = first_list(fake_basis(vectors), graph, 4, np.ones(5))
         assert len(picked) == 4  # a dict holds each member once
         assert all(vec == 0 for vec, _ in picked.values())
 
     def test_provenance_eigvec_indices_nondecreasing(self, rng):
         graph = manifold.knn_graph(rng.standard_normal((40, 3)), 4)
         vectors = rng.standard_normal((40, 8))
-        picked = selection.select_constituents(fake_basis(vectors), graph, 25, rng.uniform(1, 9, 40))
+        picked = first_list(fake_basis(vectors), graph, 25, rng.uniform(1, 9, 40))
         sources = [picked[i][0] for i in picked]
         assert sources == sorted(sources)
 
@@ -169,8 +195,8 @@ class TestSelectConstituents:
         graph = manifold.knn_graph(rng.standard_normal((30, 3)), 4)
         vectors = rng.standard_normal((30, 6))
         caps = rng.uniform(1, 100, 30)
-        a = selection.select_constituents(fake_basis(vectors), graph, 10, caps)
-        b = selection.select_constituents(fake_basis(vectors), graph, 10, caps)
+        a = first_list(fake_basis(vectors), graph, 10, caps)
+        b = first_list(fake_basis(vectors), graph, 10, caps)
         assert list(a.items()) == list(b.items())
 
     def test_matches_replay_oracle(self, rng):
@@ -183,12 +209,8 @@ class TestSelectConstituents:
             caps = rng.integers(1, 4, size=n).astype(float)
             n_target = int(rng.integers(1, max(2, n // 2)))
             expected = replay_selection(vectors, graph.neighbors, n_target, caps)
-            if expected is None:
-                with pytest.raises(InsufficientFeaturesError):
-                    selection.select_constituents(fake_basis(vectors), graph, n_target, caps)
-            else:
-                picked = selection.select_constituents(fake_basis(vectors), graph, n_target, caps)
-                assert list(picked) == expected
+            picked = first_list(fake_basis(vectors), graph, n_target, caps)
+            assert (None if picked is None else list(picked)) == expected
 
 
 def test_feature_count_grows_with_eigenvalue_rank(rng):
@@ -219,7 +241,7 @@ def test_constituents_csv_roundtrip(tmp_path, rng):
     graph = manifold.knn_graph(rng.standard_normal((20, 3)), 3)
     vectors = rng.standard_normal((20, 4))
     caps = rng.uniform(1, 100, 20)
-    picked = selection.select_constituents(fake_basis(vectors), graph, 6, caps)
+    picked = first_list(fake_basis(vectors), graph, 6, caps)
     tickers = [f"T{i:02d}" for i in range(20)]
     path = tmp_path / "constituents.csv"
     selection.write_constituents_csv(path, picked, tickers, caps)
