@@ -1049,14 +1049,81 @@ for argv in (["synth", "--outdir", "m", "--n-stocks", "8", "--n-sectors", "2",
 """
 
 
+def child_env(**settings) -> dict:
+    """The environment of a child Python that imports the package from this
+    tree: ours without OPENBLAS_THREAD_TIMEOUT, plus ``settings``."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    return dict(env, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), **settings)
+
+
 def test_only_select_and_backtest_load_scipy(tmp_path):
     """Importing the CLI loads no SciPy module, and synth, index and metrics
     run where SciPy cannot be imported."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], cwd=tmp_path, env=env,
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], cwd=tmp_path,
+                          env=child_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "out" / "metrics.csv").exists()
+
+
+IDLE_CPU = """
+import time
+from manifold_index import cli
+import numpy as np
+import scipy.linalg
+points = np.ones((1500, 244))
+points @ points.T
+scipy.linalg.eigh(np.eye(300) + 1, subset_by_index=(0, 31))
+start = time.process_time()
+time.sleep(0.3)
+print(time.process_time() - start)
+"""
+
+
+def test_idle_blas_workers_sleep():
+    """After a threaded NumPy product and a SciPy eigensolve, the process
+    burns almost no CPU while its main thread sleeps: neither OpenBLAS pool
+    keeps a worker spinning (each spin costs about 0.13 s of CPU on 2 vCPUs).
+    On a 1-CPU host OpenBLAS starts no worker, so there this cannot fail."""
+    done = subprocess.run([sys.executable, "-c", IDLE_CPU], env=child_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 0.05
+
+
+@pytest.mark.parametrize("given, seen", [(None, "4"), ("28", "28")])
+def test_blas_thread_timeout_defaults_to_4_and_keeps_a_given_value(given, seen):
+    settings = {} if given is None else {"OPENBLAS_THREAD_TIMEOUT": given}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import os, manifold_index; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"],
+        env=child_env(**settings), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == seen + "\n"
+
+
+@pytest.mark.parametrize("n_stocks", [60, 360], ids=["dense", "lanczos"])
+def test_blas_thread_timeout_does_not_change_selection(tmp_path, n_stocks):
+    """How long an idle OpenBLAS worker spins changes no constituent list,
+    on the dense path (n <= DENSE_CUTOFF) and on Lanczos."""
+    market = synth_market(tmp_path, "--seed", "4", "--n-stocks", str(n_stocks),
+                          "--m-days", "65", "--n-sectors", "6", "--n-years", "1")
+    from manifold_index import spectral
+
+    quotes = marketdata.load_quotes(market / "quotes.csv")
+    n = marketdata.build_market_frame(quotes, marketdata.calendar_from_quotes(quotes, 2020)).n
+    assert (n > spectral.DENSE_CUTOFF) == (n_stocks > spectral.DENSE_CUTOFF)
+    outputs = {}
+    for timeout in ("4", "28"):
+        outdir = tmp_path / f"timeout-{timeout}"
+        done = subprocess.run(
+            [sys.executable, "-m", "manifold_index.cli", "select",
+             "--quotes", str(market / "quotes.csv"), "--study-year", "2020",
+             "--outdir", str(outdir), "--k", "10", "--n-list", "20,40"],
+            env=child_env(OPENBLAS_THREAD_TIMEOUT=timeout), capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs[timeout] = {p.name: p.read_bytes() for p in outdir.glob("constituents_*.csv")}
+    assert sorted(outputs["4"]) == ["constituents_020.csv", "constituents_040.csv"]
+    assert outputs["4"] == outputs["28"]
 
 
 def lf_lines(lines) -> str:
