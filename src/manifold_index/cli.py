@@ -388,7 +388,7 @@ def _dispatch(args: argparse.Namespace) -> None:
     if args.command == "metrics":
         cmd_metrics(cfg, _read_each(args.series, indexcalc.read_series_csv), writes)
     else:
-        # parsed once; for select and backtest in a forked child while SciPy loads
+        # parsed once, on two CPUs; select and backtest import SciPy meanwhile
         meanwhile = _import_scipy if args.command in _SELECTING else None
         quotes = marketdata.load_quotes(cfg.quotes, meanwhile=meanwhile)
         if args.command == "select":

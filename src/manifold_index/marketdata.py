@@ -8,12 +8,12 @@ the sorted quoted dates x the sorted tickers, with one ``close`` and one
 ``shares`` float array of that shape, in which NaN marks a value that is
 absent (its row is missing or its field is empty).
 
-The loader reads the file in blocks of whole lines.  A block without a
-quote character is split into fields by C-level string operations; from the
-first block with one, csv.reader tokenizes the rest of the file, so a quoted
-line break never straddles a block.  Either way a block's rows are checked
-and converted a column at a time, and the first faulty physical line of the
-file raises ParseError naming it.
+The loader cuts the file into blocks of whole lines, which two processes
+parse from either end (load_quotes).  A block without a quote character is
+split into fields by C-level string operations; from the first block with
+one, csv.reader tokenizes the rest of the file in one process.  Either way
+a block's rows are checked and converted a column at a time, and the first
+faulty physical line of the file raises ParseError naming it.
 
 Three steps turn one study year of the panel into an aligned frame of
 unit-norm price vectors:
@@ -35,8 +35,10 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import mmap
 import os
 import pickle
+import re
 import signal
 from array import array
 from bisect import bisect_left
@@ -125,7 +127,7 @@ def _ids(tokens: list, known: dict, parse) -> np.ndarray:
 
 class _QuoteColumns:
     """The checked rows of a quote file so far, one column of ids or values
-    each, in line order.  Rows arrive in batches of records."""
+    each.  Rows arrive in batches of records, or from a parse of other lines."""
 
     def __init__(self, source, header: list):
         self.source = source
@@ -201,6 +203,17 @@ class _QuoteColumns:
                               (self.shares, shares)):
             store.frombytes(column[keep].data.cast("B"))
 
+    def merge(self, other: _QuoteColumns) -> None:
+        """Keep the rows of ``other``, a parse of other lines of the file."""
+        for ids, rows, more_ids, more_rows in (
+                (self.date_ids, self.row_date, other.date_ids, other.row_date),
+                (self.ticker_ids, self.row_ticker, other.ticker_ids, other.row_ticker)):
+            # other's keys, listed in the order of its ids, as ids of ours
+            mapped = np.array([ids.setdefault(key, len(ids)) for key in more_ids], dtype=np.intc)
+            rows.frombytes(mapped[np.frombuffer(more_rows, dtype=np.intc)].tobytes())
+        for rows in ("row_line", "closes", "shares"):
+            getattr(self, rows).extend(getattr(other, rows))
+
     def panel(self) -> QuotePanel:
         if not self.ticker_ids:
             raise PipelineError(f"{self.source}: no quote rows")
@@ -210,8 +223,10 @@ class _QuoteColumns:
         seen = np.zeros(shape, dtype=bool)
         seen[i, j] = True
         if np.count_nonzero(seen) < len(i):
-            _, first_seen = np.unique(np.ravel_multi_index((i, j), shape), return_index=True)
-            p = np.setdiff1d(np.arange(len(i)), first_seen)[0]
+            # rows by line: a merge appends the parent's runs in claim order
+            by_line = np.argsort(np.frombuffer(self.row_line, dtype=np.int64))
+            cells = np.ravel_multi_index((i, j), shape)[by_line]
+            p = by_line[np.setdiff1d(np.arange(len(i)), np.unique(cells, return_index=True)[1])[0]]
             raise ParseError(self.source, self.row_line[p],
                              f"duplicate quote for ({tickers[j[p]]}, {dates[i[p]]})")
         close_panel, shares_panel = np.full(shape, np.nan), np.full(shape, np.nan)
@@ -233,30 +248,38 @@ def _ranked(ids: dict, row_ids: array) -> tuple[list, np.ndarray]:
 # load, under the peak of the stages that follow.
 _BLOCK_BYTES = 1 << 16
 _CSV_BATCH = 4096  # records per batch of quoted input
+_TOKENS = 4096  # the most runs of blocks a forked parse claims, one pipe byte each
 
 
-def _byte_blocks(fh):
-    """A binary file in blocks of about ``_BLOCK_BYTES``, each but the last
-    cut after its last LF or lone CR; what follows the cut starts the next.
-    A CR that ends a read may be the first half of a CRLF, so no cut
-    follows it."""
-    rest = b""
-    while chunk := fh.read(_BLOCK_BYTES):
-        block = rest + chunk
-        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
-        if cut:
-            yield block[:cut]
-        rest = block[cut:]
-    if rest:
-        yield rest
+def _block_table(fh):
+    """The (offset, length, first line number) blocks of a binary file: line
+    1, then each cut after the last LF or lone CR a read of ``_BLOCK_BYTES``
+    at a time has seen, but not after a CR that ends a read (a CRLF may
+    follow); and whether a quote character occurs in the file."""
+    size = fh.seek(0, os.SEEK_END)
+    if not size:
+        return [], False
+    with mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ) as data:
+        start = re.match(rb"[^\r\n]*(\r\n|\r|\n)?", data).end()
+        table, line_no = [(0, start, 1)], 2
+        for stop in [*range(_BLOCK_BYTES, size, _BLOCK_BYTES), size]:  # where each read ends
+            cr = data.rfind(b"\r", start, stop - 1)
+            cut = max(data.rfind(b"\n", start, stop), cr) + 1
+            if cut:
+                table.append((start, cut - start, line_no))
+                line_no += (line_ends(data[start:cut].decode("latin-1")) if cr >= 0 else int(
+                    np.count_nonzero(np.frombuffer(data, np.uint8, cut - start, start) == 10)))
+                start = cut
+        return table + [(start, size - start, line_no)] * (start < size), data.find(b'"') >= 0
 
 
-def _text_blocks(fh, source):
-    """(first line number, text) of each block of a binary file.  A byte
-    that is not UTF-8 raises ParseError naming its line, once the lines
-    before it have been yielded."""
-    line_no = 1
-    for raw in _byte_blocks(fh):
+def _text_blocks(fh, table, source):
+    """(first line number, text) of each block of ``table`` in a binary
+    file.  A byte that is not UTF-8 raises ParseError naming its line, once
+    the lines before it have been yielded."""
+    for offset, length, line_no in table:
+        fh.seek(offset)
+        raw = fh.read(length)
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -266,7 +289,6 @@ def _text_blocks(fh, source):
                 yield line_no, text
             raise not_utf8(source, line_no + line_ends(text), exc) from None
         yield line_no, text
-        line_no += line_ends(text)
 
 
 def _split(text: str, line_no: int):
@@ -318,7 +340,7 @@ def _record_batches(fh, source):
     """The records of a binary quote file in batches shaped as ``_split``
     returns them: split in C from block to block while the text holds no
     quote character, through csv.reader from the first block that does."""
-    blocks = _text_blocks(fh, source)
+    blocks = _text_blocks(fh, _block_table(fh)[0], source)
     for line_no, text in blocks:
         if '"' in text:
             yield from _csv_batches(chain([(line_no, text)], blocks), line_no, source)
@@ -338,16 +360,56 @@ def _parse_quotes(source) -> QuotePanel:
     return quotes.panel()
 
 
-def _send_quotes(source, read_fd: int, write_fd: int) -> None:
-    """A forked child's work: write the pickled panel of ``source``, or the
-    exception its parse raised, to the pipe; return early if no reader is left."""
-    os.close(read_fd)  # else a parent that died would leave the write blocked
+def _plan(fh, source):
+    """The columns a quote file's header names and the blocks after it in
+    runs, one for each token; (None, []) for a file with a quote character."""
+    table, quoted = _block_table(fh)
+    if quoted:
+        return None, []
+    _, header = next(_text_blocks(fh, table[:1], source), (1, ""))
+    run = len(table) // _TOKENS + 1
+    return (_QuoteColumns(source, header.rstrip("\r\n").split(",")),
+            [table[i:i + run] for i in range(1, len(table), run)])
+
+
+def _parse_claims(quotes: _QuoteColumns, runs, tokens: int) -> _QuoteColumns:
+    """Check and keep the rows of ``runs``, in that order, one run for each
+    token read from the pipe ``tokens``, until the pipe is empty."""
+    with open(quotes.source, "rb") as fh:
+        for run in runs:
+            if not os.read(tokens, 1):
+                break
+            for line_no, text in _text_blocks(fh, run, quotes.source):
+                quotes.add(*_split(text, line_no))
+    return quotes
+
+
+def _parse_front(quotes: _QuoteColumns, runs, tokens: int, back_fd: int) -> QuotePanel:
+    """The forked child's parse: its runs, claimed from the front, merged with
+    the parent's side from the pipe ``back_fd``.  A fault here precedes every
+    parent run; the child claims the rest, to stop the parent."""
     try:
-        result = _parse_quotes(source)
+        _parse_claims(quotes, runs, tokens)
+    except ParseError:
+        os.read(tokens, _TOKENS)  # every claim left
+        raise
+    with open(back_fd, "rb") as pipe:
+        back = pickle.load(pipe)
+    if isinstance(back, Exception):
+        raise back
+    quotes.merge(back)
+    return quotes.panel()
+
+
+def _send_quotes(parse, pipe) -> None:
+    """Write the pickled result of ``parse()``, or the exception it raised,
+    to the binary file ``pipe`` and close it, unless no reader is left."""
+    try:
+        result = parse()
     except Exception as exc:
         result = exc
-    with suppress(BrokenPipeError), open(write_fd, "wb") as pipe:
-        pipe.write(pickle.dumps(result, protocol=5))
+    with suppress(BrokenPipeError), pipe:
+        pickle.dump(result, pipe, protocol=5)
 
 
 def load_quotes(source, meanwhile=None) -> QuotePanel:
@@ -361,25 +423,39 @@ def load_quotes(source, meanwhile=None) -> QuotePanel:
     a second quote for the same (ticker, date) raises a ParseError naming
     its line once the rest of the file has parsed.
 
-    Given ``meanwhile``, a forked child parses the file while this process
-    calls it; where os.fork does not exist the call comes first, then the parse.
+    A forked child parses the file from the front, or whole if it holds a
+    quote character, and this process from the back after ``meanwhile()``;
+    without os.fork, ``meanwhile()`` comes first and the parse follows here.
     """
-    if meanwhile is None:
-        return _parse_quotes(source)
+    meanwhile = meanwhile or (lambda: None)
     if not hasattr(os, "fork"):
         meanwhile()
         return _parse_quotes(source)
-    read_fd, write_fd = os.pipe()
+    try:
+        with open(source, "rb") as fh:
+            quotes, runs = _plan(fh, source)
+    except Exception:
+        meanwhile()  # called once whatever the outcome, as when the child finds the fault
+        raise
+    (tokens, claims), (back_read, back_write), (read_fd, write_fd) = os.pipe(), os.pipe(), os.pipe()
+    os.write(claims, bytes(len(runs)))  # one claim a run; a pipe holds 64 KiB
+    os.close(claims)
     pid = os.fork()
     if pid == 0:  # pragma: no cover - runs in the forked child, which the census cannot see
         try:
-            _send_quotes(source, read_fd, write_fd)
+            for fd in (read_fd, back_write):  # else a parent that died would leave this blocked
+                os.close(fd)
+            _send_quotes(lambda: _parse_quotes(source) if quotes is None else _parse_front(
+                quotes, runs, tokens, back_read), open(write_fd, "wb"))
         finally:
             os._exit(0)  # runs no caller's finally block and flushes no buffer
     os.close(write_fd)
+    os.close(back_read)  # else a child that died would leave the write below blocked
     try:
-        with open(read_fd, "rb") as pipe:
+        with open(read_fd, "rb") as pipe, open(back_write, "wb") as back:
             meanwhile()
+            if quotes is not None:  # this side's rows, or its first fault, go to the child
+                _send_quotes(lambda: _parse_claims(quotes, reversed(runs), tokens), back)
             result = pickle.load(pipe)
     except EOFError:
         raise PipelineError(f"{source}: the quote parse ended without a result") from None
@@ -388,6 +464,7 @@ def load_quotes(source, meanwhile=None) -> QuotePanel:
         raise
     finally:
         os.waitpid(pid, 0)
+        os.close(tokens)
     if isinstance(result, Exception):
         raise result
     return result

@@ -1,5 +1,6 @@
 """CLI orchestration: artifacts, re-runnability, determinism, diagnostics."""
 
+import csv
 import math
 import os
 import random
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
-from manifold_index import cli, indexcalc, marketdata, selection, synth
+from manifold_index import cli, indexcalc, manifold, marketdata, selection, synth
 from manifold_index.errors import ParameterError, ParseError
 from test_selection import first_list
 
@@ -1437,11 +1439,50 @@ def test_quote_file_format_does_not_change_selection(format_market, tmp_path, fm
     variant = tmp_path / "quotes.csv"
     variant.write_bytes(QUOTE_FORMATS[fmt](lines).encode())
     assert select_artifacts(variant, tmp_path / "out") == artifacts
-    # select parses in a forked child; the loader gives the same panel here too
-    want, got = marketdata.load_quotes(plain), marketdata.load_quotes(variant)
+    # select parses on two CPUs; the whole parse in this process gives the same panel
+    want, got = marketdata._parse_quotes(plain), marketdata._parse_quotes(variant)
     assert (got.dates, got.tickers) == (want.dates, want.tickers)
     assert got.close.tobytes() == want.close.tobytes()
     assert got.shares.tobytes() == want.shares.tobytes()
+
+
+def paper_picks(quotes, outdir, n_list) -> dict[int, set]:
+    """``select`` in paper mode (k=10): each N's picks as a set of (ticker,
+    source eigenvector, extremum kind)."""
+    assert run(["select", "--quotes", str(quotes), "--study-year", "2020", "--outdir",
+                str(outdir), "--k", "10", "--mode", "paper",
+                "--n-list", ",".join(map(str, n_list))]) == 0
+    return {n: {(row[1], row[2], row[3])
+                for row in csv.reader((outdir / f"constituents_{n:03d}.csv").open())}
+            - {("ticker", "source_eigenvector", "extremum_kind")} for n in n_list}
+
+
+@pytest.mark.parametrize("n_stocks, seed", [(360, 1), (600, 2)])
+def test_ticker_relabelling_keeps_paper_picks(tmp_path, n_stocks, seed):
+    """Renaming every ticker so that their sort order, and so the order of
+    the points, changes gives the same picks in paper mode on a connected
+    market, as a set of (ticker, source eigenvector, kind) for each N.  The
+    pick order may differ: one eigenvector's extrema are listed by point
+    index."""
+    assert run(["synth", "--outdir", str(tmp_path), "--n-stocks", str(n_stocks),
+                "--m-days", "61", "--n-years", "1", "--seed", str(seed)]) == 0
+    plain = tmp_path / "quotes.csv"
+    panel = marketdata.load_quotes(plain)
+    frame = marketdata.build_market_frame(panel, marketdata.calendar_from_quotes(panel, 2020))
+    _, weights, _ = manifold.build_operator(frame.vectors, k=10, mode="paper")
+    assert connected_components(abs(weights.entries), directed=False)[0] == 1
+    tickers = list(panel.tickers)
+    renamed = dict(zip(tickers, random.Random(seed).sample(tickers, len(tickers))))
+    assert [renamed[t] for t in tickers] != tickers
+    header, *rows = plain.read_text().splitlines()
+    relabelled = tmp_path / "relabelled.csv"
+    relabelled.write_text(lf_lines([header, *(
+        ",".join([date, renamed[ticker], *rest])
+        for date, ticker, *rest in map(lambda row: row.split(","), rows))]))
+    want = paper_picks(plain, tmp_path / "plain", (10, 20, 40))
+    got = paper_picks(relabelled, tmp_path / "relabelled", (10, 20, 40))
+    original = {new: old for old, new in renamed.items()}
+    assert {n: {(original[t], v, kind) for t, v, kind in picks} for n, picks in got.items()} == want
 
 
 @pytest.mark.parametrize("read", [

@@ -6,7 +6,10 @@ import io
 import os
 import pickle
 import re
+import signal
 import threading
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -91,6 +94,7 @@ class TestLoadQuotes:
         with pytest.raises(ParseError, match=f":3: {re.escape(message)}$") as caught:
             md.load_quotes(path)
         assert caught.value.line_no == 3
+        assert outcome(md._parse_quotes, path) == (ParseError, str(caught.value), 3)
 
     def test_lines_are_physical_after_a_quoted_line_break(self, tmp_path):
         path = write_csv(
@@ -113,8 +117,9 @@ class TestLoadQuotes:
 
     def test_empty_file_is_empty_universe(self, tmp_path):
         path = write_csv(tmp_path, "date,ticker,close,shares_issued\n")
-        with pytest.raises(PipelineError, match="quotes.csv: no quote rows$"):
-            md.load_quotes(path)
+        for load in (md.load_quotes, md._parse_quotes):  # two-ended, and whole in this process
+            with pytest.raises(PipelineError, match="quotes.csv: no quote rows$"):
+                load(path)
 
     def test_unknown_columns_ignored(self, tmp_path):
         path = write_csv(
@@ -227,8 +232,8 @@ class TestForkedLoad:
         assert_no_child_left()
 
     def test_child_that_sends_nothing_is_one_error(self, tmp_path, monkeypatch):
-        # the forked child runs the patched module, as one killed mid-parse would end
-        monkeypatch.setattr(md, "_send_quotes", lambda source, r, w: (os.close(r), os.close(w)))
+        # the forked child runs the patched module, and ends as one killed at once would
+        monkeypatch.setattr(md, "_parse_front", lambda *args: os._exit(0))
         path = many_quotes(tmp_path)
         with pytest.raises(PipelineError, match="csv: the quote parse ended without a result$"):
             md.load_quotes(path, meanwhile=counter())
@@ -245,16 +250,14 @@ class TestForkedLoad:
     @pytest.mark.parametrize("text", [
         "date,ticker,close,shares_issued\n2020-01-02,AAA,10,100\n", QUOTE_FAULTS["named-line"],
     ], ids=["panel", "named-line"])
-    def test_child_body_writes_the_result_and_closes_both_ends(self, tmp_path, text):
+    def test_send_quotes_writes_the_result_and_closes_the_pipe(self, tmp_path, text):
         path = write_csv(tmp_path, text)
         read_fd, write_fd = os.pipe()
-        reader = os.dup(read_fd)
-        md._send_quotes(path, read_fd, write_fd)  # a small result: the pipe holds it
-        with open(reader, "rb") as pipe:
+        # a small result: the pipe holds it
+        md._send_quotes(partial(md._parse_quotes, path), open(write_fd, "wb"))
+        with open(read_fd, "rb") as pipe:
             result = pickle.load(pipe)
-        for fd in (read_fd, write_fd):
-            with pytest.raises(OSError):
-                os.fstat(fd)
+            assert pipe.read() == b""  # the end of the file: the write end is closed
         if isinstance(result, Exception):
             assert type(result) is ParseError and result.line_no == 3
         else:
@@ -263,13 +266,12 @@ class TestForkedLoad:
     def test_child_body_returns_when_the_parent_is_gone(self, tmp_path):
         path = many_quotes(tmp_path)
         read_fd, write_fd = os.pipe()
-        childs_read = os.dup(read_fd)
         os.close(read_fd)  # the parent's end, as if the parent had died
         returned = []
 
         def body():
             # a result larger than the pipe would block for ever on a live read end
-            md._send_quotes(path, childs_read, write_fd)
+            md._send_quotes(partial(md._parse_quotes, path), open(write_fd, "wb"))
             returned.append(True)
 
         thread = threading.Thread(target=body, daemon=True)
@@ -278,6 +280,221 @@ class TestForkedLoad:
         assert returned == [True]
         with pytest.raises(OSError):
             os.fstat(write_fd)
+
+
+# ---------------------------------------------------------------------------
+# The two-ended parse: the forked child claims runs of blocks from the front,
+# this process from the back
+
+
+def quote_text(n_rows, eol="\n"):
+    """The header and ``n_rows`` rows, a ticker of seven on each day."""
+    start = dt.date(2020, 1, 1)
+    rows = [f"{start + dt.timedelta(days=i)},T{i % 7},{10 + i},{100 + i}" for i in range(n_rows)]
+    return eol.join(["date,ticker,close,shares_issued", *rows]) + eol
+
+
+def outcome(load, path):
+    """The panel ``load(path)`` returns, or the class, message and line of
+    what it raises."""
+    try:
+        panel = load(path)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return panel.dates, panel.tickers, panel.close.tobytes(), panel.shares.tobytes()
+
+
+def lines_of(runs):
+    """The first line of each block of ``runs``."""
+    return {line_no for run in runs for _, _, line_no in run}
+
+
+def spy_runs(monkeypatch, child_pause, parent_pause):
+    """The list of the runs of blocks this process parses in load_quotes,
+    kept as they are claimed.  Blocks hold a line or two, and each side
+    sleeps its pause before each of its runs."""
+    monkeypatch.setattr(md, "_BLOCK_BYTES", 32)
+    parent, claimed = os.getpid(), []
+    text_blocks = md._text_blocks
+
+    def spy(fh, table, source):
+        if os.getpid() != parent:
+            time.sleep(child_pause)
+        elif table[0][2] > 1:  # a run, not line 1 or a whole file
+            claimed.append(table)
+            time.sleep(parent_pause)
+        return text_blocks(fh, table, source)
+
+    monkeypatch.setattr(md, "_text_blocks", spy)
+    return claimed
+
+
+@pytest.fixture
+def parent_runs(monkeypatch):
+    """spy_runs with a slower child, so this process claims some runs, but
+    not before the child has claimed its first."""
+    return spy_runs(monkeypatch, 0.001, 0.0002)
+
+
+# (text of a file of 120 rows or so, line of the error it raises, a line only
+# the child parses or None, a line only the parent parses).  Row i is on line
+# i + 2 and its close is 10 + i.
+TWO_ENDED = {
+    "child-and-parent-fault": (quote_text(120).replace(",15,", ",x,").replace(",129,", ",y,"),
+                               7, 7, 121),
+    "parent-fault": (quote_text(120).replace(",129,", ",y,"), 121, None, 121),
+    "duplicate-straddles": (quote_text(120) + "2020-01-01,T0,1,1\n", 122, 2, 122),
+    # the parent claims line 122's run before line 119's
+    "duplicate-in-parent-runs": (quote_text(120) + "2020-04-27,T5,1,1\n", 122, None, 122),
+    "parent-not-utf8": (quote_text(120).replace(",T0,129,", ",T\udcff,129,"), 121, None, 121),
+    "CR": (quote_text(120, "\r").replace(",129,", ",y,"), 121, None, 121),
+    "CRLF": (quote_text(120, "\r\n").replace(",129,", ",y,"), 121, None, 121),
+}
+
+
+class TestTwoEndedLoad:
+    @pytest.mark.parametrize("case", TWO_ENDED)
+    def test_fault_is_the_first_in_file_order(self, tmp_path, parent_runs, case):
+        text, line_no, child_line, parent_line = TWO_ENDED[case]
+        path = tmp_path / "quotes.csv"
+        path.write_bytes(text.encode("utf-8", errors="surrogateescape"))
+        got = outcome(partial(md.load_quotes, meanwhile=counter()), path)
+        assert got == outcome(md._parse_quotes, path)
+        assert got[0] is ParseError and got[2] == line_no
+        parsed_here = lines_of(parent_runs)
+        assert min(parsed_here) > (child_line or 2)  # the child parsed from the front
+        assert max(parsed_here) <= parent_line < max(parsed_here) + 2  # a line or two a block
+        assert_no_child_left()
+
+    def test_a_fault_in_the_childs_runs_stops_the_parent(self, tmp_path, monkeypatch):
+        parent_runs = spy_runs(monkeypatch, 0, 0.002)  # this side is the slower
+        path = tmp_path / "quotes.csv"
+        path.write_bytes(TWO_ENDED["child-and-parent-fault"][0].replace(",y,", ",129,").encode())
+        got = outcome(md.load_quotes, path)
+        assert got == outcome(md._parse_quotes, path) and got[2] == 7
+        assert len(parent_runs) < 20  # of 60 and more: the child took the runs left
+
+    @pytest.mark.parametrize("eol", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
+    def test_panel_is_the_in_process_panel(self, tmp_path, parent_runs, eol):
+        path = tmp_path / "quotes.csv"
+        path.write_bytes(quote_text(120, eol).encode())
+        assert_same_panel(md.load_quotes(path), md._parse_quotes(path))
+        assert min(lines_of(parent_runs)) > 2  # both sides parsed
+
+    def test_quoted_file_is_parsed_whole_by_the_child(self, tmp_path, parent_runs):
+        path = tmp_path / "quotes.csv"
+        path.write_bytes(quote_text(120).replace(",T3,", ',"T3",').encode())
+        meanwhile = counter()
+        assert_same_panel(md.load_quotes(path, meanwhile=meanwhile), md._parse_quotes(path))
+        assert parent_runs == [] and meanwhile.calls == 1
+        assert_no_child_left()
+
+    def test_more_blocks_than_a_pipe_holds_tokens(self, tmp_path, monkeypatch):
+        # one block a line: with a token a block, the tokens' write would block for ever
+        monkeypatch.setattr(md, "_BLOCK_BYTES", 1)
+        path = tmp_path / "quotes.csv"
+        path.write_bytes(b"date,ticker,close,shares_issued\n2020-01-02,A,1,2\n2020-01-03,A,x,4\n"
+                         + b"\n" * 70_000 + b"2020-01-04,A,3,4\n")
+        with open(path, "rb") as fh:
+            _, runs = md._plan(fh, path)
+        assert sum(map(len, runs)) > 1 << 16 and len(runs) <= md._TOKENS
+
+        def blocked(signum, frame):
+            raise TimeoutError("load_quotes blocked")
+
+        previous = signal.signal(signal.SIGALRM, blocked)
+        signal.alarm(60)
+        try:  # the fault on line 3 ends both sides' claims at once
+            got = outcome(md.load_quotes, path)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert got == outcome(md._parse_quotes, path) == (
+            ParseError, f"{path}:3: bad close value 'x'", 3)
+        assert_no_child_left()
+
+    def test_child_that_dies_after_its_runs_is_one_error(self, tmp_path, monkeypatch):
+        # the child dies where it would merge the parent's rows, after both sides parsed
+        monkeypatch.setattr(md._QuoteColumns, "merge", lambda self, other: os._exit(1))
+        with pytest.raises(PipelineError, match="csv: the quote parse ended without a result$"):
+            md.load_quotes(many_quotes(tmp_path), meanwhile=counter())
+        assert_no_child_left()
+
+
+def token_pipe(n):
+    """The read end of a pipe holding ``n`` tokens, its write end closed."""
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, bytes(n))
+    os.close(write_fd)
+    return read_fd
+
+
+def two_sides_here(path, parent_claims, back_path):
+    """load_quotes' two sides run in this process, one after the other: the
+    parent's claims at most ``parent_claims`` runs from the back and goes to
+    the child's through the file ``back_path``; the child's claims what is
+    left from the front."""
+    with open(path, "rb") as fh:
+        quotes, runs = md._plan(fh, path)
+        back, _ = md._plan(fh, path)
+    tokens = token_pipe(len(runs))
+    try:
+        last = runs[len(runs) - parent_claims:] if parent_claims else []
+        md._send_quotes(partial(md._parse_claims, back, reversed(last), tokens),
+                        open(back_path, "wb"))
+        return md._parse_front(quotes, runs, tokens, os.open(back_path, os.O_RDONLY))
+    finally:
+        os.close(tokens)
+
+
+@pytest.mark.parametrize("parent_claims", [0, 1, 30, 200])
+@pytest.mark.parametrize("case", TWO_ENDED)
+def test_two_sides_in_process_match_the_whole_parse(tmp_path, monkeypatch, case, parent_claims):
+    """The merge and the child's fault rules, run where the census sees them,
+    for every meeting point: the parent's side takes none, one, about half
+    or all of the runs."""
+    monkeypatch.setattr(md, "_BLOCK_BYTES", 32)
+    path = tmp_path / "quotes.csv"
+    path.write_bytes(TWO_ENDED[case][0].encode("utf-8", errors="surrogateescape"))
+    got = outcome(partial(two_sides_here, parent_claims=parent_claims,
+                          back_path=tmp_path / "back.pickle"), path)
+    assert got == outcome(md._parse_quotes, path)
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_byte_blocks_hold_whole_lines(tmp_path, monkeypatch, eol):
+    """Line 1 is a block of its own; the rest are cut after a line end as a
+    read of ``_BLOCK_BYTES`` at a time would cut them, no CRLF cut in two;
+    each block's first line is counted."""
+    lines = [b"date,ticker"] + [b"2020-01-02,T%d,1.5,2" % i for i in range(40)] + [b"", b"x"]
+    data = eol.join(lines) + eol
+    path = tmp_path / "quotes.csv"
+    path.write_bytes(data)
+    for block in (1, 16, 48, 1 << 16):
+        monkeypatch.setattr(md, "_BLOCK_BYTES", block)
+        with open(path, "rb") as fh:
+            table, quoted = md._block_table(fh)
+        assert not quoted
+        assert [o for o, _, _ in table] == [0, *np.cumsum([n for _, n, _ in table])[:-1]]
+        assert table[0] == (0, len(lines[0] + eol), 1)
+        rest = [cut for cut in reference_cuts(data, block) if cut > table[0][1]]
+        assert [o + n for o, n, _ in table[1:]] == rest
+        assert all(data[o:o + n].endswith(eol) for o, n, _ in table)
+        assert [line for _, _, line in table] == [1 + data[:o].count(eol) for o, _, _ in table]
+
+
+def reference_cuts(data, block):
+    """Where a read of ``block`` bytes at a time cuts ``data``: after the last
+    LF or lone CR of what is read and not yet cut, no cut after a CR that
+    ends a read; and the end."""
+    cuts, start = [], 0
+    for stop in range(block, len(data) + block, block):
+        chunk = data[start:min(stop, len(data))]
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            start += cut
+            cuts.append(start)
+    return cuts + [len(data)] * (start < len(data))
 
 
 @pytest.mark.parametrize("error", [
@@ -716,21 +933,6 @@ def quote_files(draw):
     return text.encode("utf-8", errors="surrogateescape"), block
 
 
-@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
-def test_byte_blocks_hold_whole_lines(tmp_path, monkeypatch, eol):
-    """A file streams in several blocks whatever its line ends, each block
-    ending at a line end, and no block cuts a CRLF in two."""
-    monkeypatch.setattr(md, "_BLOCK_BYTES", 16)
-    data = eol.join(b"2020-01-02,T%d,1.5,2" % i for i in range(20)) + eol
-    path = tmp_path / "quotes.csv"
-    path.write_bytes(data)
-    with open(path, "rb") as fh:
-        blocks = list(md._byte_blocks(fh))
-    assert b"".join(blocks) == data
-    assert len(blocks) > 1
-    assert all(block.endswith(eol) for block in blocks)
-
-
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(quote_files())
@@ -740,13 +942,15 @@ def test_load_matches_per_row_reference(tmp_path, monkeypatch, case):
     path = tmp_path / "quotes.csv"
     path.write_bytes(data)
     expected = reference_load(data)
-    if len(expected) == 2:
+    try:  # the two-ended parse; blocks of up to 48 bytes give both sides runs
+        panel = md.load_quotes(path)
+    except ParseError as exc:
+        assert (type(exc), str(exc), exc.line_no) == outcome(md._parse_quotes, path)
+        assert len(expected) == 2, exc
         line_no, duplicate = expected
-        with pytest.raises(ParseError, match=f":{line_no}:") as caught:
-            md.load_quotes(path)
-        assert (f":{line_no}: duplicate quote for (" in str(caught.value)) == duplicate
+        assert exc.line_no == line_no
+        assert (f":{line_no}: duplicate quote for (" in str(exc)) == duplicate
         return
-    panel = md.load_quotes(path)
     dates, tickers, close, shares = expected
     assert panel.dates == dates
     assert panel.tickers == tickers

@@ -228,6 +228,19 @@ class TestResumedFactorization:
         assert widths == sorted(widths) and widths[0] < widths[-1]
 
 
+@pytest.mark.parametrize("mode", ["balanced", "paper"])
+def test_krylov_basis_stays_orthonormal(rng, mode):
+    """The Krylov basis at n=600 stays orthonormal to 1e-12 after 192 steps
+    (about 1e-15 with two reorthogonalization passes a step): the bound a
+    cheaper reorthogonalization must keep."""
+    _, w, a = random_connected_operator(rng, 600, 6, mode)
+    factorization = spectral.LanczosFactorization(w, a, seed=1)
+    spectral.solve_generalized(w, a, 80, factorization=factorization)
+    q = factorization.krylov[:, :factorization.steps]
+    assert factorization.steps >= 192
+    assert np.abs(q.T @ q - np.eye(factorization.steps)).max() <= 1e-12
+
+
 class TestPathRule:
     def test_dense_at_the_cutoff(self, rng):
         """growing_bases solves n = DENSE_CUTOFF densely, the path of every
