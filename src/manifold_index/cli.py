@@ -153,21 +153,23 @@ def grow_basis_and_select(
     graph: manifold.AdjacencyGraph,
     caps: np.ndarray,
     n_targets,
-) -> dict[int, selection.Picks]:
-    """Select constituents for each target count N.  Each basis of
-    ``spectral.growing_bases`` (EIGEN_BATCH more eigenpairs per step) is
-    scanned once, from its first eigenvector, for every N still unmet; an
-    N takes its list at the first eigenvector where the features number at
+) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Select constituents for each target count N: its members in pick
+    order, with the per-point source and kind arrays of the basis that met
+    it.  Each basis of ``spectral.growing_bases`` (EIGEN_BATCH more
+    eigenpairs per step) is scanned once for every N still unmet; an N
+    takes its list at the first eigenvector where the features number at
     least N.  Fatal once all n eigenpairs leave an N unmet."""
     pending = sorted(set(n_targets))
-    out: dict[int, selection.Picks] = {}
+    out = {}
     for basis in spectral.growing_bases(weights, mass, EIGEN_BATCH):
-        for picks in selection.accumulate_features(basis, graph):
-            while pending and len(picks) >= pending[0]:
-                n_target = pending.pop(0)
-                out[n_target] = selection.select_constituents(picks, n_target, caps)
-            if not pending:
-                return out
+        members, source, kind, counts = selection.first_seen(basis, graph)
+        while pending and counts[-1] >= pending[0]:
+            n_target = pending.pop(0)
+            prefix = members[: counts[np.searchsorted(counts, n_target)]]
+            out[n_target] = selection.select_constituents(prefix, n_target, caps), source, kind
+        if not pending:
+            return out
     raise PipelineError(
         f"all {weights.n} eigenvectors give fewer than {pending[0]} feature "
         "points; only a smaller --n-list or a smaller --k can help"
@@ -194,11 +196,12 @@ def cmd_select(
     lists = {}
     for n_target in cfg.n_list:
         path = Path(cfg.outdir) / f"constituents_{n_target:03d}.csv"
+        members, source, kind = picks[n_target]
         writes[path] = "select", partial(
-            selection.write_constituents_csv,
-            picks=picks[n_target], tickers=frame.tickers, caps=frame.caps,
+            selection.write_constituents_csv, members=members, source=source, kind=kind,
+            tickers=frame.tickers, caps=frame.caps,
         )
-        lists[path] = [frame.tickers[i] for i in picks[n_target]]
+        lists[path] = [frame.tickers[i] for i in members]
     return lists
 
 

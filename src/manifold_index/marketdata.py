@@ -42,7 +42,7 @@ import re
 import signal
 from array import array
 from bisect import bisect_left
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import attrgetter
@@ -251,26 +251,29 @@ _CSV_BATCH = 4096  # records per batch of quoted input
 _TOKENS = 4096  # the most runs of blocks a forked parse claims, one pipe byte each
 
 
-def _block_table(fh):
-    """The (offset, length, first line number) blocks of a binary file: line
-    1, then each cut after the last LF or lone CR a read of ``_BLOCK_BYTES``
-    at a time has seen, but not after a CR that ends a read (a CRLF may
-    follow); and whether a quote character occurs in the file."""
+def _mapped(fh):
+    """The bytes of a binary file, mapped read-only; empty for an empty file."""
     size = fh.seek(0, os.SEEK_END)
-    if not size:
-        return [], False
-    with mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ) as data:
-        start = re.match(rb"[^\r\n]*(\r\n|\r|\n)?", data).end()
-        table, line_no = [(0, start, 1)], 2
-        for stop in [*range(_BLOCK_BYTES, size, _BLOCK_BYTES), size]:  # where each read ends
-            cr = data.rfind(b"\r", start, stop - 1)
-            cut = max(data.rfind(b"\n", start, stop), cr) + 1
-            if cut:
-                table.append((start, cut - start, line_no))
-                line_no += (line_ends(data[start:cut].decode("latin-1")) if cr >= 0 else int(
-                    np.count_nonzero(np.frombuffer(data, np.uint8, cut - start, start) == 10)))
-                start = cut
-        return table + [(start, size - start, line_no)] * (start < size), data.find(b'"') >= 0
+    return mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ) if size else nullcontext(b"")
+
+
+def _block_table(data) -> list:
+    """The (offset, length, first line number) blocks of a file's bytes
+    ``data``: line 1, then each cut after the last LF or lone CR a read of
+    ``_BLOCK_BYTES`` at a time has seen, but not after a CR that ends a read
+    (a CRLF may follow)."""
+    size = len(data)
+    start = re.match(rb"[^\r\n]*(\r\n|\r|\n)?", data).end()
+    table, line_no = [(0, start, 1)], 2
+    for stop in [*range(_BLOCK_BYTES, size, _BLOCK_BYTES), size]:  # where each read ends
+        cr = data.rfind(b"\r", start, stop - 1)
+        cut = max(data.rfind(b"\n", start, stop), cr) + 1
+        if cut:
+            table.append((start, cut - start, line_no))
+            line_no += (line_ends(data[start:cut].decode("latin-1")) if cr >= 0 else int(
+                np.count_nonzero(np.frombuffer(data, np.uint8, cut - start, start) == 10)))
+            start = cut
+    return table + [(start, size - start, line_no)] * (start < size)
 
 
 def _text_blocks(fh, table, source):
@@ -340,7 +343,8 @@ def _record_batches(fh, source):
     """The records of a binary quote file in batches shaped as ``_split``
     returns them: split in C from block to block while the text holds no
     quote character, through csv.reader from the first block that does."""
-    blocks = _text_blocks(fh, _block_table(fh)[0], source)
+    with _mapped(fh) as data:
+        blocks = _text_blocks(fh, _block_table(data), source)
     for line_no, text in blocks:
         if '"' in text:
             yield from _csv_batches(chain([(line_no, text)], blocks), line_no, source)
@@ -351,8 +355,7 @@ def _record_batches(fh, source):
 def _parse_quotes(source) -> QuotePanel:
     with open(source, "rb") as fh:
         batches = _record_batches(fh, source)
-        # an empty file has an empty header, which lacks every column
-        fields, count, line = next(batches, ([], [0], [1]))
+        fields, count, line = next(batches)  # line 1 is a block, empty in an empty file
         quotes = _QuoteColumns(source, fields[:count[0]])
         quotes.add(fields[count[0]:], count[1:], line[1:])
         for batch in batches:
@@ -362,11 +365,12 @@ def _parse_quotes(source) -> QuotePanel:
 
 def _plan(fh, source):
     """The columns a quote file's header names and the blocks after it in
-    runs, one for each token; (None, []) for a file with a quote character."""
-    table, quoted = _block_table(fh)
-    if quoted:
-        return None, []
-    _, header = next(_text_blocks(fh, table[:1], source), (1, ""))
+    runs, one for each token; (None, []) for a file with a quote, found before any cut."""
+    with _mapped(fh) as data:
+        if data.find(b'"') >= 0:
+            return None, []
+        table = _block_table(data)
+    _, header = next(_text_blocks(fh, table[:1], source))
     run = len(table) // _TOKENS + 1
     return (_QuoteColumns(source, header.rstrip("\r\n").split(",")),
             [table[i:i + run] for i in range(1, len(table), run)])

@@ -2,9 +2,10 @@
 
 A point is a feature when the eigenvector value at that point is strictly
 above (maximum) or strictly below (minimum) every value over the point's
-own directed KNN list.  Features accumulate eigenvector by eigenvector in
-ascending eigenvalue order (accumulate_features); a target count N takes
-them at the first eigenvector where they number at least N, and
+own directed KNN list.  first_seen scans a basis once, eigenvector by
+eigenvector in ascending eigenvalue order, into arrays: the features in pick
+order and their counts up to each eigenvector; a target count N takes them
+at the first eigenvector where they number at least N, and
 select_constituents trims any surplus smallest-market-cap first.
 
 Comparisons are strict, on exact floats: equal neighbor values disqualify
@@ -14,19 +15,11 @@ contributes little or nothing and needs no special-casing.
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterator
-
 import numpy as np
 
 from .errors import ParseError, read_rows, write_rows
 from .manifold import AdjacencyGraph
 from .spectral import EigenBasis
-
-
-# Selected points in pick order, each with where it was first seen:
-# member index -> (eigenvector index, "max" | "min").
-Picks = dict[int, tuple[int, str]]
 
 
 def detect_extrema(phi: np.ndarray, graph: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -41,36 +34,35 @@ def detect_extrema(phi: np.ndarray, graph: AdjacencyGraph) -> tuple[np.ndarray, 
     return maxima, minima
 
 
-def accumulate_features(basis: EigenBasis, graph: AdjacencyGraph) -> Iterator[Picks]:
-    """Yield the growing picks after each eigenvector of ``basis``, in
-    ascending eigenvalue order: every extremum so far, once, with the
-    vector and kind it was first seen at.  The one dict is yielded each
-    time and grows in place on the next step."""
-    picks: Picks = {}
-    for vec_idx in range(basis.count):
-        maxima, minima = detect_extrema(basis.vectors[:, vec_idx], graph)
-        # pooled union in ascending index order, so the accumulated list is
-        # invariant under sign flips of any eigenvector
-        pooled = sorted([(int(i), "max") for i in maxima] + [(int(i), "min") for i in minima])
-        for i, kind in pooled:
-            picks.setdefault(i, (vec_idx, kind))
-        yield picks
+def first_seen(basis: EigenBasis, graph: AdjacencyGraph) -> tuple[np.ndarray, ...]:
+    """``(members, source, kind, counts)`` of ``basis``: ``source[i]`` is
+    the first eigenvector where point i is an extremum (``basis.count`` if
+    none) and ``kind[i]`` "max" or "min" there; ``members`` are the features
+    by (source, index), so sign flips of an eigenvector keep their order, and
+    the first ``counts[j]`` of them are those of eigenvectors 0..j."""
+    source = np.full(graph.neighbors.shape[0], basis.count)
+    kind = np.full(len(source), "", dtype="<U3")
+    for col in range(basis.count):
+        for found, name in zip(detect_extrema(basis.vectors[:, col], graph), ("max", "min")):
+            new = found[source[found] == basis.count]
+            source[new], kind[new] = col, name
+    counts = np.cumsum(np.bincount(source, minlength=basis.count + 1)[:-1])
+    return np.argsort(source, kind="stable")[: counts[-1]], source, kind, counts
 
 
-def select_constituents(picks: Picks, n_target: int, caps: np.ndarray) -> Picks:
-    """A new dict of ``picks`` in pick order without its smallest-cap
-    members (ties by ascending point index), down to ``n_target``."""
-    caps = np.asarray(caps, dtype=float)
-    drop = set(heapq.nsmallest(len(picks) - n_target, picks, key=lambda i: (caps[i], i)))
-    return {i: source for i, source in picks.items() if i not in drop}
+def select_constituents(members: np.ndarray, n_target: int, caps: np.ndarray) -> np.ndarray:
+    """``members`` in their order without the smallest-cap ones (ties by
+    ascending point index), down to ``n_target``."""
+    return np.delete(members, np.lexsort((members, caps[members]))[: len(members) - n_target])
 
 
-def write_constituents_csv(path, picks: Picks, tickers, caps) -> None:
-    """Export ``rank,ticker,source_eigenvector,extremum_kind,market_cap``."""
-    caps = np.asarray(caps, dtype=float)
+def write_constituents_csv(path, members, source, kind, tickers, caps) -> None:
+    """Export ``rank,ticker,source_eigenvector,extremum_kind,market_cap``, a
+    row for each point of ``members`` in order, from the per-point arrays
+    ``source``, ``kind`` and ``caps``."""
     write_rows(path, ["rank", "ticker", "source_eigenvector", "extremum_kind", "market_cap"],
-               ([rank, tickers[idx], eigvec, kind, repr(float(caps[idx]))]
-                for rank, (idx, (eigvec, kind)) in enumerate(picks.items(), start=1)))
+               ([rank, tickers[i], source[i], kind[i], repr(float(caps[i]))]
+                for rank, i in enumerate(members.tolist(), start=1)))
 
 
 def read_constituents_csv(path) -> list[str]:

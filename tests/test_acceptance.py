@@ -145,7 +145,7 @@ def test_criterion_5_selection_replay_oracle(monkeypatch):
                     cli.grow_basis_and_select(weights, None, graph, caps, n_list)
             else:
                 got = cli.grow_basis_and_select(weights, None, graph, caps, n_list)
-                assert {n_target: list(picks) for n_target, picks in got.items()} == expected
+                assert {n_target: picks[0].tolist() for n_target, picks in got.items()} == expected
 
 
 def test_criterion_6_divisor_continuity():
@@ -214,7 +214,7 @@ def _pipeline_pearson(market, n_list, k=10):
     ]
     out = {}
     for n_target in n_list:
-        names = [frame.tickers[i] for i in picks[n_target]]
+        names = [frame.tickers[i] for i in picks[n_target][0]]
         closes, shares = marketdata.index_inputs(market.quotes, target_rows, names)
         series = indexcalc.compute_series(
             market.quotes.dates[target_rows], closes, names, shares, 1000.0

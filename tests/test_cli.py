@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 
 from manifold_index import cli, indexcalc, manifold, marketdata, selection, synth
 from manifold_index.errors import ParameterError, ParseError
-from test_selection import first_list
+from test_selection import first_list, ordered
 
 
 def run(argv):
@@ -745,15 +746,16 @@ class TestBatchedEigenGrowth:
         )
         graph, w, a = manifold.build_operator(frame.vectors, k=6, mode="balanced")
         monkeypatch.setattr(cli, "EIGEN_BATCH", 1)
-        picks = cli.grow_basis_and_select(w, a, graph, frame.caps, [12])
-        assert len(picks[12]) == 12
+        members, source, _ = cli.grow_basis_and_select(w, a, graph, frame.caps, [12])[12]
+        assert len(members) == 12
         # provenance proves more than one eigenvector contributed
-        sources = {vec for vec, _ in picks[12].values()}
-        assert max(sources) >= 1
+        assert source[members].max() >= 1
 
     def test_each_basis_is_scanned_once_for_every_n(self, small_market, monkeypatch):
-        """Three N that the first basis meets cost the eigenvectors the
-        largest of them needs, not one scan from the first vector per N."""
+        """Every column of each basis is scanned by exactly one
+        detect_extrema call, which every N shares: three N that the first
+        basis meets cost one scan of it, and an N that needs more bases one
+        scan of each."""
         from manifold_index import manifold, marketdata, spectral
 
         quotes = marketdata.load_quotes(small_market / "quotes.csv")
@@ -761,26 +763,30 @@ class TestBatchedEigenGrowth:
             quotes, marketdata.calendar_from_quotes(quotes, 2020)
         )
         graph, w, a = manifold.build_operator(frame.vectors, k=6, mode="balanced")
-        n_list = [20, 10, 30]
-        basis = next(spectral.growing_bases(w, a, cli.EIGEN_BATCH))
-        needed = {  # eigenvectors until the features number n_target
-            n_target: 1 + next(i for i, picks in enumerate(
-                selection.accumulate_features(basis, graph)) if len(picks) >= n_target)
-            for n_target in n_list
-        }
-        assert len(set(needed.values())) == 3 and needed[30] < basis.count
-
-        detect = selection.detect_extrema
-        calls = []
+        detect, grow = selection.detect_extrema, spectral.growing_bases
+        calls, bases = [], []
 
         def counting(phi, graph_):
             calls.append(phi)
             return detect(phi, graph_)
 
+        def recording(w_, a_, batch):
+            for basis in grow(w_, a_, batch):
+                bases.append(basis)
+                yield basis
+
         monkeypatch.setattr(selection, "detect_extrema", counting)
-        picks = cli.grow_basis_and_select(w, a, graph, frame.caps, n_list)
-        assert sorted(picks) == [10, 20, 30]
-        assert len(calls) == needed[30] < sum(needed.values())
+        monkeypatch.setattr(spectral, "growing_bases", recording)
+        for batch, n_list, grows in ((cli.EIGEN_BATCH, [20, 10, 30], False), (4, [10, 30], True)):
+            monkeypatch.setattr(cli, "EIGEN_BATCH", batch)
+            calls.clear()
+            bases.clear()
+            picks = cli.grow_basis_and_select(w, a, graph, frame.caps, n_list)
+            assert sorted(picks) == sorted(n_list)
+            assert (len(bases) > 1) == grows
+            scanned = [basis.vectors[:, j] for basis in bases for j in range(basis.count)]
+            assert len(calls) == len(scanned)
+            assert all(np.array_equal(c, s) for c, s in zip(calls, scanned))
 
     def test_growth_costs_one_solve_at_the_final_p(self, tmp_path, monkeypatch):
         """Above the dense cutoff the bases that spectral.growing_bases yields
@@ -831,7 +837,7 @@ class TestBatchedEigenGrowth:
             basis = spectral.solve_generalized(w, a, p, factorization=fresh)
             want = first_list(basis, graph, 140, frame.caps)
         assert p == ps[-1]
-        assert list(picks[140].items()) == list(want.items())
+        assert ordered(picks[140]) == want
 
     def test_five_default_lists(self, tmp_path):
         """The default N list produces five constituent files."""
@@ -1483,6 +1489,48 @@ def test_ticker_relabelling_keeps_paper_picks(tmp_path, n_stocks, seed):
     got = paper_picks(relabelled, tmp_path / "relabelled", (10, 20, 40))
     original = {new: old for old, new in renamed.items()}
     assert {n: {(original[t], v, kind) for t, v, kind in picks} for n, picks in got.items()} == want
+
+
+def test_solver_variation_keeps_paper_picks(tmp_path, monkeypatch):
+    """On a connected market above the dense cutoff, paper mode (k=10) gives
+    the same constituent files, so the same ordered (member, source
+    eigenvector, kind) lists, for N=10, 20 and 40 on the dense path, with
+    Lanczos seeds 0 and 1, with EIGEN_BATCH 8 and 32, and with one OpenBLAS
+    thread in a child process."""
+    from manifold_index import spectral
+
+    market = synth_market(tmp_path, "--seed", "4", "--n-stocks", "360", "--m-days", "65",
+                          "--n-sectors", "6", "--n-years", "1")
+    panel = marketdata.load_quotes(market / "quotes.csv")
+    frame = marketdata.build_market_frame(panel, marketdata.calendar_from_quotes(panel, 2020))
+    _, weights, _ = manifold.build_operator(frame.vectors, k=10, mode="paper")
+    assert frame.n > spectral.DENSE_CUTOFF
+    assert connected_components(abs(weights.entries), directed=False)[0] == 1
+    argv = ["select", "--quotes", str(market / "quotes.csv"), "--study-year", "2020",
+            "--k", "10", "--mode", "paper", "--n-list", "10,20,40"]
+
+    def lists(outdir):
+        return {p.name: p.read_bytes() for p in sorted(outdir.glob("constituents_*.csv"))}
+
+    lanczos = spectral.LanczosFactorization
+    variants = {
+        "dense": (spectral, "DENSE_CUTOFF", frame.n),
+        "lanczos-seed-1": (spectral, "LanczosFactorization", partial(lanczos, seed=1)),
+        "batch-8": (cli, "EIGEN_BATCH", 8),
+    }
+    assert run([*argv, "--outdir", str(tmp_path / "plain")]) == 0
+    want = lists(tmp_path / "plain")
+    assert len(want) == 3
+    for name, (module, attribute, value) in variants.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(module, attribute, value)
+            assert run([*argv, "--outdir", str(tmp_path / name)]) == 0
+        assert lists(tmp_path / name) == want, name
+    done = subprocess.run([sys.executable, "-m", "manifold_index.cli", *argv,
+                           "--outdir", str(tmp_path / "one-thread")],
+                          env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert lists(tmp_path / "one-thread") == want
 
 
 @pytest.mark.parametrize("read", [

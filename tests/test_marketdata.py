@@ -381,12 +381,25 @@ class TestTwoEndedLoad:
         assert_same_panel(md.load_quotes(path), md._parse_quotes(path))
         assert min(lines_of(parent_runs)) > 2  # both sides parsed
 
-    def test_quoted_file_is_parsed_whole_by_the_child(self, tmp_path, parent_runs):
+    def test_quoted_file_is_parsed_whole_by_the_child(self, tmp_path, parent_runs, monkeypatch):
         path = tmp_path / "quotes.csv"
         path.write_bytes(quote_text(120).replace(",T3,", ',"T3",').encode())
+        tables = tmp_path / "tables"  # the pid of each process that cuts the file, a line each
+        block_table = md._block_table
+
+        def spy(data):
+            with open(tables, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return block_table(data)
+
+        monkeypatch.setattr(md, "_block_table", spy)
         meanwhile = counter()
-        assert_same_panel(md.load_quotes(path, meanwhile=meanwhile), md._parse_quotes(path))
+        panel = md.load_quotes(path, meanwhile=meanwhile)
         assert parent_runs == [] and meanwhile.calls == 1
+        # the quote is found before any cut, so the child alone cuts the file
+        pids = tables.read_text().split()
+        assert len(pids) == 1 and pids[0] != str(os.getpid())
+        assert_same_panel(panel, md._parse_quotes(path))
         assert_no_child_left()
 
     def test_more_blocks_than_a_pipe_holds_tokens(self, tmp_path, monkeypatch):
@@ -462,19 +475,15 @@ def test_two_sides_in_process_match_the_whole_parse(tmp_path, monkeypatch, case,
 
 
 @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
-def test_byte_blocks_hold_whole_lines(tmp_path, monkeypatch, eol):
+def test_byte_blocks_hold_whole_lines(monkeypatch, eol):
     """Line 1 is a block of its own; the rest are cut after a line end as a
     read of ``_BLOCK_BYTES`` at a time would cut them, no CRLF cut in two;
     each block's first line is counted."""
     lines = [b"date,ticker"] + [b"2020-01-02,T%d,1.5,2" % i for i in range(40)] + [b"", b"x"]
     data = eol.join(lines) + eol
-    path = tmp_path / "quotes.csv"
-    path.write_bytes(data)
     for block in (1, 16, 48, 1 << 16):
         monkeypatch.setattr(md, "_BLOCK_BYTES", block)
-        with open(path, "rb") as fh:
-            table, quoted = md._block_table(fh)
-        assert not quoted
+        table = md._block_table(data)
         assert [o for o, _, _ in table] == [0, *np.cumsum([n for _, n, _ in table])[:-1]]
         assert table[0] == (0, len(lines[0] + eol), 1)
         rest = [cut for cut in reference_cuts(data, block) if cut > table[0][1]]

@@ -1,8 +1,10 @@
-"""Extrema detection, feature accumulation and the cap trim, checked
+"""Extrema detection, the first-seen pass and the cap trim, checked
 against independent step-by-step reimplementations."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from manifold_index import manifold, selection, spectral
@@ -108,33 +110,47 @@ def fake_basis(vectors):
     )
 
 
+def ordered(picked):
+    """The (member, source eigenvector, kind) of each member of a
+    ``(members, source, kind)`` selection, in pick order."""
+    members, source, kind = picked
+    return list(zip(members.tolist(), source[members].tolist(), kind[members].tolist()))
+
+
 def first_list(basis, graph, n_target, caps):
-    """The list of ``n_target`` taken at the first eigenvector of ``basis``
-    whose accumulated features number at least ``n_target``, or None when
-    all of them give fewer."""
-    return next((selection.select_constituents(picks, n_target, caps)
-                 for picks in selection.accumulate_features(basis, graph)
-                 if len(picks) >= n_target), None)
+    """The ordered (member, source eigenvector, kind) list of ``n_target``
+    taken at the first eigenvector of ``basis`` whose features number at
+    least ``n_target``, or None when all of them give fewer."""
+    members, source, kind, counts = selection.first_seen(basis, graph)
+    if counts[-1] < n_target:
+        return None
+    prefix = members[: counts[np.searchsorted(counts, n_target)]]
+    return ordered((selection.select_constituents(prefix, n_target, caps), source, kind))
 
 
-class TestAccumulateFeatures:
+class TestFirstSeen:
     def test_one_growing_prefix_per_eigenvector(self, rng):
         graph = manifold.knn_graph(rng.standard_normal((30, 3)), 4)
         vectors = rng.standard_normal((30, 6))
+        members, source, kind, counts = selection.first_seen(fake_basis(vectors), graph)
+        assert len(counts) == 6
         seen = []
-        for vec_idx, picks in enumerate(selection.accumulate_features(fake_basis(vectors), graph)):
+        for vec_idx in range(6):
             maxima, minima = selection.detect_extrema(vectors[:, vec_idx], graph)
             new = sorted(set(maxima.tolist() + minima.tolist()) - set(seen))
-            assert list(picks) == seen + new
-            assert all(picks[i][0] == vec_idx for i in new)
-            seen = list(picks)
-        assert vec_idx == 5
+            assert members[: counts[vec_idx]].tolist() == seen + new
+            assert all(source[i] == vec_idx for i in new)
+            assert all(kind[i] == ("max" if i in maxima else "min") for i in new)
+            seen += new
+        unseen = sorted(set(range(30)) - set(seen))
+        assert all(source[i] == 6 for i in unseen)
 
     def test_constant_vector_adds_nothing(self):
         # a constant eigenvector contributes nothing under strict comparison
         graph = chain_graph(4)
-        prefixes = [dict(p) for p in selection.accumulate_features(fake_basis(np.ones((4, 2))), graph)]
-        assert prefixes == [{}, {}]
+        members, source, _, counts = selection.first_seen(fake_basis(np.ones((4, 2))), graph)
+        assert members.size == 0 and counts.tolist() == [0, 0]
+        assert source.tolist() == [2] * 4
 
 
 class TestSelectConstituents:
@@ -144,7 +160,7 @@ class TestSelectConstituents:
         ma, mi = selection.detect_extrema(phi, graph)
         n_target = len(ma) + len(mi)
         picked = first_list(fake_basis(phi[:, None]), graph, n_target, caps=np.ones(5))
-        assert sorted(picked) == sorted(ma.tolist() + mi.tolist())
+        assert sorted(i for i, _, _ in picked) == sorted(ma.tolist() + mi.tolist())
 
     def test_trimming_removes_smallest_caps(self):
         graph = chain_graph(6)
@@ -155,15 +171,14 @@ class TestSelectConstituents:
         n_target = len(pool) - 2
         picked = first_list(fake_basis(phi[:, None]), graph, n_target, caps)
         doomed = sorted(pool, key=lambda i: (caps[i], i))[:2]
-        assert sorted(picked) == sorted(set(pool) - set(doomed))
+        assert sorted(i for i, _, _ in picked) == sorted(set(pool) - set(doomed))
 
-    def test_returns_a_new_dict_in_pick_order(self):
-        picks = {4: (0, "max"), 1: (0, "min"), 3: (1, "max")}
+    def test_returns_a_new_array_in_pick_order(self):
+        members = np.array([4, 1, 3])
         caps = np.array([1.0, 5.0, 1.0, 2.0, 9.0])
-        trimmed = selection.select_constituents(picks, 2, caps)
-        assert list(trimmed.items()) == [(4, (0, "max")), (1, (0, "min"))]
-        whole = selection.select_constituents(picks, 3, caps)
-        assert whole == picks and whole is not picks
+        assert selection.select_constituents(members, 2, caps).tolist() == [4, 1]
+        whole = selection.select_constituents(members, 3, caps)
+        assert whole.tolist() == [4, 1, 3] and whole is not members
 
     def test_sign_invariance_of_selection(self, rng):
         for trial in range(10):
@@ -174,21 +189,21 @@ class TestSelectConstituents:
             flip = np.where(rng.uniform(size=5) < 0.5, -1.0, 1.0)
             a = first_list(fake_basis(vectors), graph, 8, caps)
             b = first_list(fake_basis(vectors * flip), graph, 8, caps)
-            assert list(a) == list(b)
+            assert [i for i, _, _ in a] == [i for i, _, _ in b]
 
     def test_member_counted_once_with_first_seen_provenance(self):
         graph = chain_graph(5)
         phi = np.array([0.0, 1.0, 0.0, 2.0, 0.5])
         vectors = np.column_stack([phi, phi])  # same features twice
         picked = first_list(fake_basis(vectors), graph, 4, np.ones(5))
-        assert len(picked) == 4  # a dict holds each member once
-        assert all(vec == 0 for vec, _ in picked.values())
+        assert len({i for i, _, _ in picked}) == len(picked) == 4
+        assert all(vec == 0 for _, vec, _ in picked)
 
     def test_provenance_eigvec_indices_nondecreasing(self, rng):
         graph = manifold.knn_graph(rng.standard_normal((40, 3)), 4)
         vectors = rng.standard_normal((40, 8))
         picked = first_list(fake_basis(vectors), graph, 25, rng.uniform(1, 9, 40))
-        sources = [picked[i][0] for i in picked]
+        sources = [vec for _, vec, _ in picked]
         assert sources == sorted(sources)
 
     def test_deterministic(self, rng):
@@ -197,7 +212,7 @@ class TestSelectConstituents:
         caps = rng.uniform(1, 100, 30)
         a = first_list(fake_basis(vectors), graph, 10, caps)
         b = first_list(fake_basis(vectors), graph, 10, caps)
-        assert list(a.items()) == list(b.items())
+        assert a == b
 
     def test_matches_replay_oracle(self, rng):
         for _ in range(25):
@@ -210,7 +225,29 @@ class TestSelectConstituents:
             n_target = int(rng.integers(1, max(2, n // 2)))
             expected = replay_selection(vectors, graph.neighbors, n_target, caps)
             picked = first_list(fake_basis(vectors), graph, n_target, caps)
-            assert (None if picked is None else list(picked)) == expected
+            assert (None if picked is None else [i for i, _, _ in picked]) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 30), k=st.integers(1, 5), p=st.integers(1, 6),
+       decimals=st.sampled_from([None, 0, 1]), flip=st.integers(0, 6),
+       n_target=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_first_seen_and_trim_match_the_replay(n, k, p, decimals, flip, n_target, seed):
+    """first_seen plus the cap trim equals the step-by-step replay on random
+    graphs and bases, with ties among the values (rounded) and among the
+    caps, and with the sign of column ``flip`` flipped (none when ``flip >= p``)."""
+    local = np.random.default_rng(seed)
+    graph = manifold.knn_graph(local.standard_normal((n, 3)), min(k, n - 1))
+    vectors = local.standard_normal((n, p))
+    if decimals is not None:
+        vectors = np.round(vectors, decimals)
+    caps = local.integers(1, 4, size=n).astype(float)
+    flipped = vectors.copy()
+    if flip < p:
+        flipped[:, flip] *= -1.0
+    expected = replay_selection(vectors, graph.neighbors, n_target, caps)
+    picked = first_list(fake_basis(flipped), graph, n_target, caps)
+    assert (None if picked is None else [i for i, _, _ in picked]) == expected
 
 
 def test_feature_count_grows_with_eigenvalue_rank(rng):
@@ -241,10 +278,13 @@ def test_constituents_csv_roundtrip(tmp_path, rng):
     graph = manifold.knn_graph(rng.standard_normal((20, 3)), 3)
     vectors = rng.standard_normal((20, 4))
     caps = rng.uniform(1, 100, 20)
-    picked = first_list(fake_basis(vectors), graph, 6, caps)
+    members, source, kind, _ = selection.first_seen(fake_basis(vectors), graph)
+    picked = selection.select_constituents(members, 6, caps)
     tickers = [f"T{i:02d}" for i in range(20)]
     path = tmp_path / "constituents.csv"
-    selection.write_constituents_csv(path, picked, tickers, caps)
+    selection.write_constituents_csv(path, picked, source, kind, tickers, caps)
     assert selection.read_constituents_csv(path) == [tickers[i] for i in picked]
-    header = path.read_text().splitlines()[0]
+    header, *rows = path.read_text().splitlines()
     assert header == "rank,ticker,source_eigenvector,extremum_kind,market_cap"
+    assert rows == [f"{rank},{tickers[i]},{vec},{extremum},{float(caps[i])!r}"
+                    for rank, (i, vec, extremum) in enumerate(ordered((picked, source, kind)), 1)]
