@@ -405,15 +405,49 @@ def _parse_front(quotes: _QuoteColumns, runs, tokens: int, back_fd: int) -> Quot
     return quotes.panel()
 
 
-def _send_quotes(parse, pipe) -> None:
-    """Write the pickled result of ``parse()``, or the exception it raised,
+def _send_quotes(work, pipe) -> None:
+    """Write the pickled result of ``work()``, or the exception it raised,
     to the binary file ``pipe`` and close it, unless no reader is left."""
     try:
-        result = parse()
+        result = work()
     except Exception as exc:
         result = exc
     with suppress(BrokenPipeError), pipe:
         pickle.dump(result, pipe, protocol=5)
+
+
+def forked(work, meanwhile, failure: str, child_closes=(), here_closes=()):
+    """The result of ``work()``, run in a forked child while ``meanwhile()``
+    runs here; what ``work`` raises is raised here.  The result, or the
+    exception, comes back pickled through a pipe.  The child first closes the
+    file descriptors ``child_closes``, this process ``here_closes``.  A child
+    that ends without a result raises PipelineError(``failure``); anything
+    ``meanwhile`` raises, or an interrupt, kills the child first."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the forked child, which the census cannot see
+        try:
+            for fd in (read_fd, *child_closes):  # else a parent that died would leave this blocked
+                os.close(fd)
+            _send_quotes(work, open(write_fd, "wb"))
+        finally:
+            os._exit(0)  # runs no caller's finally block and flushes no buffer
+    for fd in (write_fd, *here_closes):  # else a child that died would leave a write blocked
+        os.close(fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            meanwhile()
+            result = pickle.load(pipe)
+    except EOFError:
+        raise PipelineError(failure) from None
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def load_quotes(source, meanwhile=None) -> QuotePanel:
@@ -441,37 +475,23 @@ def load_quotes(source, meanwhile=None) -> QuotePanel:
     except Exception:
         meanwhile()  # called once whatever the outcome, as when the child finds the fault
         raise
-    (tokens, claims), (back_read, back_write), (read_fd, write_fd) = os.pipe(), os.pipe(), os.pipe()
+    (tokens, claims), (back_read, back_write) = os.pipe(), os.pipe()
     os.write(claims, bytes(len(runs)))  # one claim a run; a pipe holds 64 KiB
     os.close(claims)
-    pid = os.fork()
-    if pid == 0:  # pragma: no cover - runs in the forked child, which the census cannot see
-        try:
-            for fd in (read_fd, back_write):  # else a parent that died would leave this blocked
-                os.close(fd)
-            _send_quotes(lambda: _parse_quotes(source) if quotes is None else _parse_front(
-                quotes, runs, tokens, back_read), open(write_fd, "wb"))
-        finally:
-            os._exit(0)  # runs no caller's finally block and flushes no buffer
-    os.close(write_fd)
-    os.close(back_read)  # else a child that died would leave the write below blocked
-    try:
-        with open(read_fd, "rb") as pipe, open(back_write, "wb") as back:
+
+    def parse_back():
+        with open(back_write, "wb") as back:
             meanwhile()
             if quotes is not None:  # this side's rows, or its first fault, go to the child
                 _send_quotes(lambda: _parse_claims(quotes, reversed(runs), tokens), back)
-            result = pickle.load(pipe)
-    except EOFError:
-        raise PipelineError(f"{source}: the quote parse ended without a result") from None
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
+
+    try:
+        return forked(lambda: _parse_quotes(source) if quotes is None else _parse_front(
+            quotes, runs, tokens, back_read), parse_back,
+            f"{source}: the quote parse ended without a result",
+            child_closes=(back_write,), here_closes=(back_read,))
     finally:
-        os.waitpid(pid, 0)
         os.close(tokens)
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def _forward_fill(values: np.ndarray) -> np.ndarray:

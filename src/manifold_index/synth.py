@@ -16,10 +16,13 @@ bit-identical output everywhere.
 from __future__ import annotations
 
 import datetime as dt
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import marketdata
 from .errors import ParameterError
 from .indexcalc import IndexSeries, read_levels_csv
 from .marketdata import QuotePanel
@@ -124,33 +127,55 @@ def generate_market(config: SynthConfig) -> SyntheticMarket:
     return SyntheticMarket(config=config, quotes=quotes, sectors=sectors, benchmark=benchmark)
 
 
+def _quote_rows(quotes: QuotePanel, dates: list, columns: range) -> bytes:
+    """The rows of the tickers ``columns``, ticker by ticker, UTF-8 encoded."""
+    out = []
+    for j in columns:
+        # tolist() yields Python floats: their repr is the shortest exact
+        # form, with no NumPy scalar type name around it
+        closes = map(repr, quotes.close[:, j].tolist())
+        # a ticker's shares mostly repeat: format each distinct bit
+        # pattern once (bits, not ==, so -0.0 and 0.0 keep their texts)
+        shares = quotes.shares[:, j]
+        _, first, inverse = np.unique(
+            shares.view(np.int64), return_index=True, return_inverse=True
+        )
+        texts = [repr(v) for v in shares[first].tolist()]
+        out.append("".join(
+            f"{date},{quotes.tickers[j]},{close},{texts[s]}\n"
+            for date, close, s in zip(dates, closes, inverse.tolist())
+        ))
+    return "".join(out).encode("utf-8")
+
+
 def write_quotes_csv(path, market: SyntheticMarket) -> None:
     """Emit the quote schema the loader consumes: date,ticker,close,shares_issued,
-    one row per ticker-day, ticker by ticker, each ticker's rows written at once."""
+    one row per ticker-day, ticker by ticker.  A forked child formats the
+    back half of the tickers while this process writes the front half; without
+    os.fork both halves are formatted here.  The bytes are the same either way."""
     quotes = market.quotes
     dates = [d.isoformat() for d in quotes.dates]
-    with open(path, "w", newline="") as fh:
-        fh.write("date,ticker,close,shares_issued\n")
-        for j, ticker in enumerate(quotes.tickers):
-            # tolist() yields Python floats: their repr is the shortest exact
-            # form, with no NumPy scalar type name around it
-            closes = map(repr, quotes.close[:, j].tolist())
-            # a ticker's shares mostly repeat: format each distinct bit
-            # pattern once (bits, not ==, so -0.0 and 0.0 keep their texts)
-            shares = quotes.shares[:, j]
-            _, first, inverse = np.unique(
-                shares.view(np.int64), return_index=True, return_inverse=True
-            )
-            texts = [repr(v) for v in shares[first].tolist()]
-            fh.write("".join(
-                f"{date},{ticker},{close},{texts[s]}\n"
-                for date, close, s in zip(dates, closes, inverse.tolist())
-            ))
+    n = len(quotes.tickers)
+    # this process takes the larger half: the child's bytes cost a pickle and a copy more
+    front, back = range(n - n // 2), range(n - n // 2, n)
+    with open(path, "wb") as fh:
+
+        def write_front():
+            fh.write(b"date,ticker,close,shares_issued\n")
+            fh.write(_quote_rows(quotes, dates, front))
+
+        if hasattr(os, "fork"):
+            rows = marketdata.forked(partial(_quote_rows, quotes, dates, back), write_front,
+                                     f"{path}: the quote write ended without a result")
+        else:
+            write_front()
+            rows = _quote_rows(quotes, dates, back)
+        fh.write(rows)
 
 
 def write_benchmark_csv(path, benchmark: IndexSeries) -> None:
     """Emit ``date,level`` rows."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("date,level\n")
         for date, level in zip(benchmark.dates, benchmark.values.tolist()):
             fh.write(f"{date.isoformat()},{level!r}\n")

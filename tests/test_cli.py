@@ -20,6 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from manifold_index import cli, indexcalc, manifold, marketdata, selection, synth
 from manifold_index.errors import ParameterError, ParseError
 from test_selection import first_list, ordered
+from test_synth import kill_the_writing_child
 
 
 def run(argv):
@@ -59,6 +60,21 @@ class TestSynthCommand:
         assert rc == 0
         assert (tmp_path / "quotes.csv").read_bytes() == (small_market / "quotes.csv").read_bytes()
         assert (tmp_path / "benchmark.csv").read_bytes() == (small_market / "benchmark.csv").read_bytes()
+
+    def test_child_that_dies_mid_write_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        kill_the_writing_child(monkeypatch)
+        rc = run(["synth", "--outdir", str(tmp_path), "--n-stocks", "20", "--m-days", "20"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / 'quotes.csv'}: the quote write ended without a result"]
+
+    def test_unwritable_quote_file_fails_before_the_fork(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "quotes.csv").mkdir()
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        rc = run(["synth", "--outdir", str(tmp_path), "--n-stocks", "20", "--m-days", "20"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno 21] Is a directory: '{tmp_path / 'quotes.csv'}'"]
 
 
 class TestSelectCommand:

@@ -1,6 +1,7 @@
 """Synthetic market generator: determinism, factor structure, benchmark."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from manifold_index import indexcalc, marketdata, metrics, synth
-from manifold_index.errors import ParameterError
+from manifold_index.errors import ParameterError, PipelineError
+from test_marketdata import assert_no_child_left
 
 
 def small_config(**overrides):
@@ -115,11 +117,87 @@ def test_quote_writer_matches_per_row_loop_and_reads_back(tmp_path, market):
     path = tmp_path / "quotes.csv"
     synth.write_quotes_csv(path, market)
     assert path.read_bytes() == per_row_quotes_text(market).encode()
+    assert written_in_process(tmp_path / "here.csv", market) == path.read_bytes()
     back = marketdata.load_quotes(path)
     assert back.dates == market.quotes.dates
     assert back.tickers == market.quotes.tickers
     assert back.close.tobytes() == market.quotes.close.tobytes()
     assert back.shares.tobytes() == market.quotes.shares.tobytes()  # -0.0 stays -0.0
+
+
+def written_in_process(path, market) -> bytes:
+    """The bytes write_quotes_csv writes where os.fork does not exist."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(os, "fork")
+        synth.write_quotes_csv(path, market)
+    return path.read_bytes()
+
+
+def spy_rows(monkeypatch, log):
+    """Append the pid and the ticker count of each _quote_rows call to the
+    file ``log``, a line each, whichever process makes it."""
+    quote_rows = synth._quote_rows
+
+    def spy(quotes, dates, columns):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(columns)}\n")
+        return quote_rows(quotes, dates, columns)
+
+    monkeypatch.setattr(synth, "_quote_rows", spy)
+
+
+def kill_the_writing_child(monkeypatch):
+    """Make the forked child of write_quotes_csv exit before it formats a row."""
+    parent, quote_rows = os.getpid(), synth._quote_rows
+
+    def dying(quotes, dates, columns):
+        if os.getpid() != parent:
+            os._exit(1)
+        return quote_rows(quotes, dates, columns)
+
+    monkeypatch.setattr(synth, "_quote_rows", dying)
+
+
+class TestForkedQuoteWrite:
+    @pytest.mark.parametrize("n_stocks, child_share", [(1, 0), (2, 1), (3, 1), (4, 2)])
+    def test_halves_join_to_the_per_row_file(self, tmp_path, monkeypatch, n_stocks, child_share):
+        market = synth.generate_market(small_config(n_stocks=n_stocks, n_sectors=1))
+        log = tmp_path / "calls"
+        spy_rows(monkeypatch, log)
+        path = tmp_path / "quotes.csv"
+        synth.write_quotes_csv(path, market)
+        calls = dict(line.split() for line in log.read_text().splitlines())
+        # this process formats the front half, the larger one; a forked child the rest
+        assert calls.pop(str(os.getpid())) == str(n_stocks - child_share)
+        assert list(calls.values()) == [str(child_share)]
+        assert_no_child_left()
+        log.unlink()
+        assert written_in_process(tmp_path / "here.csv", market) == path.read_bytes()
+        assert log.read_text() == (f"{os.getpid()} {n_stocks - child_share}\n"
+                                   f"{os.getpid()} {child_share}\n")
+        assert path.read_bytes() == per_row_quotes_text(market).encode()
+
+    def test_child_that_dies_mid_write_is_one_error(self, tmp_path, monkeypatch):
+        kill_the_writing_child(monkeypatch)
+        path = tmp_path / "quotes.csv"
+        with pytest.raises(PipelineError) as raised:
+            synth.write_quotes_csv(path, synth.generate_market(small_config()))
+        assert str(raised.value) == f"{path}: the quote write ended without a result"
+        assert_no_child_left()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_stocks=st.integers(1, 9), m_days=st.integers(20, 30), n_years=st.integers(1, 2),
+       seed=st.integers(0, 2**32))
+def test_forked_write_matches_in_process_and_per_row(tmp_path_factory, n_stocks, m_days,
+                                                     n_years, seed):
+    market = synth.generate_market(synth.SynthConfig(
+        n_stocks=n_stocks, m_days=m_days, n_sectors=1, seed=seed, n_years=n_years))
+    tmp = tmp_path_factory.mktemp("write")
+    path = tmp / "quotes.csv"
+    synth.write_quotes_csv(path, market)
+    assert path.read_bytes() == written_in_process(tmp / "here.csv", market)
+    assert path.read_bytes() == per_row_quotes_text(market).encode()
 
 
 class TestFactorStructure:
