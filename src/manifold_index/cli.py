@@ -16,16 +16,19 @@ are the PipelineConfig fields; a command's flags are the fields it reads, and
 any flag given on the command line overrides the file.  The stage commands
 communicate through CSV artifacts, so each can be re-run from the previous
 stage's output; backtest hands them on in memory.  A command writes its
-files only once it has computed all of them, so a failing command writes
-nothing.  Exit code is 0 on success; failures, usage errors included, print
-one diagnostic line to stderr and exit 1.
+files only once it has computed all of them, to temporary files renamed
+into place once all are written, so a failing command writes nothing.  Exit
+code is 0 on success; failures, usage errors included, print one diagnostic
+line to stderr and exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -40,7 +43,7 @@ from .errors import ParameterError, ParseError, PipelineError, read_text
 DEFAULT_N_LIST = (50, 100, 150, 180, 380)
 EIGEN_BATCH = 32  # eigenpairs added to the basis per growth step
 
-# The files a command will write: output path -> (stage, function writing it there).
+# The files a command will write: output path -> (stage, function writing it to a path).
 Writes = dict[Path, tuple[str, Callable[[Path], None]]]
 
 _SELECTING = ("select", "backtest")
@@ -127,7 +130,7 @@ def load_config(path) -> PipelineConfig:
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     """The config file's settings overridden by the flags given, whose text
     goes through the same parsers."""
-    cfg = load_config(args.config) if args.config else PipelineConfig()
+    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
     updates = {}
     for f in fields(PipelineConfig):
         text = getattr(args, f.name, None)
@@ -270,19 +273,15 @@ def cmd_metrics(
     return report_path, stability_path
 
 
-def cmd_synth(args) -> tuple[Path, Path]:
-    """Generate a synthetic market and emit quotes.csv + benchmark.csv."""
+def cmd_synth(args, writes: Writes) -> None:
+    """Generate a synthetic market; adds quotes.csv and benchmark.csv to ``writes``."""
     given = {f.name: getattr(args, f.name) for f in fields(synth.SynthConfig)}
     config = synth.SynthConfig(**{k: v for k, v in given.items() if v is not None})
     market = synth.generate_market(config)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    quotes_path = outdir / "quotes.csv"
-    bench_path = outdir / "benchmark.csv"
-    synth.write_quotes_csv(quotes_path, market)
-    synth.write_benchmark_csv(bench_path, market.benchmark)
-    _log(f"synth: wrote {quotes_path} and {bench_path}")
-    return quotes_path, bench_path
+    writes[outdir / "quotes.csv"] = "synth", partial(synth.write_quotes_csv, market=market)
+    writes[outdir / "benchmark.csv"] = "synth", partial(synth.write_benchmark_csv,
+                                                        benchmark=market.benchmark)
 
 
 def cmd_backtest(
@@ -307,10 +306,22 @@ def cmd_backtest(
 
 
 def write_all(writes: Writes) -> None:
-    """Write each file of ``writes`` in order, creating its directory."""
-    for path, (stage, write) in writes.items():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write(path)
+    """Write the files of ``writes`` all or none: each in order to ``.<name>.<pid>.tmp``
+    beside it, creating its directory, then each renamed into place."""
+    for path in filter(Path.is_dir, writes):  # fails as open would, before the first write
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    staged: dict[Path, Path] = {}
+    try:
+        for path, (_, write) in writes.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            staged[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            write(staged[path])
+    except BaseException:
+        for temporary in staged.values():
+            temporary.unlink(missing_ok=True)
+        raise
+    for path, (stage, _) in writes.items():
+        os.replace(staged[path], path)
         _log(f"{stage}: wrote {path}")
 
 
@@ -379,16 +390,15 @@ def _import_scipy() -> None:
 
 
 def _dispatch(args: argparse.Namespace) -> None:
-    if args.command == "synth":
-        cmd_synth(args)
-        return
     cfg = _config_from_args(args)
     for f in fields(PipelineConfig):
         needed = f.name in _REQUIRED and args.command in f.metadata["commands"]
         if needed and getattr(cfg, f.name) is None:
             raise ParameterError(f"{args.command} needs {_flag(f.name)}")
     writes: Writes = {}
-    if args.command == "metrics":
+    if args.command == "synth":
+        cmd_synth(args, writes)
+    elif args.command == "metrics":
         cmd_metrics(cfg, _read_each(args.series, indexcalc.read_series_csv), writes)
     else:
         # parsed once, on two CPUs; select and backtest import SciPy meanwhile

@@ -65,8 +65,10 @@ class TestSynthCommand:
         kill_the_writing_child(monkeypatch)
         rc = run(["synth", "--outdir", str(tmp_path), "--n-stocks", "20", "--m-days", "20"])
         assert rc == 1
+        staged = tmp_path / f".quotes.csv.{os.getpid()}.tmp"
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {tmp_path / 'quotes.csv'}: the quote write ended without a result"]
+            f"error: {staged}: the quote write ended without a result"]
+        assert list(tmp_path.iterdir()) == []  # no quotes.csv, benchmark.csv or temporary file
 
     def test_unwritable_quote_file_fails_before_the_fork(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "quotes.csv").mkdir()
@@ -630,6 +632,26 @@ class TestBacktest:
         ]
         assert listing(out) == before
 
+    def test_failing_write_leaves_outdir_as_it_was(self, small_market, tmp_path, capsys):
+        """A directory where metrics.csv goes fails before the first write:
+        the constituent file already there keeps its bytes, and no file of
+        the run, temporary or not, is left."""
+        out = tmp_path / "out"
+        (out / "2020").mkdir(parents=True)
+        (out / "2020" / "constituents_005.csv").write_text("rank,ticker\n1,OLD\n")
+        (out / "metrics.csv").mkdir()
+        before = listing(out)
+        rc = run([
+            "backtest", "--quotes", str(small_market / "quotes.csv"),
+            "--benchmark", str(small_market / "benchmark.csv"),
+            "--outdir", str(out), "--k", "6", "--n-list", "5,10",
+            "--start-year", "2020", "--end-year", "2020",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno 21] Is a directory: '{out / 'metrics.csv'}'"]
+        assert listing(out) == before
+
     def test_index_stability_spans_study_years(self, tmp_path):
         """scope=index rows join one list's series across target years."""
         import csv
@@ -748,6 +770,46 @@ class TestBacktest:
             assert float(row["alpha"]) == pytest.approx(a, abs=1e-12)
             assert float(row["beta"]) == pytest.approx(b, abs=1e-10)
             assert float(row["jensen_alpha"]) == pytest.approx(ja, abs=1e-12)
+
+
+ARTIFACT_NAMES = ("2020/constituents_005.csv", "2020/index_005_2021.csv",
+                  "2021/constituents_005.csv", "metrics.csv", "stability.csv")
+
+
+def files_in(directory) -> dict[str, bytes]:
+    return {name: data for name, data in listing(directory).items() if data is not None}
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_write_all_publishes_all_files_or_none(tmp_path, data):
+    """When write i of a command's files raises OSError, the files already in
+    --outdir keep their bytes and no temporary file is left; when none
+    raises, each target holds its new bytes and nothing else is there."""
+    names = data.draw(st.lists(st.sampled_from(ARTIFACT_NAMES), min_size=1, unique=True))
+    prefilled = data.draw(st.sets(st.sampled_from(ARTIFACT_NAMES)))
+    failing = data.draw(st.integers(0, len(names)))  # len(names): no write fails
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    for name in prefilled:
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(f"old {name}\n")
+    before = files_in(out)
+
+    def write(path, i):
+        path.write_text(f"new {i}\n")  # a part is written before the fault
+        if i == failing:
+            raise OSError(f"{path}: no space left")
+
+    writes = {out / name: ("stage", partial(write, i=i)) for i, name in enumerate(names)}
+    if failing < len(names):
+        with pytest.raises(OSError):
+            cli.write_all(writes)
+        assert files_in(out) == before
+    else:
+        cli.write_all(writes)
+        new = {name: f"new {i}\n".encode() for i, name in enumerate(names)}
+        assert files_in(out) == {**before, **new}
 
 
 class TestBatchedEigenGrowth:
@@ -1373,6 +1435,21 @@ def scale_market(tmp_path_factory):
     assert run(["synth", "--outdir", str(root), "--n-stocks", "60", "--m-days", "60",
                 "--n-sectors", "4", "--n-years", "3"]) == 0
     return root, backtest_artifacts(root / "quotes.csv", root / "benchmark.csv", root / "out")
+
+
+def test_shuffled_rows_and_a_screened_out_ticker_change_no_artifact(scale_market, tmp_path):
+    """The quote file's rows in another order, which moves where the two
+    ends of the parse meet, plus a ticker quoted only in February and March
+    of the first study year, which screening drops, give byte-identical
+    backtest artifacts."""
+    root, plain = scale_market
+    header, *rows = (root / "quotes.csv").read_text().splitlines()
+    dates = sorted({row.split(",")[0] for row in rows if row[:7] in ("2020-02", "2020-03")})
+    rows += [f"{date},S0030A,10.0,1000.0" for date in dates]
+    random.Random(0).shuffle(rows)
+    (tmp_path / "shuffled.csv").write_text("\n".join([header, *rows, ""]))
+    assert backtest_artifacts(tmp_path / "shuffled.csv", root / "benchmark.csv",
+                              tmp_path / "out") == plain
 
 
 def scaled_columns(text: str, j: int, columns) -> str:
